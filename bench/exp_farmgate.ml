@@ -17,8 +17,9 @@
    3. Accounting closure (hard): per tenant, healthy + degraded + down
       seconds equal horizon - arrival exactly; summed over tenants they
       equal the controller's own total.  Every down-type fault event
-      either fully recovers (TTR recorded) or names the tenants that
-      never came back.
+      either recovers within the horizon (0 <= TTR <= horizon - at) or
+      names a displaced tenant that never came back: one that gave up,
+      or that ends the horizon unplaced or not healthy.
 
    The churn scenario is the 32-board heterogeneous smoke from the
    farm's CLI docs; a 100-board / 50-tenant / 12-event scenario scales
@@ -67,11 +68,26 @@ let check_invariants ~label stats =
   let owned = List.concat_map (fun (r : Farm.tenant_report) -> r.Farm.devices) stats.Farm.tenants in
   if List.length owned <> List.length (List.sort_uniq compare owned) then
     fail "%s: two tenants own the same board" label;
-  (* Every fault either recovered or names who never did. *)
+  (* Every fault either recovered within the horizon or names a
+     displaced tenant that never did: one that gave up, or that ends the
+     horizon unplaced or not healthy. *)
+  let never_recovered id =
+    List.exists
+      (fun (r : Farm.tenant_report) ->
+        r.Farm.tenant.Tenant.id = id
+        && (r.Farm.gave_up || r.Farm.devices = [] || r.Farm.final_health <> Farm.Healthy))
+      stats.Farm.tenants
+  in
   List.iter
     (fun (f : Farm.fault_report) ->
-      if f.Farm.ttr_s = None && f.Farm.displaced = [] then
-        fail "%s: fault %S unresolved yet displaced nobody" label f.Farm.event)
+      match f.Farm.ttr_s with
+      | Some ttr ->
+        if ttr < 0.0 || ttr > stats.Farm.horizon_s -. f.Farm.at_s then
+          fail "%s: fault %S at %.1f s reports TTR %.3f s outside [0, horizon - at]" label
+            f.Farm.event f.Farm.at_s ttr
+      | None ->
+        if not (List.exists never_recovered f.Farm.displaced) then
+          fail "%s: fault %S has no TTR yet every displaced tenant recovered" label f.Farm.event)
     stats.Farm.faults
 
 let run () =

@@ -94,14 +94,13 @@ let run () =
     fail "jobs=1 cost %.6f <> jobs=N cost %.6f" r1.Partition.cost rn.Partition.cost;
   if not (stats_equal r1.Partition.stats rn.Partition.stats) then
     fail "jobs=1 and jobs=N solver stats differ";
-  if r1.Partition.stats.Partition.subproblems = 0 then
-    fail "grouped path did not decompose (subproblems = 0)";
+  let c1 = r1.Partition.stats.Partition.counters in
+  if c1.Ilp.Counters.subproblems = 0 then fail "grouped path did not decompose (subproblems = 0)";
   Printf.printf
     "  100-FPGA/1000-task: cost %.0f, %d subproblems, races %d exact / %d anneal, %d \
      broadcasts\n"
-    r1.Partition.cost r1.Partition.stats.Partition.subproblems
-    r1.Partition.stats.Partition.races_exact r1.Partition.stats.Partition.races_anneal
-    r1.Partition.stats.Partition.incumbent_broadcasts;
+    r1.Partition.cost c1.Ilp.Counters.subproblems c1.Ilp.Counters.races_exact
+    c1.Ilp.Counters.races_anneal c1.Ilp.Counters.incumbent_broadcasts;
   Printf.printf "  jobs=1 %.2fs, jobs=N %.2fs (identical results)\n" t_seq t_par;
   let t_best = Float.min t_seq t_par in
   if t_best > wall_clock_ceiling_s then
@@ -124,13 +123,11 @@ let run () =
   Pool.shutdown pooln;
   if q1.Partition.assignment <> qn.Partition.assignment || not (stats_equal q1.Partition.stats qn.Partition.stats)
   then fail "race instance: jobs=1 and jobs=N answers differ";
-  let races =
-    q1.Partition.stats.Partition.races_exact + q1.Partition.stats.Partition.races_anneal
-  in
+  let cq = q1.Partition.stats.Partition.counters in
+  let races = cq.Ilp.Counters.races_exact + cq.Ilp.Counters.races_anneal in
   if races = 0 then fail "race instance ran no exact-vs-anneal races";
   Printf.printf "  12-FPGA race instance: %d races (%d exact / %d anneal), cost %.0f\n" races
-    q1.Partition.stats.Partition.races_exact q1.Partition.stats.Partition.races_anneal
-    q1.Partition.cost;
+    cq.Ilp.Counters.races_exact cq.Ilp.Counters.races_anneal q1.Partition.cost;
   (* Prepared vs unprepared simplex on the micro benchmark's 12x10 LP. *)
   let m = Ilp.Model.create () in
   let rng = Prng.create 3 in

@@ -67,13 +67,11 @@ let bb_ilp =
   in
   Test.make ~name:"branch&bound 10-var knapsack" (Staged.stage (fun () -> ignore (Ilp.Branch_bound.solve model)))
 
-(* Warm vs cold branch-and-bound on a floorplanning-shaped instance: many
-   binaries, few constraints — the regime where the prepared
-   bounded-variable tableau pays (no per-node rebuild, one row per
-   constraint instead of one per constraint + one per binary, bound flips
-   instead of pivots).  Both benches solve the identical model; the cold
-   one re-lowers it at every node via the reference solver, which is
-   exactly what the seed implementation did. *)
+(* Branch-and-bound on a floorplanning-shaped instance: many binaries, few
+   constraints — the regime where the prepared bounded-variable tableau
+   pays (no per-node rebuild, one row per constraint instead of one per
+   constraint + one per binary, bound flips instead of pivots) and the
+   float-first path with dual warm restarts settles most nodes. *)
 let bb_floorplan_model =
   let m = Ilp.Model.create () in
   let rng = Prng.create 11 in
@@ -88,24 +86,9 @@ let bb_floorplan_model =
     (Ilp.Linear.of_terms (List.map (fun v -> (v, Rat.of_int (Prng.int_in rng 1 20))) vars));
   m
 
-(* The warm-started bench rides the default solver configuration, which
-   is now float-first with dual warm restarts; the "exact prepared"
-   variant pins the previous all-rational prepared path so the trajectory
-   file records both the new default and the old one. *)
 let bb_warm =
   Test.make ~name:"B&B 24-var floorplan ILP, warm-started"
-    (Staged.stage (fun () ->
-         ignore (Ilp.Branch_bound.solve ~warm_start:true bb_floorplan_model)))
-
-let bb_exact_prepared =
-  Test.make ~name:"B&B 24-var floorplan ILP, exact prepared"
-    (Staged.stage (fun () ->
-         ignore (Ilp.Branch_bound.solve ~warm_start:true ~float_first:false bb_floorplan_model)))
-
-let bb_cold =
-  Test.make ~name:"B&B 24-var floorplan ILP, cold rebuild"
-    (Staged.stage (fun () ->
-         ignore (Ilp.Branch_bound.solve ~warm_start:false bb_floorplan_model)))
+    (Staged.stage (fun () -> ignore (Ilp.Branch_bound.solve bb_floorplan_model)))
 
 (* End-to-end multi-FPGA compile wall-clock, sequential vs pooled.  On a
    single-core host both run the sequential fallback and measure the same
@@ -206,9 +189,8 @@ let link_faulty =
     (Staged.stage (fun () ->
          ignore (Tapa_cs_network.Fault.transfer_time_s ~fault Tapa_cs_network.Link.alveolink xfer_bytes)))
 
-(* The binary [Heap] is retired from production paths (it survives only
-   as the differential-test oracle), so only the 4-ary heap — the one the
-   simulator and B&B frontier actually use — is tracked here. *)
+(* The 4-ary heap behind the simulator's event queue and the B&B
+   frontier. *)
 let event_fourheap =
   Test.make ~name:"event 4-ary heap push/pop x1000"
     (Staged.stage (fun () ->
@@ -397,7 +379,7 @@ let tests =
   Test.make_grouped ~name:"kernels"
     ([
        bigint_mul; bigint_divmod; rat_add; simplex_lp; simplex_float_first;
-       simplex_exact_prepared; bb_ilp; bb_warm; bb_exact_prepared; bb_cold; compile_seq;
+       simplex_exact_prepared; bb_ilp; bb_warm; compile_seq;
      ]
     @ Option.to_list compile_par
     @ [

@@ -18,13 +18,26 @@ open Tapa_cs_apps
 
 let app_names = [ "stencil"; "pagerank"; "knn"; "cnn" ]
 
+(* Counts (FPGAs, boards, iterations, columns, dataset sizes) parse
+   through one converter: zero or a negative value is a usage error
+   (exit 124) instead of an exception from a generator or cluster
+   constructor. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > 0 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "expected a positive integer, got %d" n))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
 let app_arg =
   let doc = "Benchmark application: " ^ String.concat ", " app_names ^ "." in
   Arg.(required & opt (some (enum (List.map (fun a -> (a, a)) app_names))) None & info [ "app" ] ~doc)
 
 let fpgas_arg =
   let doc = "Number of FPGAs the design is generated for." in
-  Arg.(value & opt int 1 & info [ "fpgas"; "k" ] ~doc)
+  Arg.(value & opt positive_int 1 & info [ "fpgas"; "k" ] ~doc)
 
 let cluster_fpgas_arg =
   let doc =
@@ -35,7 +48,7 @@ let cluster_fpgas_arg =
 
 let iters_arg =
   let doc = "Stencil iterations (64-512)." in
-  Arg.(value & opt int 64 & info [ "iters" ] ~doc)
+  Arg.(value & opt positive_int 64 & info [ "iters" ] ~doc)
 
 let dataset_arg =
   let doc = "PageRank dataset name (Table 5)." in
@@ -43,15 +56,15 @@ let dataset_arg =
 
 let n_arg =
   let doc = "KNN dataset size N." in
-  Arg.(value & opt int 4_000_000 & info [ "n" ] ~doc)
+  Arg.(value & opt positive_int 4_000_000 & info [ "n" ] ~doc)
 
 let d_arg =
   let doc = "KNN feature dimension D." in
-  Arg.(value & opt int 2 & info [ "d" ] ~doc)
+  Arg.(value & opt positive_int 2 & info [ "d" ] ~doc)
 
 let cols_arg =
   let doc = "CNN grid columns (grid is 13 x cols)." in
-  Arg.(value & opt int 8 & info [ "cols" ] ~doc)
+  Arg.(value & opt positive_int 8 & info [ "cols" ] ~doc)
 
 let flow_arg =
   let doc = "Compilation flow: vitis, tapa, or tapa-cs." in
@@ -182,51 +195,50 @@ let compile_design ?(verify_static = false) app_t ~flow ~fpgas ~cluster_fpgas ~t
 (* Commands                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Solver counters of one compile plus the process-wide floorplan-cache
-   counts, as a table (or JSON for scripting).  The solver counters come
-   from [Compiler.solver_stats] and are bit-stable across [--jobs] and
-   cache states; the cache counts are process-wide and depend on what ran
-   earlier, so they are labelled as such. *)
+(* Counters as (JSON key, table label, value) rows, printed as one JSON
+   object or as a table. *)
+let print_stat_rows ~json ~title rows =
+  if json then
+    Format.printf "%s@."
+      (Tapa_cs_util.Json.(to_string (Obj (List.map (fun (key, _, v) -> (key, Int v)) rows))))
+  else
+    Tapa_cs_util.Table.print ~title
+      ~header:[ "counter"; "value" ]
+      ~aligns:[ Tapa_cs_util.Table.Left; Tapa_cs_util.Table.Right ]
+      (List.map (fun (_, label, v) -> [ label; string_of_int v ]) rows)
+
+(* Process-wide simulation-cache and static-pruning counts. *)
+let sim_stat_rows () =
+  let sim_hits, sim_misses = Tapa_cs_sim.Design_sim.cache_stats () in
+  [
+    ("sim_cache_hits", "sim cache hits (process)", sim_hits);
+    ("sim_cache_misses", "sim cache misses (process)", sim_misses);
+    ( "static_pruned",
+      "statically pruned sweep points (process)",
+      Tapa_cs_sim.Sim_sweep.static_pruned () );
+  ]
+
+(* Solver counters of one compile plus the process-wide cache counts.
+   The solver counters come from [Compiler.solver_stats] and are
+   bit-stable across [--jobs] and cache states; the cache counts are
+   process-wide and depend on what ran earlier, so they are labelled as
+   such. *)
 let print_solver_stats ~json c =
   let s = Compiler.solver_stats c in
   let cache_hits, cache_misses = Tapa_cs_floorplan.Partition.cache_stats () in
-  let sim_hits, sim_misses = Tapa_cs_sim.Design_sim.cache_stats () in
   let fs = Compiler.fragment_stats () in
-  let static_pruned = Tapa_cs_sim.Sim_sweep.static_pruned () in
-  if json then
-    Format.printf
-      "{\"lp_solves\":%d,\"lp_pivots\":%d,\"lp_certified\":%d,\"lp_fallbacks\":%d,\"bb_nodes\":%d,\"refinement_moves\":%d,\"subproblems\":%d,\"races_exact\":%d,\"races_anneal\":%d,\"incumbent_broadcasts\":%d,\"floorplan_cache_hits\":%d,\"floorplan_cache_misses\":%d,\"frag_hits\":%d,\"frag_misses\":%d,\"groups_resolved\":%d,\"sim_cache_hits\":%d,\"sim_cache_misses\":%d,\"static_pruned\":%d}@."
-      s.Compiler.lp_solves s.Compiler.lp_pivots s.Compiler.lp_certified s.Compiler.lp_fallbacks
-      s.Compiler.bb_nodes s.Compiler.refinement_moves s.Compiler.subproblems
-      s.Compiler.races_exact s.Compiler.races_anneal s.Compiler.incumbent_broadcasts cache_hits
-      cache_misses fs.Compiler.frag_hits fs.Compiler.frag_misses fs.Compiler.groups_resolved
-      sim_hits sim_misses static_pruned
-  else begin
-    let i = string_of_int in
-    Tapa_cs_util.Table.print ~title:"solver statistics"
-      ~header:[ "counter"; "value" ]
-      ~aligns:[ Tapa_cs_util.Table.Left; Tapa_cs_util.Table.Right ]
-      [
-        [ "LP relaxations solved"; i s.Compiler.lp_solves ];
-        [ "simplex pivots"; i s.Compiler.lp_pivots ];
-        [ "float-certified solves"; i s.Compiler.lp_certified ];
-        [ "exact fallbacks"; i s.Compiler.lp_fallbacks ];
-        [ "branch-and-bound nodes"; i s.Compiler.bb_nodes ];
-        [ "refinement moves"; i s.Compiler.refinement_moves ];
-        [ "hierarchical subproblems"; i s.Compiler.subproblems ];
-        [ "portfolio races won: exact"; i s.Compiler.races_exact ];
-        [ "portfolio races won: anneal"; i s.Compiler.races_anneal ];
-        [ "incumbent broadcasts"; i s.Compiler.incumbent_broadcasts ];
-        [ "floorplan cache hits (process)"; i cache_hits ];
-        [ "floorplan cache misses (process)"; i cache_misses ];
-        [ "fragment cache hits (process)"; i fs.Compiler.frag_hits ];
-        [ "fragment cache misses (process)"; i fs.Compiler.frag_misses ];
-        [ "subproblems re-solved (process)"; i fs.Compiler.groups_resolved ];
-        [ "sim cache hits (process)"; i sim_hits ];
-        [ "sim cache misses (process)"; i sim_misses ];
-        [ "statically pruned sweep points (process)"; i static_pruned ];
+  print_stat_rows ~json ~title:"solver statistics"
+    (List.map
+       (fun (f : Tapa_cs_ilp.Counters.field) -> (f.key, f.label, f.get s))
+       Tapa_cs_ilp.Counters.fields
+    @ [
+        ("floorplan_cache_hits", "floorplan cache hits (process)", cache_hits);
+        ("floorplan_cache_misses", "floorplan cache misses (process)", cache_misses);
+        ("frag_hits", "fragment cache hits (process)", fs.Compiler.frag_hits);
+        ("frag_misses", "fragment cache misses (process)", fs.Compiler.frag_misses);
+        ("groups_resolved", "subproblems re-solved (process)", fs.Compiler.groups_resolved);
       ]
-  end
+    @ sim_stat_rows ())
 
 let stats_arg =
   let doc =
@@ -246,20 +258,7 @@ let stats_json_arg =
    a flow with no compile step (and the interesting cache here is the
    simulator's, not the floorplanner's). *)
 let print_sim_stats ~json () =
-  let sim_hits, sim_misses = Tapa_cs_sim.Design_sim.cache_stats () in
-  let static_pruned = Tapa_cs_sim.Sim_sweep.static_pruned () in
-  if json then
-    Format.printf "{\"sim_cache_hits\":%d,\"sim_cache_misses\":%d,\"static_pruned\":%d}@."
-      sim_hits sim_misses static_pruned
-  else
-    Tapa_cs_util.Table.print ~title:"simulation statistics"
-      ~header:[ "counter"; "value" ]
-      ~aligns:[ Tapa_cs_util.Table.Left; Tapa_cs_util.Table.Right ]
-      [
-        [ "sim cache hits (process)"; string_of_int sim_hits ];
-        [ "sim cache misses (process)"; string_of_int sim_misses ];
-        [ "statically pruned sweep points (process)"; string_of_int static_pruned ];
-      ]
+  print_stat_rows ~json ~title:"simulation statistics" (sim_stat_rows ())
 
 let verify_static_arg =
   let doc =
@@ -570,7 +569,7 @@ let autoscale_cmd =
         exchange_bytes = elems *. bytes /. 100.0;
       }
     in
-    let cluster = Cluster.make ~board:Board.u55c (max 1 fpgas) in
+    let cluster = Cluster.make ~board:Board.u55c fpgas in
     let describe_result (r : Tapa_cs_sim.Design_sim.result) =
       Printf.sprintf "%.3f ms measured" (1e3 *. r.Tapa_cs_sim.Design_sim.latency_s)
     in
@@ -786,11 +785,11 @@ let farm_cmd =
   let module Tenant = Tapa_cs_farm.Tenant in
   let boards_arg =
     let doc = "Number of boards in the farm." in
-    Arg.(value & opt int 32 & info [ "boards" ] ~doc)
+    Arg.(value & opt positive_int 32 & info [ "boards" ] ~doc)
   in
   let boards_per_node_arg =
     let doc = "Boards per server node (the paper's testbed groups 4)." in
-    Arg.(value & opt int 4 & info [ "boards-per-node" ] ~doc)
+    Arg.(value & opt positive_int 4 & info [ "boards-per-node" ] ~doc)
   in
   let mix_arg =
     let doc =

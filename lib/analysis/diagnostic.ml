@@ -195,40 +195,34 @@ let pp_list fmt ds =
   Format.fprintf fmt "%d error(s), %d warning(s), %d info@." (count Error) (count Warning)
     (count Info)
 
-(* Minimal JSON string escaping: the linter only emits ASCII messages. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let json_loc = function
-  | Design -> {|{"kind":"design"}|}
-  | Task { id; name } -> Printf.sprintf {|{"kind":"task","id":%d,"name":%s}|} id (json_string name)
+let json_loc loc =
+  let open Tapa_cs_util.Json in
+  match loc with
+  | Design -> Obj [ ("kind", String "design") ]
+  | Task { id; name } -> Obj [ ("kind", String "task"); ("id", Int id); ("name", String name) ]
   | Fifo { id; src; dst } ->
-    Printf.sprintf {|{"kind":"fifo","id":%d,"src":%s,"dst":%s}|} id (json_string src)
-      (json_string dst)
+    Obj [ ("kind", String "fifo"); ("id", Int id); ("src", String src); ("dst", String dst) ]
   | Channel { task; port_index; channel } ->
-    Printf.sprintf {|{"kind":"channel","task":%s,"port":%d,"channel":%d}|} (json_string task)
-      port_index channel
-  | Constraint { name } -> Printf.sprintf {|{"kind":"constraint","name":%s}|} (json_string name)
+    Obj
+      [
+        ("kind", String "channel");
+        ("task", String task);
+        ("port", Int port_index);
+        ("channel", Int channel);
+      ]
+  | Constraint { name } -> Obj [ ("kind", String "constraint"); ("name", String name) ]
 
 let to_json d =
-  Printf.sprintf {|{"code":%s,"severity":%s,"loc":%s,"message":%s,"hint":%s}|}
-    (json_string d.code)
-    (json_string (severity_label d.severity))
-    (json_loc d.loc) (json_string d.message)
-    (match d.hint with None -> "null" | Some h -> json_string h)
+  let open Tapa_cs_util.Json in
+  to_string
+    (Obj
+       [
+         ("code", String d.code);
+         ("severity", String (severity_label d.severity));
+         ("loc", json_loc d.loc);
+         ("message", String d.message);
+         ("hint", match d.hint with None -> Null | Some h -> String h);
+       ])
 
 let render ?(json = false) ds =
   if json then String.concat "\n" (List.map to_json ds)

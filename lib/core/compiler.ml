@@ -280,7 +280,7 @@ let compile ?(options = default_options) ?pool ~cluster graph =
       }
   end
 
-type solver_stats = {
+type solver_stats = Tapa_cs_ilp.Counters.t = {
   lp_solves : int;
   lp_pivots : int;
   lp_certified : int;
@@ -302,38 +302,11 @@ type solver_stats = {
    that *produced* the stored results: a cache hit replays the stored
    stats record, so the aggregate is stable by construction. *)
 let solver_stats t =
-  let add acc (s : Partition.stats) =
-    {
-      lp_solves = acc.lp_solves + s.lp_solves;
-      lp_pivots = acc.lp_pivots + s.lp_pivots;
-      lp_certified = acc.lp_certified + s.lp_certified;
-      lp_fallbacks = acc.lp_fallbacks + s.lp_fallbacks;
-      bb_nodes = acc.bb_nodes + s.bb_nodes;
-      refinement_moves = acc.refinement_moves + s.refinement_moves;
-      subproblems = acc.subproblems + s.subproblems;
-      races_exact = acc.races_exact + s.races_exact;
-      races_anneal = acc.races_anneal + s.races_anneal;
-      incumbent_broadcasts = acc.incumbent_broadcasts + s.incumbent_broadcasts;
-    }
-  in
-  let zero =
-    {
-      lp_solves = 0;
-      lp_pivots = 0;
-      lp_certified = 0;
-      lp_fallbacks = 0;
-      bb_nodes = 0;
-      refinement_moves = 0;
-      subproblems = 0;
-      races_exact = 0;
-      races_anneal = 0;
-      incumbent_broadcasts = 0;
-    }
-  in
-  let acc = add zero t.inter.Inter_fpga.stats in
+  let add acc (s : Partition.stats) = Tapa_cs_ilp.Counters.add acc s.counters in
   Array.fold_left
     (fun acc p -> List.fold_left add acc p.Intra_fpga.levels)
-    acc t.intra
+    (add Tapa_cs_ilp.Counters.zero t.inter.Inter_fpga.stats)
+    t.intra
 
 (* Process-wide fragment-cache counters, re-exported for the CLI and the
    serving layer.  These are deliberately NOT folded into [solver_stats]:

@@ -91,27 +91,24 @@ val compile :
     controller) instead of spawning one per compile; it overrides
     [options.jobs] and is never shut down here. *)
 
-type solver_stats = {
-  lp_solves : int;  (** LP relaxations solved across all floorplan ILPs *)
-  lp_pivots : int;  (** simplex iterations (float on certified solves) *)
-  lp_certified : int;  (** solves settled by the float-first path *)
-  lp_fallbacks : int;  (** solves where certification forced exact re-solve *)
-  bb_nodes : int;  (** branch-and-bound nodes explored *)
-  refinement_moves : int;  (** heuristic move-refinement steps *)
+type solver_stats = Tapa_cs_ilp.Counters.t = {
+  lp_solves : int;
+  lp_pivots : int;
+  lp_certified : int;
+  lp_fallbacks : int;
+  bb_nodes : int;
+  refinement_moves : int;
   subproblems : int;
-      (** node-level subproblems spawned by the hierarchical floorplan
-          decomposition; 0 when every solve took a flat path *)
-  races_exact : int;  (** portfolio races won by the exact B&B arm *)
+  races_exact : int;
   races_anneal : int;
-      (** portfolio races won by simulated annealing (cost matched the
-          exact LP bound) *)
   incumbent_broadcasts : int;
-      (** incumbent improvements shared across parallel B&B subtrees *)
 }
+(** The solver counter record, re-exported; the fields are documented
+    in {!Tapa_cs_ilp.Counters}. *)
 
 val solver_stats : t -> solver_stats
-(** Solver counters aggregated over the inter-FPGA solve and every
-    intra-FPGA bisection level.  Derived purely from the compile result,
+(** Solver counters summed with {!Tapa_cs_ilp.Counters.add} over the
+    inter-FPGA solve and every intra-FPGA bisection level.  Derived purely from the compile result,
     so it is bit-identical across [jobs] settings and cache states — a
     floorplan-cache hit replays the stored stats of the solve that
     produced it.  Process-wide cache hit/miss counts (which {e do}

@@ -88,19 +88,8 @@ let connectivity_cfg (c : Compiler.t) ~fpga =
     c.Compiler.inter.Inter_fpga.cut_fifos;
   Buffer.contents buf
 
-(* Minimal JSON emission; values are numbers, strings and flat structures,
-   so hand-rolled printing suffices. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | ch -> Buffer.add_char buf ch)
-    s;
-  Buffer.contents buf
-
+(* A pretty-printed layout of its own (pinned by the golden files); only
+   its string literals go through the shared JSON escaper. *)
 let design_report_json (c : Compiler.t) =
   let buf = Buffer.create 4096 in
   let k = Cluster.size c.Compiler.cluster in
@@ -128,14 +117,14 @@ let design_report_json (c : Compiler.t) =
     Buffer.add_string buf (Printf.sprintf "      \"clock_mhz\": %.1f,\n" est.Tapa_cs_freq.Freq_model.freq_mhz);
     Buffer.add_string buf (Printf.sprintf "      \"utilization\": %.4f,\n" u);
     Buffer.add_string buf
-      (Printf.sprintf "      \"binding_resource\": \"%s\",\n"
-         (json_escape est.Tapa_cs_freq.Freq_model.binding_resource));
+      (Printf.sprintf "      \"binding_resource\": %s,\n"
+         (Tapa_cs_util.Json.quote est.Tapa_cs_freq.Freq_model.binding_resource));
     Buffer.add_string buf "      \"tasks\": [";
     let names = ref [] in
     Array.iteri
       (fun tid f ->
         if f = fpga then
-          names := Printf.sprintf "\"%s\"" (json_escape (Taskgraph.task c.Compiler.graph tid).Task.name) :: !names)
+          names := Tapa_cs_util.Json.quote (Taskgraph.task c.Compiler.graph tid).Task.name :: !names)
       c.Compiler.inter.Inter_fpga.assignment;
     Buffer.add_string buf (String.concat ", " (List.rev !names));
     Buffer.add_string buf "]\n";

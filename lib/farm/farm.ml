@@ -585,119 +585,66 @@ let mean_ttr_s stats =
    (cluster, workload, timeline, config) — the determinism contract the
    farmgate pins across runs and [--jobs] values. *)
 
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let json_float f =
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
-
 let stats_json stats =
-  let b = Buffer.create 4096 in
-  let str s =
-    Buffer.add_char b '"';
-    buf_escape b s;
-    Buffer.add_char b '"'
+  let open Tapa_cs_util.Json in
+  let opt_float = function None -> Null | Some v -> Float v in
+  let ints l = List (List.map (fun d -> Int d) l) in
+  let tenant r =
+    Obj
+      [
+        ("id", Int r.tenant.Tenant.id);
+        ("name", String r.tenant.Tenant.name);
+        ("slo", String (Tenant.slo_label r.tenant.Tenant.slo));
+        ("arrival_s", Float r.tenant.Tenant.arrival_s);
+        ("final_health", String (health_label r.final_health));
+        ("failed_over", Bool r.failed_over);
+        ("gave_up", Bool r.gave_up);
+        ("placements", Int r.placements);
+        ("replacements", Int r.replacements);
+        ("attempts", Int r.attempts);
+        ("healthy_s", Float r.healthy_s);
+        ("degraded_s", Float r.degraded_s);
+        ("down_s", Float r.down_s);
+        ("devices", ints r.devices);
+      ]
   in
-  let field first name v =
-    if not first then Buffer.add_char b ',';
-    str name;
-    Buffer.add_char b ':';
-    v ()
+  let fault f =
+    Obj
+      [
+        ("at_s", Float f.at_s);
+        ("event", String f.event);
+        ("displaced", ints f.displaced);
+        ("ttr_s", opt_float f.ttr_s);
+      ]
   in
-  let int_list l =
-    Buffer.add_char b '[';
-    List.iteri
-      (fun i d ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (string_of_int d))
-      l;
-    Buffer.add_char b ']'
+  let sample s =
+    Obj
+      [
+        ("t_s", Float s.t_s);
+        ("label", String s.label);
+        ("placed", Int s.placed);
+        ("dead_devices", Int s.dead_devices);
+        ("utilization", Float s.utilization);
+        ("fragmentation", Float s.fragmentation);
+        ("max_link_sharers", Int s.max_link_sharers);
+      ]
   in
-  Buffer.add_char b '{';
-  field true "boards" (fun () -> Buffer.add_string b (string_of_int stats.boards));
-  field false "horizon_s" (fun () -> Buffer.add_string b (json_float stats.horizon_s));
-  field false "seed" (fun () -> Buffer.add_string b (string_of_int stats.seed));
-  field false "reused_placements" (fun () -> Buffer.add_string b (string_of_int stats.reused));
-  field false "frag_hits" (fun () -> Buffer.add_string b (string_of_int stats.frag_hits));
-  field false "frag_misses" (fun () -> Buffer.add_string b (string_of_int stats.frag_misses));
-  field false "groups_resolved" (fun () ->
-      Buffer.add_string b (string_of_int stats.groups_resolved));
-  field false "total_tenant_s" (fun () -> Buffer.add_string b (json_float (total_tenant_s stats)));
-  field false "mean_ttr_s" (fun () ->
-      Buffer.add_string b
-        (match mean_ttr_s stats with None -> "null" | Some v -> json_float v));
-  field false "tenants" (fun () ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i r ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '{';
-          field true "id" (fun () -> Buffer.add_string b (string_of_int r.tenant.Tenant.id));
-          field false "name" (fun () -> str r.tenant.Tenant.name);
-          field false "slo" (fun () -> str (Tenant.slo_label r.tenant.Tenant.slo));
-          field false "arrival_s" (fun () ->
-              Buffer.add_string b (json_float r.tenant.Tenant.arrival_s));
-          field false "final_health" (fun () -> str (health_label r.final_health));
-          field false "failed_over" (fun () ->
-              Buffer.add_string b (string_of_bool r.failed_over));
-          field false "gave_up" (fun () -> Buffer.add_string b (string_of_bool r.gave_up));
-          field false "placements" (fun () -> Buffer.add_string b (string_of_int r.placements));
-          field false "replacements" (fun () ->
-              Buffer.add_string b (string_of_int r.replacements));
-          field false "attempts" (fun () -> Buffer.add_string b (string_of_int r.attempts));
-          field false "healthy_s" (fun () -> Buffer.add_string b (json_float r.healthy_s));
-          field false "degraded_s" (fun () -> Buffer.add_string b (json_float r.degraded_s));
-          field false "down_s" (fun () -> Buffer.add_string b (json_float r.down_s));
-          field false "devices" (fun () -> int_list r.devices);
-          Buffer.add_char b '}')
-        stats.tenants;
-      Buffer.add_char b ']');
-  field false "faults" (fun () ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i f ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '{';
-          field true "at_s" (fun () -> Buffer.add_string b (json_float f.at_s));
-          field false "event" (fun () -> str f.event);
-          field false "displaced" (fun () -> int_list f.displaced);
-          field false "ttr_s" (fun () ->
-              Buffer.add_string b
-                (match f.ttr_s with None -> "null" | Some v -> json_float v));
-          Buffer.add_char b '}')
-        stats.faults;
-      Buffer.add_char b ']');
-  field false "timeline" (fun () ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i s ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '{';
-          field true "t_s" (fun () -> Buffer.add_string b (json_float s.t_s));
-          field false "label" (fun () -> str s.label);
-          field false "placed" (fun () -> Buffer.add_string b (string_of_int s.placed));
-          field false "dead_devices" (fun () ->
-              Buffer.add_string b (string_of_int s.dead_devices));
-          field false "utilization" (fun () -> Buffer.add_string b (json_float s.utilization));
-          field false "fragmentation" (fun () ->
-              Buffer.add_string b (json_float s.fragmentation));
-          field false "max_link_sharers" (fun () ->
-              Buffer.add_string b (string_of_int s.max_link_sharers));
-          Buffer.add_char b '}')
-        stats.timeline;
-      Buffer.add_char b ']');
-  Buffer.add_char b '}';
-  Buffer.contents b
+  to_string
+    (Obj
+       [
+         ("boards", Int stats.boards);
+         ("horizon_s", Float stats.horizon_s);
+         ("seed", Int stats.seed);
+         ("reused_placements", Int stats.reused);
+         ("frag_hits", Int stats.frag_hits);
+         ("frag_misses", Int stats.frag_misses);
+         ("groups_resolved", Int stats.groups_resolved);
+         ("total_tenant_s", Float (total_tenant_s stats));
+         ("mean_ttr_s", opt_float (mean_ttr_s stats));
+         ("tenants", List (List.map tenant stats.tenants));
+         ("faults", List (List.map fault stats.faults));
+         ("timeline", List (List.map sample stats.timeline));
+       ])
 
 let pp_summary fmt stats =
   let n = List.length stats.tenants in

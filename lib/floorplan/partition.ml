@@ -17,66 +17,17 @@ type strategy = Exact | Heuristic | Auto
 type stats = {
   backend : [ `Exact | `Heuristic | `Greedy ];
   runtime_s : float;
-  lp_solves : int;
-  lp_pivots : int;
-  lp_certified : int;
-  lp_fallbacks : int;
-  bb_nodes : int;
-  refinement_moves : int;
-  subproblems : int;
-  races_exact : int;
-  races_anneal : int;
-  incumbent_broadcasts : int;
+  counters : Ilp.Counters.t;
   proven_optimal : bool;
   timed_out : bool;
 }
 
 type result = { assignment : int array; cost : float; feasible : bool; stats : stats }
 
-(* Solver-counter bundle threaded from Branch_bound solutions up through
-   the exact / hierarchical backends into [stats]. *)
-type ilp_counters = {
-  c_nodes : int;
-  c_solves : int;
-  c_pivots : int;
-  c_cert : int;
-  c_fb : int;
-}
+module Counters = Ilp.Counters
 
-let zero_counters = { c_nodes = 0; c_solves = 0; c_pivots = 0; c_cert = 0; c_fb = 0 }
-
-let add_counters a b =
-  {
-    c_nodes = a.c_nodes + b.c_nodes;
-    c_solves = a.c_solves + b.c_solves;
-    c_pivots = a.c_pivots + b.c_pivots;
-    c_cert = a.c_cert + b.c_cert;
-    c_fb = a.c_fb + b.c_fb;
-  }
-
-let counters_of (sol : Ilp.Branch_bound.solution) =
-  {
-    c_nodes = sol.nodes;
-    c_solves = sol.lp_solves;
-    c_pivots = sol.lp_pivots;
-    c_cert = sol.lp_certified;
-    c_fb = sol.lp_fallbacks;
-  }
-
-(* Hierarchy / portfolio-race counter bundle: how many subproblems the
-   grouped decomposition spawned, which arm won each race, and how often
-   the parallel B&B merge improved its incumbent. *)
-type race_stats = { r_sub : int; r_exact : int; r_anneal : int; r_bcast : int }
-
-let zero_race = { r_sub = 0; r_exact = 0; r_anneal = 0; r_bcast = 0 }
-
-let add_race a b =
-  {
-    r_sub = a.r_sub + b.r_sub;
-    r_exact = a.r_exact + b.r_exact;
-    r_anneal = a.r_anneal + b.r_anneal;
-    r_bcast = a.r_bcast + b.r_bcast;
-  }
+(* A heuristic answer's counters: only its move count. *)
+let moves_only moves = { Counters.zero with refinement_moves = moves }
 
 let num_items p = Array.length p.areas
 
@@ -530,7 +481,7 @@ let exact ?deadline_s ?timeout_flag ~incumbent p =
     as result ->
     (match result with Ilp.Branch_bound.Timeout _ -> mark_timeout () | _ -> ());
     let proven = match result with Ilp.Branch_bound.Optimal _ -> true | _ -> false in
-    Some (decode sol.values, counters_of sol, proven)
+    Some (decode sol.values, sol.counters, proven)
   | Ilp.Branch_bound.Infeasible | Ilp.Branch_bound.Unbounded -> None
   | Ilp.Branch_bound.Timeout None ->
     mark_timeout ();
@@ -587,7 +538,12 @@ let refine_global p assignment =
   done;
   !moves
 
-let solve_two_way ~strategy ~seed ~exact_var_limit sub =
+(* Binary-variable budget up to which [Auto] still tries the exact
+   backend on a two-way split; joint k-way ILPs get half of it and the
+   grouped decomposition's race arm twice it. *)
+let exact_var_limit = 28
+
+let solve_two_way ~strategy ~seed sub =
   let h = heuristic ~seed sub in
   let incumbent = match h with Some (a, _, true, _) -> Some a | _ -> None in
   let try_exact () =
@@ -595,28 +551,25 @@ let solve_two_way ~strategy ~seed ~exact_var_limit sub =
   in
   match strategy with
   | Heuristic -> (
-    match h with Some (a, _, true, m) -> Some (a, zero_counters, m, false) | _ -> None)
-  | Exact -> (
-    match exact ~incumbent:None sub with
-    | Some (a, counters, proven) -> Some (a, counters, 0, proven)
-    | None -> None)
+    match h with Some (a, _, true, m) -> Some (a, moves_only m, false) | _ -> None)
+  | Exact -> exact ~incumbent:None sub
   | Auto -> (
     match h with
     (* A feasible zero-cost split is optimal by definition (costs are
        nonnegative): skip the ILP entirely. *)
-    | Some (a, cost, true, m) when cost <= 1e-12 -> Some (a, zero_counters, m, true)
+    | Some (a, cost, true, m) when cost <= 1e-12 -> Some (a, moves_only m, true)
     | _ -> (
       match try_exact () with
-      | Some (a, counters, proven) -> Some (a, counters, 0, proven)
+      | Some _ as r -> r
       | None -> (
-        match h with Some (a, _, true, m) -> Some (a, zero_counters, m, false) | _ -> None)))
+        match h with Some (a, _, true, m) -> Some (a, moves_only m, false) | _ -> None)))
 
-let hierarchical ~strategy ~seed ~exact_var_limit p =
+let hierarchical ~strategy ~seed p =
   let n = num_items p in
   let assignment = Array.make n (-1) in
   let fixed_part = Array.make n (-1) in
   List.iter (fun (i, part) -> fixed_part.(i) <- part) p.fixed;
-  let counters = ref zero_counters and moves = ref 0 in
+  let counters = ref Counters.zero in
   let failed = ref false in
   (* BFS over (part range, member items); sibling ranges are known, so
      edges leaving the current range become pulls toward whichever half
@@ -678,11 +631,10 @@ let hierarchical ~strategy ~seed ~exact_var_limit p =
           fixed = !sub_fixed;
         }
       in
-      match solve_two_way ~strategy ~seed ~exact_var_limit sub with
+      match solve_two_way ~strategy ~seed sub with
       | None -> failed := true
-      | Some (a, cnt, mv, _) ->
-        counters := add_counters !counters cnt;
-        moves := !moves + mv;
+      | Some (a, cnt, _) ->
+        counters := Counters.add !counters cnt;
         let ma = ref [] and mb = ref [] in
         Array.iteri
           (fun i tid ->
@@ -701,8 +653,8 @@ let hierarchical ~strategy ~seed ~exact_var_limit p =
   done;
   if !failed then None
   else begin
-    moves := !moves + refine_global p assignment;
-    Some (assignment, !counters, !moves)
+    let moves = refine_global p assignment in
+    Some (assignment, Counters.add !counters (moves_only moves))
   end
 
 let binary_var_count p = if p.k = 2 then num_items p else num_items p * p.k
@@ -766,16 +718,7 @@ let greedy p =
           {
             backend = `Greedy;
             runtime_s = Sys.time () -. t0;
-            lp_solves = 0;
-            lp_pivots = 0;
-            lp_certified = 0;
-            lp_fallbacks = 0;
-            bb_nodes = 0;
-            refinement_moves = 0;
-            subproblems = 0;
-            races_exact = 0;
-            races_anneal = 0;
-            incumbent_broadcasts = 0;
+            counters = Counters.zero;
             proven_optimal = false;
             timed_out = false;
           };
@@ -828,13 +771,11 @@ let exact_race ?timeout_flag ?pool ~seed ~incumbent p =
     `Anneal (o, certified)
   in
   let run_bb () =
-    let result, ps =
-      Ilp.Branch_bound.solve_parallel ~max_nodes:800 ~max_pivots:300_000 ~stall_nodes:80
-        ?incumbent:incumbent_values ?pool
-        ~should_stop:(fun () -> Pool.cancelled token)
-        m
-    in
-    `Bb (result, ps)
+    `Bb
+      (Ilp.Branch_bound.solve_parallel ~max_nodes:800 ~max_pivots:300_000 ~stall_nodes:80
+         ?incumbent:incumbent_values ?pool
+         ~should_stop:(fun () -> Pool.cancelled token)
+         m)
   in
   (* The anneal arm is listed first so the sequential fallback (jobs = 1,
      or a nested call inside a pool worker) runs it before the exact arm:
@@ -844,17 +785,15 @@ let exact_race ?timeout_flag ?pool ~seed ~incumbent p =
   let anneal_o, anneal_certified =
     match outs.(0) with `Anneal (o, c) -> (o, c) | _ -> assert false
   in
-  let bb_result, bb_par = match outs.(1) with `Bb (r, ps) -> (r, ps) | _ -> assert false in
+  let bb_result = match outs.(1) with `Bb r -> r | _ -> assert false in
+  (* Only the deterministic root LP solve is accounted for an anneal
+     answer the exact arm did not produce. *)
+  let anneal_won = { (moves_only anneal_o.moves) with lp_solves = 1; races_anneal = 1 } in
   if anneal_certified then
     (* Provably optimal: the anneal cost equals the exact root LP bound.
        Only the deterministic root LP solve is accounted — the cancelled
        exact arm's partial counters depend on how fast it was stopped. *)
-    Some
-      ( anneal_o.assignment,
-        { zero_counters with c_solves = 1 },
-        true,
-        { zero_race with r_anneal = 1 },
-        anneal_o.moves )
+    Some (anneal_o.assignment, anneal_won, true)
   else
     match bb_result with
     | (Ilp.Branch_bound.Optimal sol | Ilp.Branch_bound.Feasible sol
@@ -872,24 +811,15 @@ let exact_race ?timeout_flag ?pool ~seed ~incumbent p =
       then
         Some
           ( anneal_o.assignment,
-            counters_of sol,
-            false,
-            { zero_race with r_anneal = 1; r_bcast = bb_par.par_broadcasts },
-            anneal_o.moves )
-      else
-        Some
-          (a, counters_of sol, proven, { zero_race with r_exact = 1; r_bcast = bb_par.par_broadcasts }, 0)
+            { sol.counters with races_anneal = 1; refinement_moves = anneal_o.moves },
+            false )
+      else Some (a, { sol.counters with races_exact = 1 }, proven)
     | Ilp.Branch_bound.Infeasible | Ilp.Branch_bound.Unbounded | Ilp.Branch_bound.Timeout None ->
       (match bb_result with Ilp.Branch_bound.Timeout None -> mark_timeout () | _ -> ());
       (* The exact arm's budget-limited "Infeasible" is a conflation (no
          incumbent found in budget); a feasible anneal answer refutes it. *)
       if anneal_o.feasible && feasible_assignment p anneal_o.assignment then
-        Some
-          ( anneal_o.assignment,
-            { zero_counters with c_solves = 1 },
-            false,
-            { zero_race with r_anneal = 1 },
-            anneal_o.moves )
+        Some (anneal_o.assignment, anneal_won, false)
       else None
 
 (* ------------------------------------------------------------------ *)
@@ -1134,7 +1064,7 @@ type fragment_stats = {
   frag_evictions : int;
 }
 
-let frag_cache : (int array * ilp_counters * race_stats * int) option Memo.t =
+let frag_cache : (int array * Counters.t) option Memo.t =
   Memo.create ~max_entries:8192 ()
 
 let frag_resolved = Atomic.make 0
@@ -1168,10 +1098,10 @@ let frag_seed bytes =
    subtree search, and a certified anneal cancels it early on the easy
    instances — otherwise anneal from the heuristic start with greedy as
    the last rung. *)
-let solve_sub_core ?pool ~seed ~exact_var_limit sub =
+let solve_sub_core ?pool ~seed sub =
   if binary_var_count sub <= 2 * exact_var_limit then
     match exact_race ?pool ~seed ~incumbent:None sub with
-    | Some (a, cnt, _proven, race, mv) -> Some (a, cnt, { race with r_sub = 1 }, mv)
+    | Some (a, cnt, _proven) -> Some (a, { cnt with subproblems = 1 })
     | None -> None
   else begin
     let h = heuristic ~seed sub in
@@ -1187,43 +1117,37 @@ let solve_sub_core ?pool ~seed ~exact_var_limit sub =
         ~iters:(race_iters sub) ~init ()
     in
     if o.feasible && feasible_assignment sub o.assignment then
-      (* no exact arm ran, so this is not a race win — only [r_sub] *)
-      Some (o.assignment, zero_counters, { zero_race with r_sub = 1 }, o.moves)
+      (* no exact arm ran, so this is not a race win — only [subproblems] *)
+      Some (o.assignment, { (moves_only o.moves) with subproblems = 1 })
     else
       match h with
-      | Some (a, _, true, mv) -> Some (a, zero_counters, { zero_race with r_sub = 1 }, mv)
+      | Some (a, _, true, mv) -> Some (a, { (moves_only mv) with subproblems = 1 })
       | _ -> (
         (* last rung: first-fit-decreasing, accepted only when feasible *)
         match greedy sub with
-        | Some r when r.feasible ->
-          Some (r.assignment, zero_counters, { zero_race with r_sub = 1 }, 0)
+        | Some r when r.feasible -> Some (r.assignment, { Counters.zero with subproblems = 1 })
         | _ -> None)
   end
 
 (* Canonicalize, consult the fragment cache, solve in canonical space on
    a miss, map the assignment back through the item/part permutations.
    The key pairs the invariant digest with a hash of the exact canonical
-   serialization (plus the exact-arm budget, which routes the backend):
-   a digest collision or an automorphism tie broken differently can only
-   cause a miss, never a wrong replay.  The cached array is shared; it
+   serialization: a digest collision or an automorphism tie broken
+   differently can only cause a miss, never a wrong replay.  The cached array is shared; it
    is read (never mutated) while mapping back into a fresh array. *)
-let solve_fragment ?pool ~exact_var_limit sub =
+let solve_fragment ?pool sub =
   let c = canonicalize sub in
-  let key =
-    c.c_digest ^ "/"
-    ^ Digest.to_hex (Digest.string c.c_bytes)
-    ^ ";" ^ string_of_int exact_var_limit
-  in
+  let key = c.c_digest ^ "/" ^ Digest.to_hex (Digest.string c.c_bytes) in
   let solved, _hit =
     Memo.find_or_compute frag_cache ~key (fun () ->
         Atomic.incr frag_resolved;
-        solve_sub_core ?pool ~seed:(frag_seed c.c_bytes) ~exact_var_limit c.c_problem)
+        solve_sub_core ?pool ~seed:(frag_seed c.c_bytes) c.c_problem)
   in
   Option.map
-    (fun (a, cnt, race, mv) ->
+    (fun (a, cnt) ->
       let back = Array.make (num_items sub) 0 in
       Array.iteri (fun ci part -> back.(c.c_items.(ci)) <- c.c_parts.(part)) a;
-      (back, cnt, race, mv))
+      (back, cnt))
     solved
 
 (* Cluster-level chunking: the deterministic BFS placement order —
@@ -1296,7 +1220,7 @@ let cluster_chunk gproblem =
    with a feasible, no-worse assignment.                                *)
 (* ------------------------------------------------------------------ *)
 
-let solve_grouped ~seed ~exact_var_limit ?pool ~groups p =
+let solve_grouped ~seed ?pool ~groups p =
   let n = num_items p in
   let g_count = 1 + Array.fold_left Stdlib.max 0 groups in
   let gparts = Array.make g_count [] in
@@ -1344,7 +1268,7 @@ let solve_grouped ~seed ~exact_var_limit ?pool ~groups p =
        annealer's per-proposal cost is O(degree). *)
     let cluster =
       match cluster_chunk gproblem with
-      | Some a -> Some (a, zero_counters, 0)
+      | Some a -> Some (a, Counters.zero)
       | None -> (
         match greedy gproblem with
         | None -> None
@@ -1357,13 +1281,13 @@ let solve_grouped ~seed ~exact_var_limit ?pool ~groups p =
               ~init:g0.assignment ()
           in
           if o.feasible && feasible_assignment gproblem o.assignment then
-            Some (o.assignment, zero_counters, o.moves)
-          else if g0.feasible then Some (g0.assignment, zero_counters, 0)
+            Some (o.assignment, moves_only o.moves)
+          else if g0.feasible then Some (g0.assignment, Counters.zero)
           else None)
     in
     match cluster with
     | None -> None
-    | Some (cluster_assign, cluster_counters, cluster_moves) ->
+    | Some (cluster_assign, cluster_counters) ->
       (* Gateway part of group g toward group g': the member part closest
          to g'.  Cross-group edges become pulls toward it — the cut-set
          reconciliation that keeps boundary traffic near the links that
@@ -1448,25 +1372,22 @@ let solve_grouped ~seed ~exact_var_limit ?pool ~groups p =
          answer — and hence the fragment — is shareable across attempts,
          tenants and renamings). *)
       let solve_sub sub =
-        if num_items sub = 0 then Some (Array.make 0 0, zero_counters, zero_race, 0)
-        else solve_fragment ?pool ~exact_var_limit sub
+        if num_items sub = 0 then Some (Array.make 0 0, Counters.zero)
+        else solve_fragment ?pool sub
       in
       let subs = Array.init g_count make_sub in
       let solved = Pool.parallel_map ?pool solve_sub subs in
       if Array.exists Option.is_none solved then None
       else begin
         let assignment = Array.make n (-1) in
-        let counters = ref cluster_counters in
-        let race = ref { zero_race with r_sub = 1 } in
-        let moves = ref cluster_moves in
+        (* the cluster-level problem counts as one subproblem *)
+        let counters = ref { cluster_counters with subproblems = 1 } in
         Array.iteri
           (fun g s ->
-            let a, cnt, rc, mv = Option.get s in
+            let a, cnt = Option.get s in
             let mem = Array.of_list members.(g) in
             Array.iteri (fun li tid -> assignment.(tid) <- parts_arr.(g).(a.(li))) mem;
-            counters := add_counters !counters cnt;
-            race := add_race !race rc;
-            moves := !moves + mv)
+            counters := Counters.add !counters cnt)
           solved;
         (* Polish across group boundaries only: interior items are
            pinned, so the anneal explores the cut — the only place the
@@ -1505,17 +1426,17 @@ let solve_grouped ~seed ~exact_var_limit ?pool ~groups p =
               && feasible_assignment p o.assignment
               && cost_of p o.assignment <= cost_of p assignment +. 1e-9
             then begin
-              moves := !moves + o.moves;
+              counters := Counters.add !counters (moves_only o.moves);
               o.assignment
             end
             else assignment
           end
         in
-        Some (final, !counters, !race, !moves)
+        Some (final, !counters)
       end
   end
 
-let solve_uncached ~strategy ~seed ~exact_var_limit ?deadline_s ?warm_incumbent ?pool ?groups p =
+let solve_uncached ~strategy ~seed ?deadline_s ?warm_incumbent ?pool ?groups p =
   (* An externally supplied incumbent (e.g. the previous attempt's mapping
      re-checked against relaxed capacities) only helps if it is feasible
      for *this* problem; otherwise it is dropped silently. *)
@@ -1526,8 +1447,7 @@ let solve_uncached ~strategy ~seed ~exact_var_limit ?deadline_s ?warm_incumbent 
   in
   let t0 = Sys.time () in
   let timeout_flag = ref false in
-  let finish backend ?(moves = 0) ?(counters = zero_counters) ?(race = zero_race) ~proven
-      assignment =
+  let finish backend ?(counters = Counters.zero) ~proven assignment =
     let cost = cost_of p assignment in
     let feasible = feasible_assignment p assignment in
     Some
@@ -1539,16 +1459,7 @@ let solve_uncached ~strategy ~seed ~exact_var_limit ?deadline_s ?warm_incumbent 
           {
             backend;
             runtime_s = Sys.time () -. t0;
-            lp_solves = counters.c_solves;
-            lp_pivots = counters.c_pivots;
-            lp_certified = counters.c_cert;
-            lp_fallbacks = counters.c_fb;
-            bb_nodes = counters.c_nodes;
-            refinement_moves = moves;
-            subproblems = race.r_sub;
-            races_exact = race.r_exact;
-            races_anneal = race.r_anneal;
-            incumbent_broadcasts = race.r_bcast;
+            counters;
             proven_optimal = proven;
             timed_out = !timeout_flag;
           };
@@ -1564,7 +1475,8 @@ let solve_uncached ~strategy ~seed ~exact_var_limit ?deadline_s ?warm_incumbent 
     match strategy with
     | Heuristic -> (
       match run_heuristic () with
-      | Some (assignment, _, feasible, moves) when feasible -> finish `Heuristic ~moves ~proven:false assignment
+      | Some (assignment, _, feasible, moves) when feasible ->
+        finish `Heuristic ~counters:(moves_only moves) ~proven:false assignment
       | Some _ | None -> None)
     | Exact -> (
       match run_exact warm_incumbent with
@@ -1578,13 +1490,12 @@ let solve_uncached ~strategy ~seed ~exact_var_limit ?deadline_s ?warm_incumbent 
         match groups with
         | Some g when deadline_s = None && p.k > 8 && Array.length g = p.k ->
           let gc = 1 + Array.fold_left Stdlib.max 0 g in
-          if gc >= 2 && gc < p.k && Array.for_all (fun x -> x >= 0) g then solve_grouped ~seed ~exact_var_limit ?pool ~groups:g p
+          if gc >= 2 && gc < p.k && Array.for_all (fun x -> x >= 0) g then solve_grouped ~seed ?pool ~groups:g p
           else None
         | _ -> None
       in
       match grouped with
-      | Some (assignment, counters, race, moves) ->
-        finish `Heuristic ~moves ~counters ~race ~proven:false assignment
+      | Some (assignment, counters) -> finish `Heuristic ~counters ~proven:false assignment
       | None ->
       let h = run_heuristic () in
       let incumbent =
@@ -1597,7 +1508,7 @@ let solve_uncached ~strategy ~seed ~exact_var_limit ?deadline_s ?warm_incumbent 
       match h with
       (* A feasible zero-cost assignment is optimal outright. *)
       | Some (assignment, cost, true, moves) when cost <= 1e-12 ->
-        finish `Heuristic ~moves ~proven:true assignment
+        finish `Heuristic ~counters:(moves_only moves) ~proven:true assignment
       | _ ->
       (* Joint k-way ILPs carry k*(k-1) linearization variables per edge,
          so they earn a much smaller size budget than two-way instances. *)
@@ -1610,12 +1521,12 @@ let solve_uncached ~strategy ~seed ~exact_var_limit ?deadline_s ?warm_incumbent 
           (* Search budget exhausted: the recursive-bisection backend often
              beats a stalled joint search on k > 2 instances. *)
           let hier =
-            if p.k > 2 then hierarchical ~strategy:Auto ~seed ~exact_var_limit p else None
+            if p.k > 2 then hierarchical ~strategy:Auto ~seed p else None
           in
           match hier with
-          | Some (ha, hc, hm)
+          | Some (ha, hc)
             when feasible_assignment p ha && cost_of p ha < cost_of p assignment -. 1e-9 ->
-            finish `Heuristic ~moves:hm ~counters:(add_counters counters hc) ~proven:false ha
+            finish `Heuristic ~counters:(Counters.add counters hc) ~proven:false ha
           | _ -> finish `Exact ~counters ~proven:false assignment)
         | None -> None (* exact proof of infeasibility *)
       end
@@ -1624,19 +1535,18 @@ let solve_uncached ~strategy ~seed ~exact_var_limit ?deadline_s ?warm_incumbent 
            at each level), falling back to the flat heuristic.  Keep the
            better of the two. *)
         let hier =
-          if p.k > 2 then hierarchical ~strategy:Auto ~seed ~exact_var_limit p else None
+          if p.k > 2 then hierarchical ~strategy:Auto ~seed p else None
         in
         let flat = match h with Some (a, c, true, m) -> Some (a, c, m) | _ -> None in
         match (hier, flat) with
-        | Some (a, counters, moves), Some (fa, fc, _)
+        | Some (a, counters), Some (_, fc, _)
           when feasible_assignment p a && cost_of p a <= fc +. 1e-9 ->
-          ignore fa;
-          finish `Heuristic ~moves ~counters ~proven:false a
-        | Some (a, counters, moves), None when feasible_assignment p a ->
-          finish `Heuristic ~moves ~counters ~proven:false a
-        | _, Some (fa, _, fm) -> finish `Heuristic ~moves:fm ~proven:false fa
-        | Some (a, counters, moves), _ when feasible_assignment p a ->
-          finish `Heuristic ~moves ~counters ~proven:false a
+          finish `Heuristic ~counters ~proven:false a
+        | Some (a, counters), None when feasible_assignment p a ->
+          finish `Heuristic ~counters ~proven:false a
+        | _, Some (fa, _, fm) -> finish `Heuristic ~counters:(moves_only fm) ~proven:false fa
+        | Some (a, counters), _ when feasible_assignment p a ->
+          finish `Heuristic ~counters ~proven:false a
         | _ -> None
       end)
   end
@@ -1662,7 +1572,7 @@ let solve_uncached ~strategy ~seed ~exact_var_limit ?deadline_s ?warm_incumbent 
 
 let cache : result option Memo.t = Memo.create ()
 
-let cache_key ~strategy ~seed ~exact_var_limit ?warm_incumbent ?groups p =
+let cache_key ~strategy ~seed ?warm_incumbent ?groups p =
   let buf = Buffer.create 512 in
   let int i = Buffer.add_string buf (string_of_int i); Buffer.add_char buf ';' in
   let flt f =
@@ -1676,7 +1586,6 @@ let cache_key ~strategy ~seed ~exact_var_limit ?warm_incumbent ?groups p =
   Buffer.add_string buf
     (match strategy with Exact -> "E" | Heuristic -> "H" | Auto -> "A");
   int seed;
-  int exact_var_limit;
   (match warm_incumbent with
   | None -> Buffer.add_char buf 'n'
   | Some a ->
@@ -1711,17 +1620,17 @@ let cache_key ~strategy ~seed ~exact_var_limit ?warm_incumbent ?groups p =
     Array.iter int g);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let solve ?(strategy = Auto) ?(seed = 1) ?(exact_var_limit = 28) ?deadline_s ?warm_incumbent
+let solve ?(strategy = Auto) ?(seed = 1) ?deadline_s ?warm_incumbent
     ?pool ?groups p =
   validate p;
   match deadline_s with
   | Some _ ->
-    solve_uncached ~strategy ~seed ~exact_var_limit ?deadline_s ?warm_incumbent ?pool ?groups p
+    solve_uncached ~strategy ~seed ?deadline_s ?warm_incumbent ?pool ?groups p
   | None ->
-    let key = cache_key ~strategy ~seed ~exact_var_limit ?warm_incumbent ?groups p in
+    let key = cache_key ~strategy ~seed ?warm_incumbent ?groups p in
     let r, _hit =
       Memo.find_or_compute cache ~key (fun () ->
-          solve_uncached ~strategy ~seed ~exact_var_limit ?warm_incumbent ?pool ?groups p)
+          solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p)
     in
     (* Deep-copy the assignment: callers own their result arrays and a
        mutation must not poison later hits. *)

@@ -30,27 +30,10 @@ type strategy = Exact | Heuristic | Auto
 type stats = {
   backend : [ `Exact | `Heuristic | `Greedy ];
   runtime_s : float;
-  lp_solves : int;  (** LP relaxations solved; 0 for the heuristic backend *)
-  lp_pivots : int;  (** 0 for the heuristic backend *)
-  lp_certified : int;
-      (** LP solves settled by the float-first simplex path whose basis
-          passed exact rational certification *)
-  lp_fallbacks : int;
-      (** LP solves where certification rejected the float basis and the
-          exact solver was consulted *)
-  bb_nodes : int;
-  refinement_moves : int;  (** 0 for the exact backend *)
-  subproblems : int;
-      (** node/board-level subproblems the grouped decomposition spawned
-          (cluster-level problem included); 0 on the flat paths *)
-  races_exact : int;
-      (** portfolio races won by the exact branch-and-bound arm *)
-  races_anneal : int;
-      (** portfolio races won by the simulated-annealing arm, i.e. the
-          anneal cost matched the exact root LP bound *)
-  incumbent_broadcasts : int;
-      (** incumbent improvements during the parallel B&B replay merges —
-          deterministic, independent of worker count *)
+  counters : Tapa_cs_ilp.Counters.t;
+      (** solver counters of this solve: the LP and node counts of every
+          exact search it ran, heuristic refinement moves, grouped
+          subproblems and portfolio race wins; all 0 for [`Greedy] *)
   proven_optimal : bool;
   timed_out : bool;
       (** the exact backend hit its wall-clock [deadline_s]; the answer
@@ -68,7 +51,6 @@ val feasible_assignment : problem -> int array -> bool
 val solve :
   ?strategy:strategy ->
   ?seed:int ->
-  ?exact_var_limit:int ->
   ?deadline_s:float ->
   ?warm_incumbent:int array ->
   ?pool:Pool.t ->
@@ -77,8 +59,8 @@ val solve :
   result option
 (** [None] when no feasible assignment was found (exact proof of
     infeasibility for the exact backend; search failure for the
-    heuristic).  [exact_var_limit] caps the binary-variable count at which
-    [Auto] still tries the exact backend (default 96).  [deadline_s]
+    heuristic).  [Auto] tries the exact backend on instances of up to 28
+    binary variables (14 for a joint k-way ILP).  [deadline_s]
     bounds the flat exact search by wall clock; expiry sets
     [stats.timed_out] and falls back to the best incumbent — it trades
     the determinism contract for liveness, so only interactive paths set
@@ -114,7 +96,7 @@ val solve :
 
     Results are memoized in a content-addressed cache keyed on a
     canonical digest of every argument that influences the answer
-    (strategy, seed, limits, incumbent, areas, edges, pulls, [k],
+    (strategy, seed, incumbent, areas, edges, pulls, [k],
     capacities, the [k x k] distance table, fixed placements and
     [groups]; [pool] is deliberately excluded — it cannot change the
     answer).  The

@@ -1,26 +1,13 @@
 open Tapa_cs_util
 
-type solution = {
-  objective : Rat.t;
-  values : Rat.t array;
-  nodes : int;
-  lp_solves : int;
-  lp_pivots : int;
-  lp_certified : int;
-  lp_fallbacks : int;
-}
+type solution = { objective : Rat.t; values : Rat.t array; counters : Counters.t }
+
 type result =
   | Optimal of solution
   | Feasible of solution
   | Infeasible
   | Unbounded
   | Timeout of solution option
-
-type par_stats = {
-  par_subproblems : int;
-  par_pruned : int;
-  par_broadcasts : int;
-}
 
 let is_feasible model values =
   let nv = Model.num_vars model in
@@ -71,11 +58,7 @@ type core = {
   c_deadline : bool;
   c_stopped : bool; (* cooperative [should_stop] fired *)
   c_carved : node list;
-  c_nodes : int;
-  c_lp_solves : int;
-  c_lp_pivots : int;
-  c_lp_certified : int;
-  c_lp_fallbacks : int;
+  c_counters : Counters.t;
 }
 
 (* The best-first search engine shared by {!solve} (single run over the
@@ -85,7 +68,7 @@ type core = {
    instead of finishing; [template] is the prepared simplex shared across
    runs (read-only, so safe to share between domains). *)
 let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~incumbent
-    ~float_first ~template ~root ~carve model =
+    ~template ~root ~carve model =
   let nv = Model.num_vars model in
   let sense, obj_expr = Model.objective model in
   (* Internally minimize: flip the comparison for maximization. *)
@@ -111,11 +94,7 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
           {
             objective = Linear.eval obj_expr (fun v -> values.(v));
             values;
-            nodes = 0;
-            lp_solves = 0;
-            lp_pivots = 0;
-            lp_certified = 0;
-            lp_fallbacks = 0;
+            counters = Counters.zero;
           }
       | _ -> None)
   in
@@ -154,6 +133,16 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
   in
   let nodes = ref 0 and pivots = ref 0 and lp_solves = ref 0 in
   let certified = ref 0 and fallbacks = ref 0 in
+  let counters () =
+    {
+      Counters.zero with
+      bb_nodes = !nodes;
+      lp_solves = !lp_solves;
+      lp_pivots = !pivots;
+      lp_certified = !certified;
+      lp_fallbacks = !fallbacks;
+    }
+  in
   let last_improvement = ref 0 in
   let pivots_left () = Stdlib.max 1 (max_pivots - !pivots) in
   let frontier = Fourheap.create ~cmp:node_cmp in
@@ -174,28 +163,22 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
   let prune_by_incumbent bound =
     match !best with Some b -> not (better bound b.objective) | None -> false
   in
+  (* Float-first with exact certification; the parent basis (when carried
+     by the node) turns the solve into a dual restart. *)
   let solve_lp ?warm lbs ubs =
     incr lp_solves;
-    let outcome () =
-      match template with
-      | Some t when float_first ->
-        (* Float-first with exact certification; the parent basis (when
-           carried by the node) turns the solve into a dual restart. *)
-        let ff = Simplex.solve_float_first ~bounds:(lbs, ubs) ?warm ~max_pivots:(pivots_left ()) t in
-        if ff.Simplex.ff_certified then incr certified else incr fallbacks;
-        (ff.Simplex.ff_result, ff.Simplex.ff_basis)
-      | Some t -> (Simplex.solve_prepared ~bounds:(lbs, ubs) ~max_pivots:(pivots_left ()) t, None)
-      | None -> (Simplex.solve_reference ~bounds:(lbs, ubs) ~max_pivots:(pivots_left ()) model, None)
-    in
-    match outcome () with
+    match Simplex.solve_float_first ~bounds:(lbs, ubs) ?warm ~max_pivots:(pivots_left ()) template with
     | exception Simplex.Pivot_limit ->
       limit_hit := true;
       None
-    | Simplex.Infeasible, _ -> None
-    | Simplex.Unbounded, _ -> raise Exit (* surfaced as Unbounded below *)
-    | Simplex.Optimal sol, basis ->
-      pivots := !pivots + sol.pivots;
-      Some (sol, basis)
+    | ff -> (
+      if ff.Simplex.ff_certified then incr certified else incr fallbacks;
+      match ff.Simplex.ff_result with
+      | Simplex.Infeasible -> None
+      | Simplex.Unbounded -> raise Exit (* surfaced as Unbounded below *)
+      | Simplex.Optimal sol ->
+        pivots := !pivots + sol.pivots;
+        Some (sol, ff.Simplex.ff_basis))
   in
   let pick_branch_var values =
     (* Most fractional binary: fractional part closest to 1/2. *)
@@ -224,15 +207,7 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
           let v = pick_branch_var lp.values in
           if v < 0 then
             record_candidate
-              {
-                objective = lp.objective;
-                values = lp.values;
-                nodes = !nodes;
-                lp_solves = !lp_solves;
-                lp_pivots = !pivots;
-                lp_certified = !certified;
-                lp_fallbacks = !fallbacks;
-              }
+              { objective = lp.objective; values = lp.values; counters = Counters.zero }
           else begin
             let child fix =
               let lbs = Array.copy node.lbs and ubs = Array.copy node.ubs in
@@ -249,6 +224,19 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
     end
   in
   let carved = ref [] in
+  (* [verdict]: the search proved [Unbounded] or a root infeasibility,
+     so no budget flag applies. *)
+  let conclude ?(verdict = false) result best =
+    {
+      c_result = result;
+      c_best = best;
+      c_limit = (not verdict) && !limit_hit;
+      c_deadline = (not verdict) && !deadline_hit;
+      c_stopped = (not verdict) && !stop_hit;
+      c_carved = !carved;
+      c_counters = counters ();
+    }
+  in
   match
     (let root_lbs, root_ubs, root_warm, root_depth =
        match root with
@@ -264,15 +252,7 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
        let v = pick_branch_var lp.values in
        if v < 0 then
          record_candidate
-           {
-             objective = lp.objective;
-             values = lp.values;
-             nodes = 0;
-             lp_solves = !lp_solves;
-             lp_pivots = !pivots;
-             lp_certified = !certified;
-             lp_fallbacks = !fallbacks;
-           }
+           { objective = lp.objective; values = lp.values; counters = Counters.zero }
        else begin
          let child fix =
            let lbs = Array.copy root_lbs and ubs = Array.copy root_ubs in
@@ -303,46 +283,12 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
        carved := drain []
      end)
   with
-  | exception Exit ->
-    {
-      c_result = Unbounded;
-      c_best = None;
-      c_limit = false;
-      c_deadline = false;
-      c_stopped = false;
-      c_carved = [];
-      c_nodes = !nodes;
-      c_lp_solves = !lp_solves;
-      c_lp_pivots = !pivots;
-      c_lp_certified = !certified;
-      c_lp_fallbacks = !fallbacks;
-    }
-  | exception Not_found ->
-    {
-      c_result = Infeasible;
-      c_best = None;
-      c_limit = false;
-      c_deadline = false;
-      c_stopped = false;
-      c_carved = [];
-      c_nodes = !nodes;
-      c_lp_solves = !lp_solves;
-      c_lp_pivots = !pivots;
-      c_lp_certified = !certified;
-      c_lp_fallbacks = !fallbacks;
-    }
+  | exception Exit -> conclude ~verdict:true Unbounded None
+  | exception Not_found -> conclude ~verdict:true Infeasible None
   | () ->
-    let finalize sol =
-      {
-        sol with
-        nodes = !nodes;
-        lp_solves = !lp_solves;
-        lp_pivots = !pivots;
-        lp_certified = !certified;
-        lp_fallbacks = !fallbacks;
-      }
-    in
-    let fbest = Option.map finalize !best in
+    (* Incumbents carry zero counters while the search runs; the
+       returned one is stamped with the final tallies. *)
+    let fbest = Option.map (fun sol -> { sol with counters = counters () }) !best in
     let result =
       if !deadline_hit || !stop_hit then Timeout fbest
       else
@@ -356,34 +302,18 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
              to both outcomes — so the limit-hit case is also [Infeasible]. *)
           Infeasible
     in
-    {
-      c_result = result;
-      c_best = fbest;
-      c_limit = !limit_hit;
-      c_deadline = !deadline_hit;
-      c_stopped = !stop_hit;
-      c_carved = !carved;
-      c_nodes = !nodes;
-      c_lp_solves = !lp_solves;
-      c_lp_pivots = !pivots;
-      c_lp_certified = !certified;
-      c_lp_fallbacks = !fallbacks;
-    }
+    conclude result fbest
 
 let solve ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes = max_int) ?deadline_s
-    ?incumbent ?(warm_start = true) ?(float_first = true) ?should_stop model =
+    ?incumbent ?should_stop model =
   match Validate.check model with
   | Validate.Infeasible_constraint _ :: _ -> Infeasible
   | Validate.Unbounded_direction _ :: _ -> Unbounded
   | [] ->
-    (* Warm start: lower the model to its standard-form template once at the
-       root; every node then only re-applies its branching bounds.  The cold
-       path ([warm_start = false]) re-runs the full model -> tableau lowering
-       per node via the reference solver — it exists as the baseline of the
-       bench/micro warm-vs-cold measurement. *)
-    let template = if warm_start then Some (Simplex.prepare model) else None in
+    (* Lower the model to its standard-form template once at the root;
+       every node then only re-applies its branching bounds. *)
     (solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~incumbent
-       ~float_first ~template ~root:None ~carve:None model)
+       ~template:(Simplex.prepare model) ~root:None ~carve:None model)
       .c_result
 
 (* ------------------------------------------------------------------ *)
@@ -406,14 +336,13 @@ let solve ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes = max_in
 (* per-subtree solves — jobs=N is byte-identical to jobs=1.              *)
 (* ------------------------------------------------------------------ *)
 
-let no_par = { par_subproblems = 0; par_pruned = 0; par_broadcasts = 0 }
+let subtrees = 8 (* width of the phase-A carve *)
 
 let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes = max_int)
-    ?deadline_s ?incumbent ?(warm_start = true) ?(float_first = true) ?(subtrees = 8) ?pool
-    ?should_stop model =
+    ?deadline_s ?incumbent ?pool ?should_stop model =
   match Validate.check model with
-  | Validate.Infeasible_constraint _ :: _ -> (Infeasible, no_par)
-  | Validate.Unbounded_direction _ :: _ -> (Unbounded, no_par)
+  | Validate.Infeasible_constraint _ :: _ -> Infeasible
+  | Validate.Unbounded_direction _ :: _ -> Unbounded
   | [] ->
     let sense, _ = Model.objective model in
     let better a b =
@@ -421,13 +350,13 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
       | Model.Minimize -> Rat.compare a b < 0
       | Model.Maximize -> Rat.compare a b > 0
     in
-    let template = if warm_start then Some (Simplex.prepare model) else None in
+    let template = Simplex.prepare model in
     let a =
       solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~incumbent
-        ~float_first ~template ~root:None ~carve:(Some subtrees) model
+        ~template ~root:None ~carve:(Some subtrees) model
     in
     (match a.c_carved with
-    | [] -> (a.c_result, no_par)
+    | [] -> a.c_result
     | boxes_list ->
       let boxes = Array.of_list boxes_list in
       (* Fixed seed for every subtree: the phase-A incumbent (already the
@@ -445,7 +374,7 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
       let external_stop () = match should_stop with Some f -> f () | None -> false in
       let pure_solve ~stop box =
         solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop:stop
-          ~incumbent:seed_values ~float_first ~template ~root:(Some box) ~carve:None model
+          ~incumbent:seed_values ~template ~root:(Some box) ~carve:None model
       in
       let run_box box =
         let stop () =
@@ -462,12 +391,8 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
       let results = Pool.parallel_map ?pool run_box boxes in
       (* Phase C: deterministic sequential replay merge. *)
       let merged = ref a.c_best in
-      let broadcasts = ref 0 and pruned = ref 0 in
-      let tot_nodes = ref a.c_nodes
-      and tot_lp = ref a.c_lp_solves
-      and tot_piv = ref a.c_lp_pivots
-      and tot_cert = ref a.c_lp_certified
-      and tot_fall = ref a.c_lp_fallbacks in
+      let broadcasts = ref 0 in
+      let total = ref a.c_counters in
       let any_limit = ref a.c_limit
       and any_deadline = ref a.c_deadline
       and any_stop = ref false
@@ -479,8 +404,7 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
             | Some s -> not (better box.bound s.objective)
             | None -> false
           in
-          if prune then incr pruned
-          else begin
+          if not prune then begin
             let c =
               let c0 = results.(i) in
               if c0.c_stopped then
@@ -494,11 +418,7 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
             if c.c_limit then any_limit := true;
             if c.c_deadline then any_deadline := true;
             if c.c_stopped then any_stop := true;
-            tot_nodes := !tot_nodes + c.c_nodes;
-            tot_lp := !tot_lp + c.c_lp_solves;
-            tot_piv := !tot_piv + c.c_lp_pivots;
-            tot_cert := !tot_cert + c.c_lp_certified;
-            tot_fall := !tot_fall + c.c_lp_fallbacks;
+            total := Counters.add !total c.c_counters;
             match c.c_best with
             | Some s
               when (match !merged with
@@ -509,28 +429,12 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
             | _ -> ()
           end)
         boxes;
-      let stats =
-        {
-          par_subproblems = Array.length boxes;
-          par_pruned = !pruned;
-          par_broadcasts = !broadcasts;
-        }
-      in
-      let totalize s =
-        {
-          s with
-          nodes = !tot_nodes;
-          lp_solves = !tot_lp;
-          lp_pivots = !tot_piv;
-          lp_certified = !tot_cert;
-          lp_fallbacks = !tot_fall;
-        }
-      in
-      if !any_unbounded then (Unbounded, stats)
+      let counters = { !total with incumbent_broadcasts = !broadcasts } in
+      if !any_unbounded then Unbounded
       else
-        let best = Option.map totalize !merged in
-        if !any_deadline || !any_stop then (Timeout best, stats)
+        let best = Option.map (fun s -> { s with counters }) !merged in
+        if !any_deadline || !any_stop then Timeout best
         else (
           match best with
-          | Some sol -> if !any_limit then (Feasible sol, stats) else (Optimal sol, stats)
-          | None -> (Infeasible, stats)))
+          | Some sol -> if !any_limit then Feasible sol else Optimal sol
+          | None -> Infeasible))

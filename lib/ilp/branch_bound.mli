@@ -10,18 +10,10 @@ open Tapa_cs_util
 type solution = {
   objective : Rat.t;
   values : Rat.t array;
-  nodes : int;  (** branch-and-bound nodes explored *)
-  lp_solves : int;  (** LP relaxations solved (root + per-node) *)
-  lp_pivots : int;
-      (** total simplex iterations across all LP solves (float iterations
-          on certified solves, exact pivots on fallbacks) *)
-  lp_certified : int;
-      (** LP solves settled by the float-first path: the float basis
-          passed exact certification (or the node was decided by an exact
-          bound conflict) *)
-  lp_fallbacks : int;
-      (** LP solves where certification rejected the float result and the
-          exact solver was consulted; always 0 when [float_first=false] *)
+  counters : Counters.t;
+      (** the search's LP and node counters ([lp_*], [bb_nodes], and
+          [incumbent_broadcasts] for {!solve_parallel}); the
+          partition-level fields stay 0 *)
 }
 
 type result =
@@ -33,29 +25,12 @@ type result =
       (** the wall-clock [deadline_s] budget expired mid-search; carries
           the best incumbent found so far, if any *)
 
-type par_stats = {
-  par_subproblems : int;
-      (** subtrees carved from the root frontier by {!solve_parallel}
-          (0 when the carve phase solved the model outright) *)
-  par_pruned : int;
-      (** subtrees discarded by the deterministic merge bound without
-          their solution being consulted *)
-  par_broadcasts : int;
-      (** incumbent improvements during the sequential replay merge —
-          the deterministic analogue of "shared bound broadcasts" *)
-}
-(** Counters of one {!solve_parallel} run.  All three are pure functions
-    of the model and the budgets — independent of worker count — so they
-    can feed the compiler's bit-identical stats contract. *)
-
 val solve :
   ?max_nodes:int ->
   ?max_pivots:int ->
   ?stall_nodes:int ->
   ?deadline_s:float ->
   ?incumbent:Rat.t array ->
-  ?warm_start:bool ->
-  ?float_first:bool ->
   ?should_stop:(unit -> bool) ->
   Model.t ->
   result
@@ -70,26 +45,16 @@ val solve :
     from a heuristic) so the solver can prune from the first node.  An
     infeasible seed is rejected silently.
 
-    [warm_start] (default [true]) lowers the model to a
-    {!Simplex.prepared} template once at the root and solves every node
-    relaxation with {!Simplex.solve_prepared}, so per-node cost is the
-    bound shift plus the simplex run itself.  [~warm_start:false]
-    re-lowers the model at every node via {!Simplex.solve_reference} —
-    the cold baseline the [bench/micro] warm-vs-cold benchmark measures
-    against.  Both settings return the same result constructor and
-    objective; when an instance has several optima they may pick
-    different optimal assignments.
-
-    [float_first] (default [true]; only meaningful with [warm_start])
-    solves node relaxations through {!Simplex.solve_float_first}: a
-    double-precision simplex proposes the basis, exact rational
-    certification accepts or rejects it, and rejected nodes fall back to
-    the exact solver — results are exact either way, and the
-    [lp_certified] / [lp_fallbacks] counters record which route each
-    solve took.  Each node also carries its parent's certified basis;
-    since tightening a single bound keeps that basis dual-feasible, the
-    child's float solve warm-restarts with a dual simplex phase instead
-    of a from-scratch two-phase run.
+    The model is lowered to a {!Simplex.prepared} template once at the
+    root, and every node relaxation is solved through
+    {!Simplex.solve_float_first}: a double-precision simplex proposes
+    the basis, exact rational certification accepts or rejects it, and
+    rejected nodes fall back to the exact solver — results are exact
+    either way, and the [lp_certified] / [lp_fallbacks] counters record
+    which route each solve took.  Each node also carries its parent's
+    certified basis; since tightening a single bound keeps that basis
+    dual-feasible, the child's float solve warm-restarts with a dual
+    simplex phase instead of a from-scratch two-phase run.
 
     [should_stop] is polled once per node (like the deadline).  When it
     fires the search stops and returns [Timeout] with the best incumbent
@@ -107,17 +72,14 @@ val solve_parallel :
   ?stall_nodes:int ->
   ?deadline_s:float ->
   ?incumbent:Rat.t array ->
-  ?warm_start:bool ->
-  ?float_first:bool ->
-  ?subtrees:int ->
   ?pool:Pool.t ->
   ?should_stop:(unit -> bool) ->
   Model.t ->
-  result * par_stats
+  result
 (** Parallel best-first search with sequential replay semantics.
 
     Phase A carves the root's best-first frontier into a fixed list of
-    [subtrees] (default 8) bound boxes — a pure function of the model,
+    8 bound boxes — a pure function of the model,
     never of the worker count (the frontier order is total: LP bound,
     then insertion sequence).  Phase B solves every box concurrently on
     [pool] with {e fixed} inputs (the phase-A incumbent and the full node
@@ -130,8 +92,8 @@ val solve_parallel :
     recomputing any speculatively aborted box it still needs.
 
     Consequently the returned result, solution values and every counter
-    (including {!par_stats}) are byte-identical for [jobs = 1] and
-    [jobs = N].  Each box receives the full [max_nodes]/[max_pivots]
+    (including [incumbent_broadcasts], the merge's incumbent
+    improvements) are byte-identical for [jobs = 1] and [jobs = N].  Each box receives the full [max_nodes]/[max_pivots]
     budget, so the aggregate node budget scales with the carve width.
 
     [deadline_s] and [should_stop] retain their wall-clock,

@@ -6,9 +6,11 @@
     {- {!solve_reference} — the original two-phase dense-tableau solver.
        Variable upper bounds are materialized as explicit [y_j <= u_j]
        tableau rows, and the whole standard form is rebuilt from the
-       {!Model} on every call.  Kept as the independently-written oracle
-       for differential testing and as the cold-rebuild baseline of the
-       [bench/micro] warm-vs-cold measurement.}
+       {!Model} on every call.  Still on the production path: the
+       bounded-variable path falls back to it when phase 1 leaves an
+       artificial variable in the basis that no eligible column can
+       replace on a non-redundant row.  It is also the
+       independently-written oracle of the differential tests.}
     {- {!prepare} / {!solve_prepared} — the incremental hot path used by
        {!Branch_bound}.  [prepare] computes the standard-form layout
        (row collection from the model, slack/artificial column
@@ -122,7 +124,10 @@ val solve_reference :
   Model.t ->
   result
 (** The original (seed) implementation: full standard-form rebuild with
-    explicit upper-bound rows.  Slower; retained as the oracle for the
-    differential qcheck property and as the cold baseline of
-    [Branch_bound.solve ~warm_start:false].
+    explicit upper-bound rows.  Slower.  {!solve_prepared} and the exact
+    fallback of {!solve_float_first} call it when phase 1 ends with an
+    artificial variable stuck in the basis on a non-redundant row (one
+    whose every candidate column sits at its upper bound or is fixed),
+    so it runs in production; the differential qcheck properties also
+    use it as the oracle.
     @raise Pivot_limit when [max_pivots] is exhausted. *)

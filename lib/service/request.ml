@@ -1,3 +1,4 @@
+module Json = Tapa_cs_util.Json
 module Tenant = Tapa_cs_farm.Tenant
 
 type kind = Compile | Simulate | Metrics
@@ -34,36 +35,23 @@ let key r =
 (* JSON codec: newline-delimited flat objects                          *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-(* Shortest-roundtrip float rendering, stable across runs: %.17g would
-   carry noise digits, %g drops precision; OCaml's %h is not JSON.  The
-   values serialized here (latencies, frequencies) are deterministic
-   doubles, so a fixed %.9g is reproducible and plenty. *)
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
-
 let to_line r =
-  Printf.sprintf
-    {|{"id":%d,"kind":%s,"app":%s,"fpgas":%d,"iters":%d,"dataset":%s,"n":%d,"d":%d,"cols":%d,"seed":%d,"class":%s}|}
-    r.id (json_str (kind_label r.kind)) (json_str r.app) r.fpgas r.iters (json_str r.dataset) r.n
-    r.d r.cols r.seed
-    (json_str (Tenant.slo_label r.klass))
+  Json.(
+    to_string
+      (Obj
+         [
+           ("id", Int r.id);
+           ("kind", String (kind_label r.kind));
+           ("app", String r.app);
+           ("fpgas", Int r.fpgas);
+           ("iters", Int r.iters);
+           ("dataset", String r.dataset);
+           ("n", Int r.n);
+           ("d", Int r.d);
+           ("cols", Int r.cols);
+           ("seed", Int r.seed);
+           ("class", String (Tenant.slo_label r.klass));
+         ]))
 
 (* A tiny strict parser for one flat JSON object per line: string,
    number, bool and null values only (requests never nest).  Errors are

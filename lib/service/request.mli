@@ -55,8 +55,3 @@ val of_line : string -> (t, string) result
     missing [kind] are errors (returned, never raised), so the transport
     can always answer with an explicit error response. *)
 
-val json_str : string -> string
-(** JSON string literal with escaping (shared by the response writers). *)
-
-val json_float : float -> string
-(** Deterministic float rendering for response/metrics JSON. *)

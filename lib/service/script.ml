@@ -72,7 +72,7 @@ type report = {
   counters : Service.counters;
   virtual_makespan_s : float;
   virtual_requests_per_s : float;
-  metrics : string;  (** the service's {!Service.metrics_json} *)
+  metrics : Json.t;
 }
 
 let run ?pool (cfg : config) : report =
@@ -183,14 +183,22 @@ let run ?pool (cfg : config) : report =
     counters;
     virtual_makespan_s = makespan;
     virtual_requests_per_s = (if makespan > 0.0 then float_of_int served /. makespan else 0.0);
-    metrics = Service.metrics_json ~pool_fields:false ~timing_fields:false svc;
+    metrics = Service.metrics ~pool_fields:false ~timing_fields:false svc;
   }
 
 let report_json (r : report) =
-  let f = Request.json_float in
-  Printf.sprintf
-    {|{"mode":"script","clients":%d,"requests_per_client":%d,"distinct":%d,"seed":%d,"warm":%b,"model_workers":%d,"virtual_makespan_s":%s,"virtual_requests_per_s":%s,"service":%s}|}
-    r.config.clients r.config.requests_per_client r.config.distinct r.config.seed r.config.warm
-    r.config.model_workers (f r.virtual_makespan_s)
-    (f r.virtual_requests_per_s)
-    r.metrics
+  Json.(
+    to_string
+      (Obj
+         [
+           ("mode", String "script");
+           ("clients", Int r.config.clients);
+           ("requests_per_client", Int r.config.requests_per_client);
+           ("distinct", Int r.config.distinct);
+           ("seed", Int r.config.seed);
+           ("warm", Bool r.config.warm);
+           ("model_workers", Int r.config.model_workers);
+           ("virtual_makespan_s", Float r.virtual_makespan_s);
+           ("virtual_requests_per_s", Float r.virtual_requests_per_s);
+           ("service", r.metrics);
+         ]))

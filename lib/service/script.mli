@@ -35,7 +35,9 @@ type report = {
   counters : Service.counters;
   virtual_makespan_s : float;
   virtual_requests_per_s : float;
-  metrics : string;
+  metrics : Tapa_cs_util.Json.t;
+      (** the service's {!Service.metrics}, without the pool and
+          stage-timing fields *)
 }
 
 val run : ?pool:Tapa_cs_util.Pool.t -> config -> report
@@ -44,4 +46,4 @@ val run : ?pool:Tapa_cs_util.Pool.t -> config -> report
 
 val report_json : report -> string
 (** One-line JSON: script parameters, virtual makespan/throughput and
-    the embedded {!Service.metrics_json}. *)
+    the embedded {!Service.metrics}. *)

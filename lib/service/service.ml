@@ -83,7 +83,7 @@ type stats = {
   (* Cumulative wall-clock per pipeline stage, for diagnosing where a
      request stream spends its time (e.g. why a warm stream is barely
      faster than a cold one).  Wall-clock, so excluded from the
-     deterministic script reports via [metrics_json ~timing_fields:false]. *)
+     deterministic script reports via [metrics ~timing_fields:false]. *)
   mutable transport_s : float;  (* parse + response write, noted by the server *)
   mutable admission_s : float;  (* planning pass minus the cache probes *)
   mutable probe_s : float;  (* response-cache lookups in the planning pass *)
@@ -357,20 +357,26 @@ let note_transport t dt = t.stats.transport_s <- t.stats.transport_s +. dt
 
 let reply_fields = function
   | Compiled { freq_mhz; max_slot_util; degraded; latency_lower_s; latency_upper_s } ->
-    Printf.sprintf
-      {|"status":"ok","kind":"compile","freq_mhz":%s,"max_slot_util":%s,"degraded":%b,"latency_lower_s":%s,"latency_upper_s":%s|}
-      (Request.json_float freq_mhz)
-      (Request.json_float max_slot_util)
-      degraded
-      (Request.json_float latency_lower_s)
-      (Request.json_float latency_upper_s)
+    Json.
+      [
+        ("status", String "ok");
+        ("kind", String "compile");
+        ("freq_mhz", Float freq_mhz);
+        ("max_slot_util", Float max_slot_util);
+        ("degraded", Bool degraded);
+        ("latency_lower_s", Float latency_lower_s);
+        ("latency_upper_s", Float latency_upper_s);
+      ]
   | Simulated { freq_mhz; latency_s; events } ->
-    Printf.sprintf {|"status":"ok","kind":"simulate","freq_mhz":%s,"latency_s":%s,"events":%d|}
-      (Request.json_float freq_mhz)
-      (Request.json_float latency_s)
-      events
-  | Failed { reason } ->
-    Printf.sprintf {|"status":"failed","reason":%s|} (Request.json_str reason)
+    Json.
+      [
+        ("status", String "ok");
+        ("kind", String "simulate");
+        ("freq_mhz", Float freq_mhz);
+        ("latency_s", Float latency_s);
+        ("events", Int events);
+      ]
+  | Failed { reason } -> Json.[ ("status", String "failed"); ("reason", String reason) ]
 
 let served_label = function
   | Hit _ -> "cache"
@@ -379,16 +385,17 @@ let served_label = function
   | Rejected _ -> "rejected"
 
 let response_json ~id verdict =
-  match verdict with
-  | Hit reply | Done { reply; _ } ->
-    Printf.sprintf {|{"id":%d,%s,"served":%s}|} id (reply_fields reply)
-      (Request.json_str (served_label verdict))
-  | Rejected { code; reason } ->
-    Printf.sprintf {|{"id":%d,"status":"rejected","code":%s,"reason":%s}|} id
-      (Request.json_str code) (Request.json_str reason)
+  let fields =
+    match verdict with
+    | Hit reply | Done { reply; _ } ->
+      reply_fields reply @ [ ("served", Json.String (served_label verdict)) ]
+    | Rejected { code; reason } ->
+      Json.[ ("status", String "rejected"); ("code", String code); ("reason", String reason) ]
+  in
+  Json.to_string (Obj (("id", Int id) :: fields))
 
 let error_json ~id reason =
-  Printf.sprintf {|{"id":%d,"status":"error","reason":%s}|} id (Request.json_str reason)
+  Json.(to_string (Obj [ ("id", Int id); ("status", String "error"); ("reason", String reason) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Live metrics                                                        *)
@@ -408,38 +415,57 @@ let latency_percentiles t =
   Array.sort compare a;
   (percentile a 50.0, percentile a 95.0, percentile a 99.0)
 
-let metrics_json ?(pool_fields = true) ?(timing_fields = true) t =
+let metrics ?(pool_fields = true) ?(timing_fields = true) t =
   let s = t.stats in
   let p50, p95, p99 = latency_percentiles t in
   let fp_hits, fp_misses = Tapa_cs_floorplan.Partition.cache_stats () in
   let sim_hits, sim_misses = Tapa_cs_sim.Design_sim.cache_stats () in
   let pool_queue, pool_busy = match t.pool with Some p -> Pool.snapshot p | None -> (0, 0) in
   let pool_workers = match t.pool with Some p -> Pool.size p | None -> 0 in
-  let f = Request.json_float in
-  String.concat ""
-    [
-      Printf.sprintf
-        {|{"received":%d,"completed":%d,"rejected_strict":%d,"shed_best_effort":%d,"cache_hits":%d,"cache_misses":%d,"coalesced":%d,"cache_entries":%d,"cache_evictions":%d,"rounds":%d,"queue_depth_peak":%d,"inflight_peak":%d|}
-        s.received s.completed s.rejected_strict s.shed_best_effort s.hits s.misses s.coalesced
-        (Memo.length t.cache)
-        (Memo.stats t.cache).Memo.evictions
-        s.rounds s.queue_depth_peak s.inflight_peak;
-      (if pool_fields then
-         Printf.sprintf {|,"pool_workers":%d,"pool_queue_depth":%d,"pool_busy_workers":%d|}
-           pool_workers pool_queue pool_busy
-       else "");
-      Printf.sprintf {|,"latency_p50_s":%s,"latency_p95_s":%s,"latency_p99_s":%s|} (f p50) (f p95)
-        (f p99);
-      (if timing_fields then
-         Printf.sprintf
-           {|,"stage_transport_s":%s,"stage_admission_s":%s,"stage_probe_s":%s,"stage_solve_s":%s|}
-           (f s.transport_s) (f s.admission_s) (f s.probe_s) (f s.solve_s)
-       else "");
-      Printf.sprintf
-        {|,"floorplan_cache_hits":%d,"floorplan_cache_misses":%d,"sim_cache_hits":%d,"sim_cache_misses":%d,"static_pruned":%d}|}
-        fp_hits fp_misses sim_hits sim_misses
-        (Tapa_cs_sim.Sim_sweep.static_pruned ());
-    ]
+  Json.(
+    Obj
+      (List.concat
+         [
+           [
+             ("received", Int s.received);
+             ("completed", Int s.completed);
+             ("rejected_strict", Int s.rejected_strict);
+             ("shed_best_effort", Int s.shed_best_effort);
+             ("cache_hits", Int s.hits);
+             ("cache_misses", Int s.misses);
+             ("coalesced", Int s.coalesced);
+             ("cache_entries", Int (Memo.length t.cache));
+             ("cache_evictions", Int (Memo.stats t.cache).Memo.evictions);
+             ("rounds", Int s.rounds);
+             ("queue_depth_peak", Int s.queue_depth_peak);
+             ("inflight_peak", Int s.inflight_peak);
+           ];
+           (if pool_fields then
+              [
+                ("pool_workers", Int pool_workers);
+                ("pool_queue_depth", Int pool_queue);
+                ("pool_busy_workers", Int pool_busy);
+              ]
+            else []);
+           [ ("latency_p50_s", Float p50); ("latency_p95_s", Float p95); ("latency_p99_s", Float p99) ];
+           (if timing_fields then
+              [
+                ("stage_transport_s", Float s.transport_s);
+                ("stage_admission_s", Float s.admission_s);
+                ("stage_probe_s", Float s.probe_s);
+                ("stage_solve_s", Float s.solve_s);
+              ]
+            else []);
+           [
+             ("floorplan_cache_hits", Int fp_hits);
+             ("floorplan_cache_misses", Int fp_misses);
+             ("sim_cache_hits", Int sim_hits);
+             ("sim_cache_misses", Int sim_misses);
+             ("static_pruned", Int (Tapa_cs_sim.Sim_sweep.static_pruned ()));
+           ];
+         ]))
+
+let metrics_json t = Json.to_string (metrics t)
 
 let reset_process_caches () =
   Tapa_cs_floorplan.Partition.reset_cache ();

@@ -98,7 +98,7 @@ val response_json : id:int -> verdict -> string
 val error_json : id:int -> string -> string
 (** Response for a malformed request line. *)
 
-val metrics_json : ?pool_fields:bool -> ?timing_fields:bool -> t -> string
+val metrics : ?pool_fields:bool -> ?timing_fields:bool -> t -> Tapa_cs_util.Json.t
 (** Live metrics: service counters, response-cache length/evictions,
     pool queue/busy snapshot, latency percentiles, cumulative per-stage
     wall-clock ([stage_transport_s] / [stage_admission_s] /
@@ -107,6 +107,9 @@ val metrics_json : ?pool_fields:bool -> ?timing_fields:bool -> t -> string
     pool snapshot and [timing_fields:false] the stage wall-clock — the
     two field sets that legitimately vary with [--jobs] and machine
     speed — so scripted reports stay byte-identical. *)
+
+val metrics_json : t -> string
+(** Every {!metrics} field, encoded as one line. *)
 
 val reset_process_caches : unit -> unit
 (** Clear the process-wide floorplan and simulation caches (scripted

@@ -1,10 +1,9 @@
 (** Imperative 4-ary min-heap: the event queue of the coalesced
-    simulation engine.
+    simulation engine and the branch-and-bound frontier.
 
-    Same contract as {!Heap} (stable only up to [cmp]-ties, so callers
-    needing a total order must break ties in [cmp], as the engine does
-    with sequence numbers).  The wider fan-out halves the tree height:
-    pops sift through half the levels of a binary heap, which is where a
+    Stable only up to [cmp]-ties, so callers needing a total order must
+    break ties in [cmp], as the engine does with sequence numbers.  The
+    wider fan-out halves the tree height: pops sift through half the levels of a binary heap, which is where a
     discrete-event simulator spends its queue time, at the price of up to
     four child comparisons per level — a net win once the queue holds
     more than a handful of events. *)

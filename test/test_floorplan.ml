@@ -611,7 +611,8 @@ let test_partition_grouped_decomposition () =
   | None -> Alcotest.fail "expected a grouped solution"
   | Some r ->
     check bool "feasible" true r.Partition.feasible;
-    check bool "decomposed into subproblems" true (r.Partition.stats.Partition.subproblems > 0);
+    check bool "decomposed into subproblems" true
+      (r.Partition.stats.Partition.counters.Tapa_cs_ilp.Counters.subproblems > 0);
     (match solve () with
     | Some r2 ->
       check bool "cache replays grouped stats verbatim" true
@@ -631,10 +632,10 @@ let test_partition_grouped_decomposition () =
     Partition.reset_cache ();
     (match Partition.solve p with
     | Some flat ->
-      check int "flat path spawns no subproblems" 0 flat.Partition.stats.Partition.subproblems;
+      let c = flat.Partition.stats.Partition.counters in
+      check int "flat path spawns no subproblems" 0 c.Tapa_cs_ilp.Counters.subproblems;
       check int "flat path runs no races" 0
-        (flat.Partition.stats.Partition.races_exact
-        + flat.Partition.stats.Partition.races_anneal)
+        (c.Tapa_cs_ilp.Counters.races_exact + c.Tapa_cs_ilp.Counters.races_anneal)
     | None -> Alcotest.fail "expected a flat solution")
 
 (* ------------------------------------------------------------------ *)
