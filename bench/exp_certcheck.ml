@@ -88,13 +88,8 @@ let run () =
   Printf.printf
     "  %d instances, %d optimal, %d fallbacks on optimal instances (%.1f%%), %d mismatches\n"
     corpus_size !optimal !fallbacks (100.0 *. rate) !mismatches;
-  if !mismatches > 0 then begin
-    Printf.printf "  FAIL: float-first and reference solver disagree\n";
-    exit 1
-  end;
-  if rate > max_fallback_rate then begin
-    Printf.printf "  FAIL: fallback rate %.1f%% exceeds the %.1f%% gate\n" (100.0 *. rate)
+  if !mismatches > 0 then Gate.fail "float-first and reference solver disagree";
+  if rate > max_fallback_rate then
+    Gate.fail "fallback rate %.1f%% exceeds the %.1f%% gate" (100.0 *. rate)
       (100.0 *. max_fallback_rate);
-    exit 1
-  end;
   Printf.printf "  certification gate passed (threshold %.1f%%)\n" (100.0 *. max_fallback_rate)

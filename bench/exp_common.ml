@@ -14,7 +14,7 @@ type run = {
   error : string option;
 }
 
-let failed label error = { label; freq_mhz = 0.0; latency_s = infinity; design = None; error = Some error }
+let unrouted label error = { label; freq_mhz = 0.0; latency_s = infinity; design = None; error = Some error }
 
 let cluster_for k = Cluster.make ~board:Board.u55c k
 
@@ -35,7 +35,7 @@ let run_flow ?(options = Compiler.default_options) (app : App.t) flow_label =
     in
     let r =
       match result with
-      | Error e -> failed flow_label e
+      | Error e -> unrouted flow_label e
       | Ok d ->
         {
           label = flow_label;

@@ -23,16 +23,13 @@
 
    The churn scenario is the 32-board heterogeneous smoke from the
    farm's CLI docs; a 100-board / 50-tenant / 12-event scenario scales
-   the same checks to the acceptance size.  The re-placement latency
-   itself is pinned in BENCH_micro.json ("farm re-placement, 1 dead
-   board"). *)
+   the same checks to the acceptance size.  Properties 2 and 3 are
+   [Gate.farm_books].  The re-placement cost itself is measured by
+   perfbench's farm_churn workload. *)
 
-open Tapa_cs_util
 open Tapa_cs_device
 open Tapa_cs_farm
 module Fault = Tapa_cs_network.Fault
-
-let fail fmt = Printf.ksprintf (fun s -> Printf.printf "  FAIL %s\n" s; exit 1) fmt
 
 let heterogeneous n =
   Cluster.heterogeneous ~boards_per_node:4 [ Board.u55c; Board.u250; Board.stratix10 ] n
@@ -50,77 +47,24 @@ let smoke_timeline =
       (260.0, Fault.Device_up 12);
     ]
 
-let check_invariants ~label stats =
-  (* Strict tenants: healthy or explicitly down, never silently degraded. *)
-  List.iter
-    (fun (r : Farm.tenant_report) ->
-      if r.Farm.tenant.Tenant.slo = Tenant.Strict && r.Farm.final_health = Farm.Degraded then
-        fail "%s: strict tenant %s ended silently degraded" label r.Farm.tenant.Tenant.name;
-      if r.Farm.final_health = Farm.Down && not (r.Farm.gave_up || r.Farm.attempts > 0) then
-        fail "%s: tenant %s down without any recorded attempt" label r.Farm.tenant.Tenant.name;
-      let lifetime = stats.Farm.horizon_s -. r.Farm.tenant.Tenant.arrival_s in
-      let sum = r.Farm.healthy_s +. r.Farm.degraded_s +. r.Farm.down_s in
-      if Float.abs (sum -. lifetime) > 1e-6 then
-        fail "%s: tenant %s accounts %.6f s of a %.6f s lifetime" label
-          r.Farm.tenant.Tenant.name sum lifetime)
-    stats.Farm.tenants;
-  (* Ownership is exclusive at the horizon. *)
-  let owned = List.concat_map (fun (r : Farm.tenant_report) -> r.Farm.devices) stats.Farm.tenants in
-  if List.length owned <> List.length (List.sort_uniq compare owned) then
-    fail "%s: two tenants own the same board" label;
-  (* Every fault either recovered within the horizon or names a
-     displaced tenant that never did: one that gave up, or that ends the
-     horizon unplaced or not healthy. *)
-  let never_recovered id =
-    List.exists
-      (fun (r : Farm.tenant_report) ->
-        r.Farm.tenant.Tenant.id = id
-        && (r.Farm.gave_up || r.Farm.devices = [] || r.Farm.final_health <> Farm.Healthy))
-      stats.Farm.tenants
-  in
-  List.iter
-    (fun (f : Farm.fault_report) ->
-      match f.Farm.ttr_s with
-      | Some ttr ->
-        if ttr < 0.0 || ttr > stats.Farm.horizon_s -. f.Farm.at_s then
-          fail "%s: fault %S at %.1f s reports TTR %.3f s outside [0, horizon - at]" label
-            f.Farm.event f.Farm.at_s ttr
-      | None ->
-        if not (List.exists never_recovered f.Farm.displaced) then
-          fail "%s: fault %S has no TTR yet every displaced tenant recovered" label f.Farm.event)
-    stats.Farm.faults
-
 let run () =
   Exp_common.section "Farm gate: multi-tenant churn determinism + SLO failover (CI)";
   let config = { Farm.default_config with Farm.seed = 7; horizon_s = 300.0 } in
   let cluster = heterogeneous 32 in
   let workload = Tenant.workload ~seed:7 ~tenants:12 () in
   let run_with pool = Farm.run ?pool ~config ~cluster ~timeline:smoke_timeline workload in
-  let t0 = Unix.gettimeofday () in
-  let seq = run_with None in
-  let t_seq = Unix.gettimeofday () -. t0 in
-  let seq_json = Farm.stats_json seq in
-  (* Repeat-run determinism. *)
-  if Farm.stats_json (run_with None) <> seq_json then
-    fail "32-board smoke: two jobs=1 runs emitted different stats timelines";
-  (* jobs=N determinism (skipped on single-core hosts, where extra
-     domains only time-slice). *)
-  if Pool.default_jobs () >= 2 then begin
-    let pool = Pool.create () in
-    let par = Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> run_with (Some pool)) in
-    if Farm.stats_json par <> seq_json then
-      fail "32-board smoke: jobs=1 and jobs=N stats timelines differ"
-  end;
-  check_invariants ~label:"32-board smoke" seq;
+  let label = "32-board smoke" in
+  let seq = Gate.repeatable ~label ~same:Gate.same_farm (fun () -> run_with None) in
+  ignore (Gate.jobs_invariant ~label ~same:Gate.same_farm (fun pool -> run_with (Some pool)));
+  Gate.farm_books ~label seq;
   let healthy =
     List.length
       (List.filter (fun (r : Farm.tenant_report) -> r.Farm.final_health = Farm.Healthy)
          seq.Farm.tenants)
   in
   Printf.printf
-    "  32-board smoke: %d/%d tenants healthy at horizon, %d fault(s), %d reused placement(s), \
-     %.1fs\n"
-    healthy (List.length seq.Farm.tenants) (List.length seq.Farm.faults) seq.Farm.reused t_seq;
+    "  32-board smoke: %d/%d tenants healthy at horizon, %d fault(s), %d reused placement(s)\n"
+    healthy (List.length seq.Farm.tenants) (List.length seq.Farm.faults) seq.Farm.reused;
   (* Acceptance-scale scenario: 100 boards, 50 tenants, 12 fault events. *)
   let big_timeline =
     Fault.timeline
@@ -141,19 +85,17 @@ let run () =
   in
   let big_config = { Farm.default_config with Farm.seed = 11; horizon_s = 400.0 } in
   let big_workload = Tenant.workload ~seed:11 ~tenants:50 ~mean_gap_s:6.0 () in
-  let pool = if Pool.default_jobs () >= 2 then Some (Pool.create ()) else None in
-  let t0 = Unix.gettimeofday () in
-  let big =
-    Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool) @@ fun () ->
-    Farm.run ?pool ~config:big_config ~cluster:(heterogeneous 100) ~timeline:big_timeline
-      big_workload
+  let big, t_big =
+    Gate.timed (fun () ->
+        Gate.with_pool (fun pool ->
+            Farm.run ~pool ~config:big_config ~cluster:(heterogeneous 100) ~timeline:big_timeline
+              big_workload))
   in
-  let t_big = Unix.gettimeofday () -. t0 in
-  check_invariants ~label:"100-board scenario" big;
+  Gate.farm_books ~label:"100-board scenario" big;
   (* The 12-event timeline carries 5 down-type events; each must have a
      fault report (recoveries and loss episodes land in the samples). *)
   if List.length big.Farm.faults <> 5 then
-    fail "100-board scenario: expected 5 down-type fault reports, got %d"
+    Gate.fail "100-board scenario: expected 5 down-type fault reports, got %d"
       (List.length big.Farm.faults);
   let placed =
     List.length

@@ -23,18 +23,8 @@
    are sold on. *)
 
 open Tapa_cs
-open Tapa_cs_device
 module Design_sim = Tapa_cs_sim.Design_sim
 module Sim_sweep = Tapa_cs_sim.Sim_sweep
-
-let fail fmt = Printf.ksprintf (fun s -> Printf.printf "  FAIL: %s\n" s; exit 1) fmt
-
-let stencil_design k =
-  let app = Tapa_cs_apps.Stencil.generate (Tapa_cs_apps.Stencil.make_config ~iterations:8 ~fpgas:k ()) in
-  let cluster = Cluster.make ~board:Board.u55c k in
-  match Flow.tapa_cs ~cluster app.Tapa_cs_apps.App.graph with
-  | Ok d -> d
-  | Error e -> fail "stencil %d-FPGA compile failed: %s" k e
 
 let result_key (r : Design_sim.result) =
   (* Everything the equivalence contract covers, as a comparable value. *)
@@ -44,25 +34,24 @@ let result_key (r : Design_sim.result) =
 
 let run () =
   Exp_common.section "Simulation determinism gate (stencil 4-FPGA)";
-  let d = stencil_design 4 in
+  let app = Tapa_cs_apps.Stencil.generate (Tapa_cs_apps.Stencil.make_config ~iterations:8 ~fpgas:4 ()) in
+  let d = Gate.compile ~label:"stencil 4-FPGA" ~fpgas:4 app.Tapa_cs_apps.App.graph in
   let cfg chunks = Flow.sim_config ~chunks d in
 
   (* 1. coalesced vs reference *)
   let c = Design_sim.run ~cache:false (cfg 64) in
   let r = Design_sim.run_reference ~cache:false (cfg 64) in
   if result_key c <> result_key r then
-    fail "coalesced and reference engines disagree (latency %.17g vs %.17g)" c.Design_sim.latency_s
-      r.Design_sim.latency_s;
+    Gate.fail "coalesced and reference engines disagree (latency %.17g vs %.17g)"
+      c.Design_sim.latency_s r.Design_sim.latency_s;
   Printf.printf "  engine equivalence: latency %.6f ms, events %d coalesced / %d reference\n"
     (1e3 *. c.Design_sim.latency_s) c.Design_sim.events r.Design_sim.events;
 
-  (* 2. cache cold vs warm, both engine modes *)
+  (* 2. cache cold vs warm *)
   Design_sim.reset_cache ();
-  let cold = Design_sim.run (cfg 64) in
-  let warm = Design_sim.run (cfg 64) in
-  if cold <> warm then fail "cache-warm result differs from cache-cold";
+  ignore (Gate.repeatable ~label:"sim cache cold vs warm" (fun () -> Design_sim.run (cfg 64)));
   let hits, misses = Design_sim.cache_stats () in
-  if hits < 1 || misses < 1 then fail "cache counters off: %d hits, %d misses" hits misses;
+  if hits < 1 || misses < 1 then Gate.fail "cache counters off: %d hits, %d misses" hits misses;
   Printf.printf "  cache transparency: cold = warm, %d hit(s) / %d miss(es)\n" hits misses;
 
   (* 3. sweep jobs=1 vs explicit 4-domain pool, cold cache both times *)
@@ -70,14 +59,14 @@ let run () =
   Design_sim.reset_cache ();
   let seq = Sim_sweep.run ~jobs:1 ~cache:false points in
   let par = Sim_sweep.run ~jobs:4 ~cache:false points in
-  if seq <> par then fail "sweep rows differ between jobs=1 and jobs=4";
+  if seq <> par then Gate.fail "sweep rows differ between jobs=1 and jobs=4";
   Array.iter
     (fun (label, outcome) ->
       match outcome with
       | Design_sim.Completed res ->
         Printf.printf "  sweep chunks=%-4s %.6f ms (%d events)\n" label
           (1e3 *. res.Design_sim.latency_s) res.Design_sim.events
-      | _ -> fail "sweep point %s did not complete" label)
+      | _ -> Gate.fail "sweep point %s did not complete" label)
     seq;
   Printf.printf "  sweep determinism: jobs=1 and jobs=4 byte-identical\n";
   Printf.printf "  simulation gate passed\n"

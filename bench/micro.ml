@@ -1,6 +1,10 @@
 (* Bechamel microbenchmarks of the performance-critical kernels: exact
    rational arithmetic, simplex pivoting, branch-and-bound, the heuristic
-   partitioner, the event queue and an end-to-end small simulation. *)
+   and hierarchical partitioners, the event queue, a small simulation,
+   its static bounds and a sweep.  End-to-end paths (compile, farm
+   re-placement, served requests, incremental re-floorplanning) are
+   measured by perfbench's compile_cold, farm_churn and serve_stream
+   workloads instead. *)
 
 open Bechamel
 open Toolkit
@@ -90,34 +94,6 @@ let bb_warm =
   Test.make ~name:"B&B 24-var floorplan ILP, warm-started"
     (Staged.stage (fun () -> ignore (Ilp.Branch_bound.solve bb_floorplan_model)))
 
-(* End-to-end multi-FPGA compile wall-clock, sequential vs pooled.  On a
-   single-core host both run the sequential fallback and measure the same
-   thing; on a multicore host the jobs=N variant shows the domain-pool
-   speedup. *)
-let compile_graph = (Tapa_cs_apps.Stencil.generate (Tapa_cs_apps.Stencil.make_config ~iterations:8 ~fpgas:4 ())).Tapa_cs_apps.App.graph
-let compile_cluster = Cluster.make ~board:Board.u55c 4
-
-let compile_with_jobs jobs =
-  let options = { Tapa_cs.Compiler.default_options with jobs } in
-  match Tapa_cs.Compiler.compile ~options ~cluster:compile_cluster compile_graph with
-  | Ok _ -> ()
-  | Error e -> failwith e
-
-let compile_seq =
-  Test.make ~name:"compile stencil 4-FPGA, jobs=1" (Staged.stage (fun () -> compile_with_jobs 1))
-
-(* Only meaningful with >= 2 cores: on a single-core host extra domains
-   just time-slice (and pay cross-domain GC synchronization), so the
-   variant is skipped rather than recording a misleading slowdown.  The
-   name is pinned to jobs=4 (not the host's core count) so trajectory
-   entries from different machines stay comparable. *)
-let compile_par =
-  if Pool.default_jobs () < 2 then None
-  else
-    Some
-      (Test.make ~name:"compile stencil 4-FPGA, jobs=4"
-         (Staged.stage (fun () -> compile_with_jobs 4)))
-
 let partition_heuristic =
   let problem =
     let rng = Prng.create 23 in
@@ -147,31 +123,6 @@ let partition_hierarchical =
     (Staged.stage (fun () ->
          Partition.reset_cache ();
          ignore (Partition.solve ~groups problem)))
-
-(* The incremental-recompilation price of a single FIFO-width edit on the
-   same 100-FPGA instance: the base solve warms the fragment cache (a
-   solution-cache hit after the first iteration), then the edited design
-   re-solves with every untouched node group replayed from fragments and
-   only the dirty groups solved fresh.  Each iteration widens the FIFO by
-   a different amount so the edited solve can never be a full-solution
-   replay — it is a genuine dirty-set re-solve every time. *)
-let partition_incremental =
-  let problem, groups = Exp_ilpgate.synthetic ~fpgas:100 ~tasks:1000 () in
-  let counter = ref 0 in
-  let edited delta =
-    {
-      problem with
-      Partition.edges =
-        List.map
-          (fun (a, b, w) -> if a = 500 && b = 501 then (a, b, w +. delta) else (a, b, w))
-          problem.Partition.edges;
-    }
-  in
-  Test.make ~name:"incremental re-floorplan, single-task edit"
-    (Staged.stage (fun () ->
-         ignore (Partition.solve ~groups problem);
-         incr counter;
-         ignore (Partition.solve ~groups (edited (32.0 +. (0.125 *. float_of_int !counter))))))
 
 (* Faulty vs ideal link transfer-time: the closed-form fault model is on
    the simulator's per-message hot path, so its overhead versus the plain
@@ -242,18 +193,18 @@ let small_sim_cached =
   Test.make ~name:"8-task pipeline simulation, cache warm"
     (Staged.stage (fun () -> ignore (Tapa_cs_sim.Design_sim.run small_sim_config)))
 
-(* The closed-form bounds on the same design the sim benches run.  The
-   pinned contract (gated in [analyzegate]) is that this stays an order
-   of magnitude under even the cache-warm sim — screening a sweep point
-   statically must be far cheaper than looking its simulation up. *)
+(* The closed-form bounds on the same design the sim benches run.
+   Screening a sweep point statically must be far cheaper than looking
+   its simulation up; [analyzegate] pins that as an allocation bound
+   (at least 4x fewer words than a cache-warm sim). *)
 let static_bounds_bench =
   Test.make ~name:"8-task pipeline static bounds"
     (Staged.stage (fun () -> ignore (Tapa_cs_analysis.Static_perf.bounds small_sim_config)))
 
 (* Sweep harness over four independent points (the pipeline at different
    chunk granularities), cache off so every run simulates.  jobs=4 is
-   skipped on single-core hosts exactly like [compile_par]; the jobs=1
-   entry keeps the trajectory comparable everywhere. *)
+   skipped on single-core hosts, where extra domains only time-slice;
+   the jobs=1 entry keeps the trajectory comparable everywhere. *)
 let sweep_jobs_arr =
   Array.map
     (fun chunks ->
@@ -275,124 +226,15 @@ let sim_sweep_par =
          (Staged.stage (fun () ->
               ignore (Tapa_cs_sim.Sim_sweep.run ~jobs:4 ~cache:false sweep_jobs_arr))))
 
-(* Farm re-placement latency: a placed design loses a board it uses and
-   warm re-solves onto the survivors — the per-displaced-tenant price the
-   farm controller pays on every fault event.  The solution cache is
-   reset inside the loop so the pinned number is the true cold re-solve,
-   not a content-address hit (the farm's unaffected tenants take the
-   cache path instead and never reach this solve). *)
-let farm_replace =
-  let synthesis = Synthesis.run compile_graph in
-  let cluster = Cluster.make ~board:Board.u55c 6 in
-  let prev =
-    match Inter_fpga.run ~cluster ~synthesis compile_graph with
-    | Ok r -> r
-    | Error e -> failwith (Inter_fpga.error_message e)
-  in
-  let victim = List.hd (Inter_fpga.devices_used prev) in
-  Test.make ~name:"farm re-placement, 1 dead board"
-    (Staged.stage (fun () ->
-         Partition.reset_cache ();
-         ignore
-           (Inter_fpga.replace ~failed_devices:[ victim ] ~prev ~cluster ~synthesis
-              compile_graph)))
-
-(* The same fault class on a 16-board 4-node farm with the fragment
-   cache warm: each iteration re-places under a fresh solver seed, so
-   the full-solution cache (whose key includes the seed) misses while
-   every per-node-group fragment (whose identity is content-derived and
-   seed-free) replays — the price of stitching a re-placement out of
-   cached fragments instead of re-solving the whole cluster.  The design
-   is sized for 12 of the 16 boards so losing one still leaves every
-   node group feasible (a capacity-saturated design would push the
-   degraded solve off the grouped path entirely). *)
-let farm_replace_frag =
-  let graph16 =
-    (Tapa_cs_apps.Stencil.generate (Tapa_cs_apps.Stencil.make_config ~iterations:8 ~fpgas:12 ()))
-      .Tapa_cs_apps.App.graph
-  in
-  let cluster16 = Cluster.heterogeneous ~boards_per_node:4 [ Board.u55c ] 16 in
-  let synthesis16 = Synthesis.run graph16 in
-  let prev16 =
-    match Inter_fpga.run ~cluster:cluster16 ~synthesis:synthesis16 graph16 with
-    | Ok r -> r
-    | Error e -> failwith (Inter_fpga.error_message e)
-  in
-  let victim16 = List.hd (Inter_fpga.devices_used prev16) in
-  let seed = ref 100 in
-  Test.make ~name:"farm re-placement 16-board, warm fragments"
-    (Staged.stage (fun () ->
-         incr seed;
-         ignore
-           (Inter_fpga.replace ~seed:!seed ~failed_devices:[ victim16 ] ~prev:prev16
-              ~cluster:cluster16 ~synthesis:synthesis16 graph16)))
-
-(* Compile service: the cold path pays one full compile through the
-   admission/coalescing machinery with every cache reset; the warm path
-   is the same request answered from the response cache.  Their ratio is
-   the acceptance bar the serve gate enforces (>= 100x).  The scripted
-   closed-loop pair pins end-to-end requests/s at 4 clients for both
-   cache states. *)
-let serve_request =
-  Tapa_cs_service.Request.make ~iters:16 ~kind:Tapa_cs_service.Request.Compile ~app:"stencil" ()
-
-let serve_cold =
-  Test.make ~name:"served compile, cold (caches reset)"
-    (Staged.stage (fun () ->
-         Tapa_cs_service.Service.reset_process_caches ();
-         let svc = Tapa_cs_service.Service.create () in
-         ignore (Tapa_cs_service.Service.handle svc serve_request)))
-
-let serve_warm =
-  let svc = Tapa_cs_service.Service.create () in
-  ignore (Tapa_cs_service.Service.handle svc serve_request);
-  Test.make ~name:"served compile, warm hit"
-    (Staged.stage (fun () -> ignore (Tapa_cs_service.Service.handle svc serve_request)))
-
-let serve_script_cold =
-  let cfg = Tapa_cs_service.Script.default_config in
-  Test.make ~name:"serve script 4-client stream, cold"
-    (Staged.stage (fun () -> ignore (Tapa_cs_service.Script.run cfg)))
-
-(* The warm-stream bench used to measure barely anything: with [warm]
-   alone, every iteration still reset the process-wide caches and then
-   paid the full pre-warm compiles *inside* the timed closure, so "warm"
-   was ~cold (the stage-timing breakdown in the serve gate shows the
-   solve stage dominating both).  Pre-warm once outside the measured
-   region instead, and keep the process caches across iterations
-   ([keep_caches]); the closure then times what a warm stream actually
-   costs: response-cache pre-fill from warm floorplan/sim caches plus
-   the hit-served measured stream. *)
-let serve_script_warm =
-  let cfg =
-    {
-      Tapa_cs_service.Script.default_config with
-      Tapa_cs_service.Script.warm = true;
-      keep_caches = true;
-    }
-  in
-  ignore (Tapa_cs_service.Script.run { cfg with Tapa_cs_service.Script.keep_caches = false });
-  Test.make ~name:"serve script 4-client stream, warm"
-    (Staged.stage (fun () -> ignore (Tapa_cs_service.Script.run cfg)))
-
 let tests =
   Test.make_grouped ~name:"kernels"
     ([
        bigint_mul; bigint_divmod; rat_add; simplex_lp; simplex_float_first;
-       simplex_exact_prepared; bb_ilp; bb_warm; compile_seq;
+       simplex_exact_prepared; bb_ilp; bb_warm; partition_heuristic; partition_hierarchical;
+       link_ideal; link_faulty; event_fourheap; small_sim; small_sim_reference; small_sim_cached;
+       static_bounds_bench; sim_sweep_seq;
      ]
-    @ Option.to_list compile_par
-    @ [
-        partition_heuristic; partition_hierarchical; partition_incremental; link_ideal;
-        link_faulty; event_fourheap;
-        small_sim;
-        small_sim_reference; small_sim_cached; static_bounds_bench; sim_sweep_seq;
-      ]
-    @ Option.to_list sim_sweep_par
-    @ [
-        farm_replace; farm_replace_frag; serve_cold; serve_warm; serve_script_cold;
-        serve_script_warm;
-      ])
+    @ Option.to_list sim_sweep_par)
 
 (* Machine-readable perf trajectory: name -> ns/run, written next to the
    repo's other BENCH_*.json artifacts so successive PRs can be compared

@@ -110,14 +110,15 @@ let effective_jobs jobs = if jobs <= 0 then Tapa_cs_util.Pool.default_jobs () el
 let fail_fpga_arg =
   let doc =
     "Inject a dead FPGA by cluster index (repeatable).  The floorplanner re-solves the \
-     placement on the surviving sub-topology and reports a Degraded compile."
+     placement on the surviving sub-topology and reports a Degraded compile.  An index \
+     outside the cluster is reported as a TCS308 diagnostic."
   in
   Arg.(value & opt_all int [] & info [ "fail-fpga" ] ~doc)
 
 let loss_rate_arg =
   let doc =
-    "Per-packet loss probability on every inter-FPGA link, in [0, 1).  Links are derated by \
-     the closed-form RoCE-v2 go-back-N slowdown."
+    "Per-packet loss probability on every inter-FPGA link, in [0, 1) (else TCS308).  Links are \
+     derated by the closed-form RoCE-v2 go-back-N slowdown."
   in
   Arg.(value & opt float 0.0 & info [ "loss-rate" ] ~doc)
 
@@ -125,7 +126,7 @@ let fail_link_arg =
   let doc =
     "Inject a downed inter-FPGA link as A:B (two device indices; repeatable).  The edge is \
      removed from the topology before floorplanning — the hop metric reroutes around it.  \
-     Malformed specs are reported as a TCS308 diagnostic."
+     Malformed specs and indices outside the cluster are reported as a TCS308 diagnostic."
   in
   Arg.(value & opt_all string [] & info [ "fail-link" ] ~doc ~docv:"A:B")
 
@@ -133,31 +134,39 @@ let seed_arg =
   let doc = "Root seed for the floorplanner and every injected fault (bit-reproducible)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
-(* [--fail-link] specs, parsed through the Fault-module parser; the first
-   malformed one renders as its TCS308 registry diagnostic instead of a
-   raw exception. *)
-let parse_fail_links specs =
-  let rec go acc = function
+let cluster_size ~fpgas ~cluster_fpgas = if cluster_fpgas <= 0 then fpgas else cluster_fpgas
+
+(* The fault flags, checked against the cluster before any work: the
+   first malformed --fail-link spec, device index outside the cluster or
+   loss rate outside [0, 1) renders as its TCS308 registry diagnostic, so
+   no bad fault input reaches the compiler or the simulator. *)
+let make_fault_plan ~fpgas ~cluster_fpgas ~seed ~loss_rate ~fail_fpgas ~fail_links =
+  let reject flag spec reason =
+    Error
+      (Tapa_cs_analysis.Diagnostic.render
+         [ Tapa_cs_analysis.Lint.fault_spec_error ~flag ~spec ~reason ])
+  in
+  let k = cluster_size ~fpgas ~cluster_fpgas in
+  let outside d = d < 0 || d >= k in
+  let out_of_range = Printf.sprintf "device index outside the %d-device cluster (0..%d)" k (k - 1) in
+  let rec links acc = function
     | [] -> Ok (List.rev acc)
     | s :: rest -> (
       match Tapa_cs_network.Fault.parse_link_spec s with
-      | Ok l -> go (l :: acc) rest
-      | Error reason ->
-        Error
-          (Tapa_cs_analysis.Diagnostic.render
-             [ Tapa_cs_analysis.Lint.fault_spec_error ~flag:"--fail-link" ~spec:s ~reason ]))
+      | Error reason -> reject "--fail-link" s reason
+      | Ok (a, b) when outside a || outside b -> reject "--fail-link" s out_of_range
+      | Ok l -> links (l :: acc) rest)
   in
-  go [] specs
-
-let make_fault_plan ~seed ~loss_rate ~fail_fpgas ~fail_links =
-  match parse_fail_links fail_links with
-  | Error e -> Error e
-  | Ok failed_links -> (
-    match
+  match (links [] fail_links, List.find_opt outside fail_fpgas) with
+  | Error e, _ -> Error e
+  | Ok _, Some d -> reject "--fail-fpga" (string_of_int d) out_of_range
+  | Ok _, None when not (loss_rate >= 0.0 && loss_rate < 1.0) ->
+    reject "--loss-rate" (Printf.sprintf "%g" loss_rate) "not a loss probability in [0, 1)"
+  | Ok failed_links, None ->
+    let plan =
       Tapa_cs_network.Fault.make ~seed ~loss_rate ~failed_devices:fail_fpgas ~failed_links ()
-    with
-    | plan -> if Tapa_cs_network.Fault.is_trivial plan then Ok None else Ok (Some plan)
-    | exception Invalid_argument m -> Error m)
+    in
+    Ok (if Tapa_cs_network.Fault.is_trivial plan then None else Some plan)
 
 let make_app app ~fpgas ~iters ~dataset ~n ~d ~cols =
   match app with
@@ -173,7 +182,7 @@ let make_app app ~fpgas ~iters ~dataset ~n ~d ~cols =
 let compile_design ?(verify_static = false) app_t ~flow ~fpgas ~cluster_fpgas ~topology ~board
     ~threshold ~jobs ~seed ~fault_plan =
   let board = board_of_name board in
-  let k = if cluster_fpgas <= 0 then fpgas else cluster_fpgas in
+  let k = cluster_size ~fpgas ~cluster_fpgas in
   let options =
     {
       Compiler.default_options with
@@ -275,7 +284,7 @@ let compile_cmd =
       prerr_endline e;
       1
     | Ok a -> (
-      match make_fault_plan ~seed ~loss_rate ~fail_fpgas ~fail_links with
+      match make_fault_plan ~fpgas ~cluster_fpgas ~seed ~loss_rate ~fail_fpgas ~fail_links with
       | Error e ->
         prerr_endline e;
         1
@@ -326,7 +335,7 @@ let simulate_cmd =
       prerr_endline e;
       1
     | Ok a -> (
-      match make_fault_plan ~seed ~loss_rate ~fail_fpgas ~fail_links with
+      match make_fault_plan ~fpgas ~cluster_fpgas ~seed ~loss_rate ~fail_fpgas ~fail_links with
       | Error e ->
         prerr_endline e;
         1
@@ -724,7 +733,7 @@ let analyze_cmd =
       prerr_endline e;
       1
     | Ok a -> (
-      match make_fault_plan ~seed ~loss_rate ~fail_fpgas ~fail_links with
+      match make_fault_plan ~fpgas ~cluster_fpgas ~seed ~loss_rate ~fail_fpgas ~fail_links with
       | Error e ->
         prerr_endline e;
         1

@@ -92,8 +92,10 @@ let registry =
       "raise the deadline, use the heuristic strategy, or shrink the instance" );
     ( "TCS308",
       Error,
-      "malformed fault specification (link or fleet-timeline syntax)",
-      "links are A:B with distinct non-negative device indices; timeline lines are '<t> \
+      "malformed or out-of-range fault specification (link or fleet-timeline syntax, a device \
+       index outside the cluster, or a loss rate outside [0, 1))",
+      "links are A:B with distinct device indices inside the cluster; --fail-fpga takes a device \
+       index inside the cluster; loss rates are in [0, 1); timeline lines are '<t> \
        device-down|device-up <i>', '<t> link-down|link-up <A:B>' or '<t> loss <rate>'" );
     ( "TCS401",
       Error,

@@ -298,7 +298,7 @@ let floorplan_error (e : Inter_fpga.error) =
   diag (Inter_fpga.error_code e) Diagnostic.Design (Inter_fpga.error_message e)
 
 (* ------------------------------------------------------------------ *)
-(* TCS308: malformed fault specifications from the CLI                 *)
+(* TCS308: malformed or out-of-range fault specifications from the CLI *)
 (* ------------------------------------------------------------------ *)
 
 let fault_spec_error ~flag ~spec ~reason =

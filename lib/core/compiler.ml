@@ -106,36 +106,28 @@ let compile ?(options = default_options) ?pool ~cluster graph =
       | errors -> Error (Tapa_cs_analysis.Diagnostic.render errors)
   in
   (* Step 3: inter-FPGA floorplanning.  A fault plan removes dead devices
-     and downed links from the topology before the solve; transient
-     solver timeouts are retried a bounded number of times with a
-     re-derived (still deterministic) seed before giving up. *)
+     and downed links from the topology before the solve. *)
   let failed_devices, failed_links =
     match options.fault_plan with
     | Some p -> (p.Fault.failed_devices, p.Fault.failed_links)
     | None -> ([], [])
   in
-  let run_inter ~seed =
+  let inter_result =
     if failed_devices = [] && failed_links = [] then
-      Inter_fpga.run ~strategy:options.strategy ~threshold:options.threshold ~seed ?pool ~cluster
-        ~synthesis graph
+      Inter_fpga.run ~strategy:options.strategy ~threshold:options.threshold ~seed:options.seed
+        ?pool ~cluster ~synthesis graph
     else
-      Inter_fpga.run_degraded ~strategy:options.strategy ~threshold:options.threshold ~seed ?pool
-        ~failed_devices ~failed_links ~cluster ~synthesis graph
+      Inter_fpga.run_degraded ~strategy:options.strategy ~threshold:options.threshold
+        ~seed:options.seed ?pool ~failed_devices ~failed_links ~cluster ~synthesis graph
   in
-  let max_retries = 2 in
-  let rec attempt n seed tags =
-    match run_inter ~seed with
-    | Ok inter -> Ok (inter, List.rev tags)
-    | Error Inter_fpga.Solver_timeout when n < max_retries ->
-      (* Deterministic reseed: same options -> same retry sequence. *)
-      attempt (n + 1) (seed + 1_000_003) (Printf.sprintf "retry(%d)" (n + 1) :: tags)
-    | Error e ->
-      Error
-        (Format.asprintf "inter-FPGA floorplanning failed %a" Diagnostic.pp
-           (Tapa_cs_analysis.Lint.floorplan_error e))
+  let* inter =
+    Result.map_error
+      (fun e ->
+        Format.asprintf "inter-FPGA floorplanning failed %a" Diagnostic.pp
+          (Tapa_cs_analysis.Lint.floorplan_error e))
+      inter_result
   in
-  let* inter, retry_tags = attempt 0 options.seed [] in
-  let fallbacks = retry_tags @ inter.Inter_fpga.fallbacks in
+  let fallbacks = inter.Inter_fpga.fallbacks in
   let degraded = fallbacks <> [] in
   (* If the inter-FPGA solve only succeeded at a relaxed threshold, the
      per-device floorplans must budget slots at (at least) the same rung —

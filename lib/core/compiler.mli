@@ -34,8 +34,8 @@ type t = {
   l1_runtime_s : float;  (** inter-FPGA floorplanner time (§5.6) *)
   l2_runtime_s : float;  (** intra-FPGA floorplanner time (§5.6) *)
   degraded : bool;
-      (** some recovery path fired: a floorplan fallback rung, a solver
-          retry, or a refloorplan onto a pruned topology *)
+      (** some recovery path fired: a floorplan fallback rung or a
+          refloorplan onto a pruned topology *)
   fallbacks : string list;  (** which, in firing order; empty when healthy *)
   static : Tapa_cs_analysis.Static_perf.t;
       (** closed-form performance bounds of the compiled design at the

@@ -104,11 +104,6 @@ let solve_chain ~strategy ~seed ~threshold ?pool ?groups ?warm ~problem_at () =
       | Some r when r.Partition.feasible ->
         Ok (r, pmax, relaxed, [ "greedy"; Printf.sprintf "relaxed-threshold(%.2f)" relaxed ])
       | _ ->
-        let timed_out =
-          List.exists
-            (function _, Some (r : Partition.result) -> r.stats.timed_out | _, None -> false)
-            !attempts
-        in
         let overflow_counts =
           List.filter_map
             (fun (p, att) ->
@@ -117,7 +112,7 @@ let solve_chain ~strategy ~seed ~threshold ?pool ?groups ?warm ~problem_at () =
         in
         Error
           (match overflow_counts with
-          | [] -> if timed_out then Solver_timeout else Infeasible
+          | [] -> Infeasible
           | counts -> Over_capacity (List.fold_left min max_int counts)))
   in
   climb ~warm threshold

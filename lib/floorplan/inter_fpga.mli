@@ -42,8 +42,10 @@ type error =
       (** every fallback produced only over-capacity mappings; carries the
           smallest number of over-budget devices across attempts *)
   | Solver_timeout
-      (** the exact solver hit its wall-clock deadline with no feasible
-          incumbent *)
+      (** the exact solver hit a wall-clock deadline with no feasible
+          incumbent.  Nothing in this library produces it any more (the
+          solver has no deadline); it stays so that callers matching on
+          it, and its TCS307 registry entry, keep compiling. *)
 
 val error_code : error -> string
 (** Matching TCS diagnostic code: TCS305 / TCS306 / TCS307 (the linter's

@@ -19,7 +19,6 @@ type stats = {
   runtime_s : float;
   counters : Ilp.Counters.t;
   proven_optimal : bool;
-  timed_out : bool;
 }
 
 type result = { assignment : int array; cost : float; feasible : bool; stats : stats }
@@ -470,22 +469,17 @@ let build_ilp ~incumbent p =
     (m, incumbent_values, decode)
   end
 
-let exact ?deadline_s ?timeout_flag ~incumbent p =
-  let mark_timeout () = Option.iter (fun r -> r := true) timeout_flag in
+let exact ~incumbent p =
   let m, incumbent_values, decode = build_ilp ~incumbent p in
   match
-    Ilp.Branch_bound.solve ~max_nodes:800 ~max_pivots:300_000 ~stall_nodes:80 ?deadline_s
+    Ilp.Branch_bound.solve ~max_nodes:800 ~max_pivots:300_000 ~stall_nodes:80
       ?incumbent:incumbent_values m
   with
   | (Ilp.Branch_bound.Optimal sol | Ilp.Branch_bound.Feasible sol | Ilp.Branch_bound.Timeout (Some sol))
     as result ->
-    (match result with Ilp.Branch_bound.Timeout _ -> mark_timeout () | _ -> ());
     let proven = match result with Ilp.Branch_bound.Optimal _ -> true | _ -> false in
     Some (decode sol.values, sol.counters, proven)
-  | Ilp.Branch_bound.Infeasible | Ilp.Branch_bound.Unbounded -> None
-  | Ilp.Branch_bound.Timeout None ->
-    mark_timeout ();
-    None
+  | Ilp.Branch_bound.Infeasible | Ilp.Branch_bound.Unbounded | Ilp.Branch_bound.Timeout None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical backend for k > 2: recursive two-way bisection over
@@ -720,7 +714,6 @@ let greedy p =
             runtime_s = Sys.time () -. t0;
             counters = Counters.zero;
             proven_optimal = false;
-            timed_out = false;
           };
       }
   end
@@ -741,8 +734,7 @@ let greedy p =
 
 let race_iters p = Stdlib.min 200_000 (2_000 * num_items p)
 
-let exact_race ?timeout_flag ?pool ~seed ~incumbent p =
-  let mark_timeout () = Option.iter (fun r -> r := true) timeout_flag in
+let exact_race ?pool ~seed ~incumbent p =
   let m, incumbent_values, decode = build_ilp ~incumbent p in
   let lp_bound =
     match Ilp.Simplex.solve m with
@@ -798,7 +790,6 @@ let exact_race ?timeout_flag ?pool ~seed ~incumbent p =
     match bb_result with
     | (Ilp.Branch_bound.Optimal sol | Ilp.Branch_bound.Feasible sol
       | Ilp.Branch_bound.Timeout (Some sol)) as result ->
-      (match result with Ilp.Branch_bound.Timeout _ -> mark_timeout () | _ -> ());
       let proven = match result with Ilp.Branch_bound.Optimal _ -> true | _ -> false in
       let a = decode sol.values in
       (* An uncertified but feasible anneal answer can still beat a
@@ -815,7 +806,6 @@ let exact_race ?timeout_flag ?pool ~seed ~incumbent p =
             false )
       else Some (a, { sol.counters with races_exact = 1 }, proven)
     | Ilp.Branch_bound.Infeasible | Ilp.Branch_bound.Unbounded | Ilp.Branch_bound.Timeout None ->
-      (match bb_result with Ilp.Branch_bound.Timeout None -> mark_timeout () | _ -> ());
       (* The exact arm's budget-limited "Infeasible" is a conflation (no
          incumbent found in budget); a feasible anneal answer refutes it. *)
       if anneal_o.feasible && feasible_assignment p anneal_o.assignment then
@@ -1436,7 +1426,7 @@ let solve_grouped ~seed ?pool ~groups p =
       end
   end
 
-let solve_uncached ~strategy ~seed ?deadline_s ?warm_incumbent ?pool ?groups p =
+let solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p =
   (* An externally supplied incumbent (e.g. the previous attempt's mapping
      re-checked against relaxed capacities) only helps if it is feasible
      for *this* problem; otherwise it is dropped silently. *)
@@ -1446,7 +1436,6 @@ let solve_uncached ~strategy ~seed ?deadline_s ?warm_incumbent ?pool ?groups p =
     | _ -> None
   in
   let t0 = Sys.time () in
-  let timeout_flag = ref false in
   let finish backend ?(counters = Counters.zero) ~proven assignment =
     let cost = cost_of p assignment in
     let feasible = feasible_assignment p assignment in
@@ -1461,7 +1450,6 @@ let solve_uncached ~strategy ~seed ?deadline_s ?warm_incumbent ?pool ?groups p =
             runtime_s = Sys.time () -. t0;
             counters;
             proven_optimal = proven;
-            timed_out = !timeout_flag;
           };
       }
   in
@@ -1471,7 +1459,7 @@ let solve_uncached ~strategy ~seed ?deadline_s ?warm_incumbent ?pool ?groups p =
   end
   else begin
     let run_heuristic () = heuristic ~seed p in
-    let run_exact incumbent = exact ?deadline_s ~timeout_flag ~incumbent p in
+    let run_exact incumbent = exact ~incumbent p in
     match strategy with
     | Heuristic -> (
       match run_heuristic () with
@@ -1484,11 +1472,11 @@ let solve_uncached ~strategy ~seed ?deadline_s ?warm_incumbent ?pool ?groups p =
       | None -> None)
     | Auto -> (
       (* Grouped decomposition fires only for large clusters with a real
-         grouping (several groups, each with several parts) and no
-         wall-clock deadline: every legacy path stays bit-identical. *)
+         grouping (several groups, each with several parts): every legacy
+         path stays bit-identical. *)
       let grouped =
         match groups with
-        | Some g when deadline_s = None && p.k > 8 && Array.length g = p.k ->
+        | Some g when p.k > 8 && Array.length g = p.k ->
           let gc = 1 + Array.fold_left Stdlib.max 0 g in
           if gc >= 2 && gc < p.k && Array.for_all (fun x -> x >= 0) g then solve_grouped ~seed ?pool ~groups:g p
           else None
@@ -1563,12 +1551,10 @@ let solve_uncached ~strategy ~seed ?deadline_s ?warm_incumbent ?pool ?groups p =
    canonical digest of every input that influences the answer.
 
    Determinism contract: the cache must never change *what* is returned,
-   only how fast.  Two consequences shape the code below:
-   - [runtime_s] is part of the stored record and is returned verbatim
-     on a hit, so cache-cold and cache-warm compiles emit bit-identical
-     reports.  Hit/miss observability lives in [cache_stats] only.
-   - a wall-clock [deadline_s] budget makes the result host-speed
-     dependent, so deadline-bearing calls bypass the cache entirely. *)
+   only how fast.  So [runtime_s] is part of the stored record and is
+   returned verbatim on a hit, and cache-cold and cache-warm compiles
+   emit bit-identical reports.  Hit/miss observability lives in
+   [cache_stats] only. *)
 
 let cache : result option Memo.t = Memo.create ()
 
@@ -1620,21 +1606,16 @@ let cache_key ~strategy ~seed ?warm_incumbent ?groups p =
     Array.iter int g);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let solve ?(strategy = Auto) ?(seed = 1) ?deadline_s ?warm_incumbent
-    ?pool ?groups p =
+let solve ?(strategy = Auto) ?(seed = 1) ?warm_incumbent ?pool ?groups p =
   validate p;
-  match deadline_s with
-  | Some _ ->
-    solve_uncached ~strategy ~seed ?deadline_s ?warm_incumbent ?pool ?groups p
-  | None ->
-    let key = cache_key ~strategy ~seed ?warm_incumbent ?groups p in
-    let r, _hit =
-      Memo.find_or_compute cache ~key (fun () ->
-          solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p)
-    in
-    (* Deep-copy the assignment: callers own their result arrays and a
-       mutation must not poison later hits. *)
-    Option.map (fun r -> { r with assignment = Array.copy r.assignment }) r
+  let key = cache_key ~strategy ~seed ?warm_incumbent ?groups p in
+  let r, _hit =
+    Memo.find_or_compute cache ~key (fun () ->
+        solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p)
+  in
+  (* Deep-copy the assignment: callers own their result arrays and a
+     mutation must not poison later hits. *)
+  Option.map (fun r -> { r with assignment = Array.copy r.assignment }) r
 
 let cache_stats () =
   let s = Memo.stats cache in

@@ -35,9 +35,6 @@ type stats = {
           exact search it ran, heuristic refinement moves, grouped
           subproblems and portfolio race wins; all 0 for [`Greedy] *)
   proven_optimal : bool;
-  timed_out : bool;
-      (** the exact backend hit its wall-clock [deadline_s]; the answer
-          (if any) is its best incumbent, not a completed search *)
 }
 
 type result = { assignment : int array; cost : float; feasible : bool; stats : stats }
@@ -51,7 +48,6 @@ val feasible_assignment : problem -> int array -> bool
 val solve :
   ?strategy:strategy ->
   ?seed:int ->
-  ?deadline_s:float ->
   ?warm_incumbent:int array ->
   ?pool:Pool.t ->
   ?groups:int array ->
@@ -60,17 +56,14 @@ val solve :
 (** [None] when no feasible assignment was found (exact proof of
     infeasibility for the exact backend; search failure for the
     heuristic).  [Auto] tries the exact backend on instances of up to 28
-    binary variables (14 for a joint k-way ILP).  [deadline_s]
-    bounds the flat exact search by wall clock; expiry sets
-    [stats.timed_out] and falls back to the best incumbent — it trades
-    the determinism contract for liveness, so only interactive paths set
-    it.  [warm_incumbent] seeds the exact search with an externally known
-    assignment (e.g. the previous fallback-chain attempt re-checked
-    against relaxed capacities); infeasible seeds are dropped silently.
+    binary variables (14 for a joint k-way ILP).  [warm_incumbent]
+    seeds the exact search with an externally known assignment (e.g.
+    the previous fallback-chain attempt re-checked against relaxed
+    capacities); infeasible seeds are dropped silently.
 
     [groups] (one group id per part, e.g. the server node hosting each
     FPGA) enables the hierarchical decomposition on large [Auto]
-    instances ([k > 8], at least two non-trivial groups, no deadline): a
+    instances ([k > 8], at least two non-trivial groups): a
     cluster-level assignment of items to groups (deterministic
     weight-independent BFS chunking, greedy + anneal as fallback), then
     one independent subproblem per group — each racing exact parallel
@@ -103,8 +96,7 @@ val solve :
     cache is transparent: hits return the stored record — including its
     original [runtime_s] — so compile output is bit-identical whether the
     cache is cold or warm, and it is safe under domain-parallel compile.
-    Calls that set [deadline_s] bypass the cache (their result may depend
-    on host speed).  Observe it via {!cache_stats} / {!reset_cache}. *)
+    Observe it via {!cache_stats} / {!reset_cache}. *)
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the process-wide solution cache. *)

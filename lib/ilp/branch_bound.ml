@@ -55,7 +55,6 @@ type core = {
   c_result : result;
   c_best : solution option; (* finalized best incumbent, if any *)
   c_limit : bool;
-  c_deadline : bool;
   c_stopped : bool; (* cooperative [should_stop] fired *)
   c_carved : node list;
   c_counters : Counters.t;
@@ -67,7 +66,7 @@ type core = {
    stops the loop once the frontier holds [k] nodes and hands them back
    instead of finishing; [template] is the prepared simplex shared across
    runs (read-only, so safe to share between domains). *)
-let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~incumbent
+let solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop ~incumbent
     ~template ~root ~carve model =
   let nv = Model.num_vars model in
   let sense, obj_expr = Model.objective model in
@@ -98,24 +97,7 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
           }
       | _ -> None)
   in
-  (* Wall-clock budget.  Deliberately opt-in: a deadline makes the
-     incumbent depend on host speed, breaking the determinism contract,
-     so the compile pipeline prefers node budgets and only the CLI /
-     robustness paths reach for this. *)
-  let deadline_hit = ref false in
-  let past_deadline =
-    match deadline_s with
-    | None -> fun () -> false
-    | Some budget ->
-      let t0 = Sys.time () in
-      fun () ->
-        if Sys.time () -. t0 >= budget then begin
-          deadline_hit := true;
-          true
-        end
-        else false
-  in
-  (* Cooperative cancellation, polled once per node like the deadline.
+  (* Cooperative cancellation, polled once per node.
      Purely a wall-clock lever: every caller either discards a stopped
      run's answer outright (portfolio loser) or deterministically
      recomputes it (parallel merge). *)
@@ -231,7 +213,6 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
       c_result = result;
       c_best = best;
       c_limit = (not verdict) && !limit_hit;
-      c_deadline = (not verdict) && !deadline_hit;
       c_stopped = (not verdict) && !stop_hit;
       c_carved = !carved;
       c_counters = counters ();
@@ -266,13 +247,13 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
      let carve_cap = match carve with Some c -> Stdlib.max 2 c | None -> max_int in
      while (not (Fourheap.is_empty frontier)) && (not !limit_hit) && !nodes < max_nodes
            && Fourheap.length frontier < carve_cap
-           && (not (stalled ())) && (not (past_deadline ())) && not (stop_requested ()) do
+           && (not (stalled ())) && not (stop_requested ()) do
        incr nodes;
        expand (Fourheap.pop_exn frontier)
      done;
      if (not (Fourheap.is_empty frontier)) && (!nodes >= max_nodes || stalled ()) then
        limit_hit := true;
-     if carve <> None && (not !limit_hit) && (not !deadline_hit) && (not !stop_hit)
+     if carve <> None && (not !limit_hit) && (not !stop_hit)
         && Fourheap.length frontier >= Stdlib.min carve_cap 2 && not (Fourheap.is_empty frontier)
      then begin
        (* Drain in pop order (total thanks to [seq]), so the subtree list
@@ -290,7 +271,7 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
        returned one is stamped with the final tallies. *)
     let fbest = Option.map (fun sol -> { sol with counters = counters () }) !best in
     let result =
-      if !deadline_hit || !stop_hit then Timeout fbest
+      if !stop_hit then Timeout fbest
       else
         match fbest with
         | Some sol -> if !limit_hit then Feasible sol else Optimal sol
@@ -304,15 +285,15 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~inc
     in
     conclude result fbest
 
-let solve ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes = max_int) ?deadline_s
-    ?incumbent ?should_stop model =
+let solve ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes = max_int) ?incumbent
+    ?should_stop model =
   match Validate.check model with
   | Validate.Infeasible_constraint _ :: _ -> Infeasible
   | Validate.Unbounded_direction _ :: _ -> Unbounded
   | [] ->
     (* Lower the model to its standard-form template once at the root;
        every node then only re-applies its branching bounds. *)
-    (solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~incumbent
+    (solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop ~incumbent
        ~template:(Simplex.prepare model) ~root:None ~carve:None model)
       .c_result
 
@@ -339,7 +320,7 @@ let solve ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes = max_in
 let subtrees = 8 (* width of the phase-A carve *)
 
 let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes = max_int)
-    ?deadline_s ?incumbent ?pool ?should_stop model =
+    ?incumbent ?pool ?should_stop model =
   match Validate.check model with
   | Validate.Infeasible_constraint _ :: _ -> Infeasible
   | Validate.Unbounded_direction _ :: _ -> Unbounded
@@ -352,7 +333,7 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
     in
     let template = Simplex.prepare model in
     let a =
-      solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop ~incumbent
+      solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop ~incumbent
         ~template ~root:None ~carve:(Some subtrees) model
     in
     (match a.c_carved with
@@ -373,7 +354,7 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
       in
       let external_stop () = match should_stop with Some f -> f () | None -> false in
       let pure_solve ~stop box =
-        solve_core ~max_nodes ~max_pivots ~stall_nodes ~deadline_s ~should_stop:stop
+        solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop:stop
           ~incumbent:seed_values ~template ~root:(Some box) ~carve:None model
       in
       let run_box box =
@@ -394,7 +375,6 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
       let broadcasts = ref 0 in
       let total = ref a.c_counters in
       let any_limit = ref a.c_limit
-      and any_deadline = ref a.c_deadline
       and any_stop = ref false
       and any_unbounded = ref false in
       Array.iteri
@@ -416,7 +396,6 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
             in
             (match c.c_result with Unbounded -> any_unbounded := true | _ -> ());
             if c.c_limit then any_limit := true;
-            if c.c_deadline then any_deadline := true;
             if c.c_stopped then any_stop := true;
             total := Counters.add !total c.c_counters;
             match c.c_best with
@@ -433,7 +412,7 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
       if !any_unbounded then Unbounded
       else
         let best = Option.map (fun s -> { s with counters }) !merged in
-        if !any_deadline || !any_stop then Timeout best
+        if !any_stop then Timeout best
         else (
           match best with
           | Some sol -> if !any_limit then Feasible sol else Optimal sol

@@ -22,26 +22,18 @@ type result =
   | Infeasible
   | Unbounded
   | Timeout of solution option
-      (** the wall-clock [deadline_s] budget expired mid-search; carries
-          the best incumbent found so far, if any *)
+      (** [should_stop] fired mid-search; carries the best incumbent
+          found so far, if any *)
 
 val solve :
   ?max_nodes:int ->
   ?max_pivots:int ->
   ?stall_nodes:int ->
-  ?deadline_s:float ->
   ?incumbent:Rat.t array ->
   ?should_stop:(unit -> bool) ->
   Model.t ->
   result
-(** [deadline_s] is a wall-clock budget: when it expires the search stops
-    and returns [Timeout] with its best incumbent instead of spinning.
-    Unlike the node/pivot/stall budgets it is {e not} deterministic — the
-    incumbent depends on host speed — so the compile pipeline's fallback
-    chain uses node budgets and reserves the deadline for interactive /
-    fault-injection runs that must never hang.
-
-    [incumbent] seeds the search with a known feasible assignment (e.g.
+(** [incumbent] seeds the search with a known feasible assignment (e.g.
     from a heuristic) so the solver can prune from the first node.  An
     infeasible seed is rejected silently.
 
@@ -56,11 +48,11 @@ val solve :
     dual-feasible, the child's float solve warm-restarts with a dual
     simplex phase instead of a from-scratch two-phase run.
 
-    [should_stop] is polled once per node (like the deadline).  When it
-    fires the search stops and returns [Timeout] with the best incumbent
-    so far — the cooperative-cancellation hook of the portfolio racer.
-    Like [deadline_s] it is a wall-clock lever only: callers must either
-    discard a stopped run's answer or deterministically recompute it.
+    [should_stop] is polled once per node.  When it fires the search
+    stops and returns [Timeout] with the best incumbent so far — the
+    cooperative-cancellation hook of the portfolio racer.  It is a
+    wall-clock lever only: callers must either discard a stopped run's
+    answer or deterministically recompute it.
 
     Models are screened through {!Validate.check} first: trivially
     infeasible or unbounded instances return [Infeasible] / [Unbounded]
@@ -70,7 +62,6 @@ val solve_parallel :
   ?max_nodes:int ->
   ?max_pivots:int ->
   ?stall_nodes:int ->
-  ?deadline_s:float ->
   ?incumbent:Rat.t array ->
   ?pool:Pool.t ->
   ?should_stop:(unit -> bool) ->
@@ -96,9 +87,9 @@ val solve_parallel :
     improvements) are byte-identical for [jobs = 1] and [jobs = N].  Each box receives the full [max_nodes]/[max_pivots]
     budget, so the aggregate node budget scales with the carve width.
 
-    [deadline_s] and [should_stop] retain their wall-clock,
-    non-deterministic semantics from {!solve}: when either fires the
-    merge surfaces [Timeout] with the best merged incumbent. *)
+    [should_stop] retains its wall-clock, non-deterministic semantics
+    from {!solve}: when it fires the merge surfaces [Timeout] with the
+    best merged incumbent. *)
 
 val is_feasible : Model.t -> Rat.t array -> bool
 (** Exact feasibility check of an assignment against all constraints,

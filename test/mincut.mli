@@ -1,6 +1,7 @@
 (** Global minimum cut of a weighted undirected graph (Stoer–Wagner).
 
-    Used as an independent oracle: any bipartition of a connected design
+    A test-only oracle, linked into the test executables and nowhere
+    else: any bipartition of a connected design
     costs at least the global min cut, so the exact ILP partitioner's
     two-way results can be cross-checked against this bound (and must
     meet it exactly whenever the min-cut sides respect the capacity

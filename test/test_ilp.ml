@@ -537,10 +537,11 @@ let test_bb_stall_returns_incumbent () =
   | Branch_bound.Optimal _ -> Alcotest.fail "cannot prove optimality with zero nodes"
   | _ -> Alcotest.fail "expected the incumbent back"
 
-let test_bb_deadline_timeout () =
-  (* A zero wall-clock budget must fire before the first node: with an
-     incumbent the solver hands it back under Timeout (Some _) instead of
-     claiming optimality; without one it reports Timeout None. *)
+let test_bb_stop_timeout () =
+  (* A stop request raised before the search starts fires at the first
+     node poll: with an incumbent the solver hands it back under
+     Timeout (Some _) instead of claiming optimality; without one it
+     reports Timeout None.  The parallel search stops the same way. *)
   let build () =
     let m = Model.create () in
     let vars = List.init 6 (fun _ -> Model.add_var m Model.Binary) in
@@ -548,23 +549,27 @@ let test_bb_deadline_timeout () =
     Model.set_objective m Model.Maximize (Linear.of_terms (List.map (fun v -> (v, r 5)) vars));
     (m, vars)
   in
+  let stop () = true in
   let m, vars = build () in
   let incumbent = Array.of_list (List.mapi (fun i _ -> if i = 0 then Rat.one else Rat.zero) vars) in
-  (match Branch_bound.solve ~deadline_s:0.0 ~incumbent m with
+  (match Branch_bound.solve ~should_stop:stop ~incumbent m with
   | Branch_bound.Timeout (Some s) ->
     check rat "best incumbent returned" (r 5) s.objective;
     check bool "incumbent is feasible" true (Branch_bound.is_feasible m s.values)
-  | Branch_bound.Optimal _ -> Alcotest.fail "cannot prove optimality with a zero deadline"
+  | Branch_bound.Optimal _ -> Alcotest.fail "cannot prove optimality once stopped"
   | _ -> Alcotest.fail "expected Timeout (Some incumbent)");
+  (match Branch_bound.solve_parallel ~should_stop:stop ~incumbent m with
+  | Branch_bound.Timeout (Some s) -> check rat "parallel: best incumbent returned" (r 5) s.objective
+  | _ -> Alcotest.fail "parallel: expected Timeout (Some incumbent)");
   let m2, _ = build () in
-  (match Branch_bound.solve ~deadline_s:0.0 m2 with
+  (match Branch_bound.solve ~should_stop:stop m2 with
   | Branch_bound.Timeout None -> ()
   | Branch_bound.Timeout (Some _) -> Alcotest.fail "no incumbent was seeded"
   | _ -> Alcotest.fail "expected Timeout None");
-  (* A generous deadline changes nothing. *)
+  (* A stop that never fires changes nothing. *)
   let m3, _ = build () in
-  match Branch_bound.solve ~deadline_s:3600.0 m3 with
-  | Branch_bound.Optimal s -> check rat "optimum under generous deadline" (r 10) s.objective
+  match Branch_bound.solve ~should_stop:(fun () -> false) m3 with
+  | Branch_bound.Optimal s -> check rat "optimum when never stopped" (r 10) s.objective
   | _ -> Alcotest.fail "expected optimal"
 
 let test_model_validation () =
@@ -624,7 +629,7 @@ let () =
           Alcotest.test_case "minimization" `Quick test_bb_minimization;
           Alcotest.test_case "is_feasible" `Quick test_is_feasible_rejects;
           Alcotest.test_case "stall returns incumbent" `Quick test_bb_stall_returns_incumbent;
-          Alcotest.test_case "deadline timeout" `Quick test_bb_deadline_timeout;
+          Alcotest.test_case "should_stop timeout" `Quick test_bb_stop_timeout;
           Alcotest.test_case "model validation" `Quick test_model_validation;
         ] );
       ("properties", qsuite);
