@@ -51,8 +51,11 @@ let iters_arg =
   Arg.(value & opt positive_int 64 & info [ "iters" ] ~doc)
 
 let dataset_arg =
-  let doc = "PageRank dataset name (Table 5)." in
-  Arg.(value & opt string "soc-Slashdot0811" & info [ "dataset" ] ~doc)
+  let names = List.map (fun (ds : Dataset.spec) -> ds.name) Dataset.all in
+  let doc = "PageRank dataset (Table 5): " ^ String.concat ", " names ^ "." in
+  Arg.(value
+       & opt (enum (List.map (fun n -> (n, n)) names)) "soc-Slashdot0811"
+       & info [ "dataset" ] ~doc)
 
 let n_arg =
   let doc = "KNN dataset size N." in
@@ -77,6 +80,12 @@ let board_arg =
   let doc = "FPGA board model: u55c, u250, stratix10." in
   Arg.(value & opt (enum board_names) "u55c" & info [ "board" ] ~doc)
 
+(* One board name of a comma list such as --mix, trimmed. *)
+let board_name =
+  let boards = Arg.enum board_names in
+  Arg.conv ~docv:"BOARD"
+    ((fun s -> Arg.conv_parser boards (String.trim s)), Arg.conv_printer boards)
+
 let board_of_name = function
   | "u250" -> Board.u250
   | "stratix10" -> Board.stratix10
@@ -90,9 +99,20 @@ let topology_arg =
            Topology.Ring
        & info [ "topology" ] ~doc)
 
+(* A utilization threshold is a fraction in (0, 1]; anything else (NaN
+   included) is a usage error rather than a late routing failure. *)
+let fraction =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok t when t > 0.0 && t <= 1.0 -> Ok t
+    | Ok t -> Error (`Msg (Printf.sprintf "expected a fraction in (0, 1], got %g" t))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"T" (parse, Arg.conv_printer Arg.float)
+
 let threshold_arg =
-  let doc = "Per-resource utilization threshold T of Eq. 1." in
-  Arg.(value & opt float Constants.utilization_threshold & info [ "threshold" ] ~doc)
+  let doc = "Per-resource utilization threshold T of Eq. 1, in (0, 1]." in
+  Arg.(value & opt fraction Constants.utilization_threshold & info [ "threshold" ] ~doc)
 
 let jobs_arg =
   let doc =
@@ -400,7 +420,7 @@ let simulate_cmd =
 let sweep_cmd =
   let max_fpgas_arg =
     let doc = "Largest cluster size to sweep (the curve runs k = 1 .. this)." in
-    Arg.(value & opt int 4 & info [ "max-fpgas" ] ~doc)
+    Arg.(value & opt positive_int 4 & info [ "max-fpgas" ] ~doc)
   in
   let sweep_jobs_arg =
     let doc =
@@ -541,8 +561,8 @@ let autoscale_cmd =
   let elems_arg = Arg.(value & opt float 1e8 & info [ "elems" ] ~doc:"Total elements of work.") in
   let ops_arg = Arg.(value & opt float 8.0 & info [ "ops" ] ~doc:"Arithmetic ops per element.") in
   let bytes_arg = Arg.(value & opt float 8.0 & info [ "bytes" ] ~doc:"External-memory bytes per element.") in
-  let lanes_arg = Arg.(value & opt int 4 & info [ "lanes" ] ~doc:"Elements per cycle one PE sustains.") in
-  let lut_arg = Arg.(value & opt int 30_000 & info [ "pe-lut" ] ~doc:"LUTs per processing element.") in
+  let lanes_arg = Arg.(value & opt positive_int 4 & info [ "lanes" ] ~doc:"Elements per cycle one PE sustains.") in
+  let lut_arg = Arg.(value & opt positive_int 30_000 & info [ "pe-lut" ] ~doc:"LUTs per processing element.") in
   let measured_arg =
     let doc =
       "Also lower every plan into its PE-level task graph and run the timed simulator on it \
@@ -804,7 +824,7 @@ let farm_cmd =
     let doc =
       "Comma-separated board mix the farm cycles through: u55c, u250, stratix10."
     in
-    Arg.(value & opt string "u55c,u250,stratix10" & info [ "mix" ] ~doc)
+    Arg.(value & opt (list board_name) [ "u55c"; "u250"; "stratix10" ] & info [ "mix" ] ~doc)
   in
   let tenants_arg =
     let doc = "Number of tenant designs in the seeded admission stream." in
@@ -879,52 +899,39 @@ let farm_cmd =
   in
   let run boards boards_per_node mix tenants topology threshold seed horizon mean_gap
       strict_every max_retries backoff timeline_file events stats_json_file jobs =
-    let mix_names = String.split_on_char ',' mix |> List.map String.trim in
-    let bad = List.filter (fun n -> not (List.mem_assoc n board_names)) mix_names in
-    if bad <> [] then begin
-      prerr_endline ("unknown board(s) in --mix: " ^ String.concat ", " bad);
+    match parse_timeline ~file:timeline_file ~events with
+    | Error e ->
+      prerr_endline e;
       1
-    end
-    else begin
-      match parse_timeline ~file:timeline_file ~events with
-      | Error e ->
-        prerr_endline e;
-        1
-      | exception Sys_error m ->
-        prerr_endline m;
-        1
-      | Ok entries ->
-        let timeline = Tapa_cs_network.Fault.timeline entries in
-        let cluster =
-          Cluster.heterogeneous ~topology ~boards_per_node
-            (List.map board_of_name mix_names) boards
-        in
-        let workload =
-          Tenant.workload ~strict_every ~mean_gap_s:mean_gap ~seed ~tenants ()
-        in
-        let config =
-          { Farm.threshold; seed; max_retries; backoff_s = backoff; horizon_s = horizon }
-        in
-        let jobs = effective_jobs jobs in
-        let pool =
-          if jobs > 1 then Some (Tapa_cs_util.Pool.create ~domains:(jobs - 1) ()) else None
-        in
-        Fun.protect ~finally:(fun () -> Option.iter Tapa_cs_util.Pool.shutdown pool)
-        @@ fun () ->
-        Format.printf "%a@." Tapa_cs_network.Fault.pp_timeline timeline;
-        let stats = Farm.run ?pool ~config ~cluster ~timeline workload in
-        Format.printf "%a" Farm.pp_summary stats;
-        (match stats_json_file with
-        | None -> ()
-        | Some "-" -> print_endline (Farm.stats_json stats)
-        | Some path ->
-          let oc = open_out path in
-          Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-          output_string oc (Farm.stats_json stats);
-          output_char oc '\n';
-          Format.printf "wrote stats timeline to %s@." path);
-        0
-    end
+    | exception Sys_error m ->
+      prerr_endline m;
+      1
+    | Ok entries ->
+      let timeline = Tapa_cs_network.Fault.timeline entries in
+      let cluster =
+        Cluster.heterogeneous ~topology ~boards_per_node (List.map board_of_name mix) boards
+      in
+      let workload = Tenant.workload ~strict_every ~mean_gap_s:mean_gap ~seed ~tenants () in
+      let config = { Farm.threshold; seed; max_retries; backoff_s = backoff; horizon_s = horizon } in
+      let jobs = effective_jobs jobs in
+      let pool =
+        if jobs > 1 then Some (Tapa_cs_util.Pool.create ~domains:(jobs - 1) ()) else None
+      in
+      Fun.protect ~finally:(fun () -> Option.iter Tapa_cs_util.Pool.shutdown pool)
+      @@ fun () ->
+      Format.printf "%a@." Tapa_cs_network.Fault.pp_timeline timeline;
+      let stats = Farm.run ?pool ~config ~cluster ~timeline workload in
+      Format.printf "%a" Farm.pp_summary stats;
+      (match stats_json_file with
+      | None -> ()
+      | Some "-" -> print_endline (Farm.stats_json stats)
+      | Some path ->
+        let oc = open_out path in
+        Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+        output_string oc (Farm.stats_json stats);
+        output_char oc '\n';
+        Format.printf "wrote stats timeline to %s@." path);
+      0
   in
   let term =
     Term.(const run $ boards_arg $ boards_per_node_arg $ mix_arg $ tenants_arg $ topology_arg
@@ -963,7 +970,7 @@ let serve_cmd =
   in
   let clients_arg =
     let doc = "Closed-loop clients in --script mode." in
-    Arg.(value & opt int 4 & info [ "clients" ] ~doc)
+    Arg.(value & opt positive_int 4 & info [ "clients" ] ~doc)
   in
   let rpc_arg =
     let doc = "Requests each scripted client issues." in
@@ -971,7 +978,7 @@ let serve_cmd =
   in
   let distinct_arg =
     let doc = "Size of the request universe the scripted clients draw from." in
-    Arg.(value & opt int 6 & info [ "distinct" ] ~doc)
+    Arg.(value & opt positive_int 6 & info [ "distinct" ] ~doc)
   in
   let warm_arg =
     let doc = "Pre-fill the response cache with the whole universe before the measured stream." in
@@ -983,7 +990,7 @@ let serve_cmd =
   in
   let max_depth_arg =
     let doc = "Admission bound: distinct computations a round may schedule (strict class)." in
-    Arg.(value & opt int Service.default_config.Service.max_depth & info [ "max-depth" ] ~doc)
+    Arg.(value & opt positive_int Service.default_config.Service.max_depth & info [ "max-depth" ] ~doc)
   in
   let best_effort_depth_arg =
     let doc = "Earlier shedding bound for best-effort requests (clamped to --max-depth)." in

@@ -140,6 +140,55 @@ let placement_order ?(perturb = true) p rng =
     done;
   order
 
+(* Move refinement: relocate single items while it strictly helps, for at
+   most [max_passes] passes over the items, reshuffled by [rng] before
+   each pass when given, else in index order.  The working objective adds
+   a large overflow penalty so infeasible starts can be repaired.  Returns
+   the number of moves made. *)
+let refine_moves ?rng p ~max_passes assignment =
+  let n = num_items p in
+  let usage = usage_of p assignment in
+  let fixed_part = Array.make n (-1) in
+  List.iter (fun (i, part) -> fixed_part.(i) <- part) p.fixed;
+  let penalty = 1e7 in
+  let objective () = cost_of p assignment +. (penalty *. total_overflow p usage) in
+  let moves = ref 0 in
+  let improved = ref true in
+  let passes = ref 0 in
+  let items = Array.init n Fun.id in
+  while !improved && !passes < max_passes do
+    improved := false;
+    incr passes;
+    Option.iter (fun rng -> Prng.shuffle rng items) rng;
+    Array.iter
+      (fun i ->
+        if fixed_part.(i) < 0 then begin
+          let cur_obj = ref (objective ()) in
+          for part = 0 to p.k - 1 do
+            if part <> assignment.(i) then begin
+              let old = assignment.(i) in
+              usage.(old) <- Resource.sub usage.(old) p.areas.(i);
+              usage.(part) <- Resource.add usage.(part) p.areas.(i);
+              assignment.(i) <- part;
+              let obj = objective () in
+              if obj < !cur_obj -. 1e-9 then begin
+                cur_obj := obj;
+                incr moves;
+                improved := true
+              end
+              else begin
+                (* revert *)
+                usage.(part) <- Resource.sub usage.(part) p.areas.(i);
+                usage.(old) <- Resource.add usage.(old) p.areas.(i);
+                assignment.(i) <- old
+              end
+            end
+          done
+        end)
+      items
+  done;
+  !moves
+
 let heuristic_once ?(perturb = true) p rng =
   let n = num_items p in
   let fixed_part = Array.make n (-1) in
@@ -186,49 +235,8 @@ let heuristic_once ?(perturb = true) p rng =
         place i !best
       end)
     order;
-  (* Move refinement: relocate single items while it strictly helps.  The
-     working objective adds a large overflow penalty so infeasible starts
-     can be repaired. *)
-  let penalty = 1e7 in
-  let objective () = cost_of p assignment +. (penalty *. total_overflow p usage) in
-  let moves = ref 0 in
-  let improved = ref true in
-  let passes = ref 0 in
-  let items = Array.init n Fun.id in
-  while !improved && !passes < 40 do
-    improved := false;
-    incr passes;
-    Prng.shuffle rng items;
-    Array.iter
-      (fun i ->
-        if fixed_part.(i) < 0 then begin
-          let cur = assignment.(i) in
-          let cur_obj = ref (objective ()) in
-          for part = 0 to p.k - 1 do
-            if part <> assignment.(i) then begin
-              let old = assignment.(i) in
-              usage.(old) <- Resource.sub usage.(old) p.areas.(i);
-              usage.(part) <- Resource.add usage.(part) p.areas.(i);
-              assignment.(i) <- part;
-              let obj = objective () in
-              if obj < !cur_obj -. 1e-9 then begin
-                cur_obj := obj;
-                incr moves;
-                improved := true
-              end
-              else begin
-                (* revert *)
-                usage.(part) <- Resource.sub usage.(part) p.areas.(i);
-                usage.(old) <- Resource.add usage.(old) p.areas.(i);
-                assignment.(i) <- old
-              end
-            end
-          done;
-          ignore cur
-        end)
-      items
-  done;
-  (assignment, !moves)
+  let moves = refine_moves ~rng p ~max_passes:40 assignment in
+  (assignment, moves)
 
 (* For two-way instances, sweep every contiguous BFS-prefix cut.  On
    chain- and grid-shaped dataflow designs (stencil chains, systolic
@@ -492,46 +500,6 @@ let avg_dist p parts target =
   let s = List.fold_left (fun acc q -> acc + p.dist q target) 0 parts in
   float_of_int s /. float_of_int (List.length parts)
 
-let refine_global p assignment =
-  let n = num_items p in
-  let usage = usage_of p assignment in
-  let fixed_part = Array.make n (-1) in
-  List.iter (fun (i, part) -> fixed_part.(i) <- part) p.fixed;
-  let penalty = 1e7 in
-  let objective () = cost_of p assignment +. (penalty *. total_overflow p usage) in
-  let moves = ref 0 in
-  let improved = ref true in
-  let passes = ref 0 in
-  while !improved && !passes < 20 do
-    improved := false;
-    incr passes;
-    for i = 0 to n - 1 do
-      if fixed_part.(i) < 0 then begin
-        let cur_obj = ref (objective ()) in
-        for part = 0 to p.k - 1 do
-          if part <> assignment.(i) then begin
-            let old = assignment.(i) in
-            usage.(old) <- Resource.sub usage.(old) p.areas.(i);
-            usage.(part) <- Resource.add usage.(part) p.areas.(i);
-            assignment.(i) <- part;
-            let obj = objective () in
-            if obj < !cur_obj -. 1e-9 then begin
-              cur_obj := obj;
-              incr moves;
-              improved := true
-            end
-            else begin
-              usage.(part) <- Resource.sub usage.(part) p.areas.(i);
-              usage.(old) <- Resource.add usage.(old) p.areas.(i);
-              assignment.(i) <- old
-            end
-          end
-        done
-      end
-    done
-  done;
-  !moves
-
 (* Binary-variable budget up to which [Auto] still tries the exact
    backend on a two-way split; joint k-way ILPs get half of it and the
    grouped decomposition's race arm twice it. *)
@@ -647,7 +615,7 @@ let hierarchical ~strategy ~seed p =
   done;
   if !failed then None
   else begin
-    let moves = refine_global p assignment in
+    let moves = refine_moves p ~max_passes:20 assignment in
     Some (assignment, Counters.add !counters (moves_only moves))
   end
 
@@ -737,7 +705,7 @@ let race_iters p = Stdlib.min 200_000 (2_000 * num_items p)
 let exact_race ?pool ~seed ~incumbent p =
   let m, incumbent_values, decode = build_ilp ~incumbent p in
   let lp_bound =
-    match Ilp.Simplex.solve m with
+    match (Ilp.Simplex.solve_float_first (Ilp.Simplex.prepare m)).ff_result with
     | Ilp.Simplex.Optimal s -> Some s.objective
     | Ilp.Simplex.Infeasible | Ilp.Simplex.Unbounded -> None
     | exception Ilp.Simplex.Pivot_limit -> None

@@ -5,295 +5,19 @@ type result = Optimal of solution | Infeasible | Unbounded
 
 exception Pivot_limit
 
-(* ================================================================== *)
-(* Reference implementation (the original seed solver).                *)
-(*                                                                     *)
-(* Standard form  min c.y  s.t.  T.y = b, y >= 0, b >= 0  where        *)
-(* structural variables y_j = x_j - lb_j occupy columns 0..nv-1,       *)
-(* slack/surplus variables follow, then artificials.  Upper bounds     *)
-(* become explicit  y_j <= u_j  rows.  The whole tableau is rebuilt    *)
-(* from the model on every call — this is the cold path the prepared   *)
-(* solver below is benchmarked against, and the independently written  *)
-(* oracle the qcheck differential property compares against.           *)
-(* ================================================================== *)
-
-type tableau = {
-  mutable rows : Rat.t array array; (* m rows of length ncols+1; last entry is rhs *)
-  mutable basis : int array; (* basic variable of each row *)
-  obj : Rat.t array; (* reduced-cost row, length ncols+1; last = -objective *)
-  ncols : int;
-  art_start : int; (* first artificial column *)
-  mutable pivots : int;
-  max_pivots : int;
-}
-
-let pivot tab r c =
-  tab.pivots <- tab.pivots + 1;
-  if tab.pivots > tab.max_pivots then raise Pivot_limit;
-  let row = tab.rows.(r) in
-  let p = row.(c) in
-  let n = tab.ncols in
-  for j = 0 to n do
-    row.(j) <- Rat.div row.(j) p
-  done;
-  let eliminate target =
-    let f = target.(c) in
-    if not (Rat.is_zero f) then
-      for j = 0 to n do
-        target.(j) <- Rat.sub target.(j) (Rat.mul f row.(j))
-      done
-  in
-  Array.iteri (fun i other -> if i <> r then eliminate other) tab.rows;
-  eliminate tab.obj;
-  tab.basis.(r) <- c
-
-(* Pricing: Dantzig's rule (most negative reduced cost) for speed, falling
-   back to Bland's rule (lowest index) after a pivot budget to guarantee
-   termination on degenerate cycles. *)
+(* Pricing: Dantzig's rule (largest eligible reduced cost) for speed,
+   falling back to Bland's rule (lowest index) after a pivot budget to
+   guarantee termination on degenerate cycles. *)
 let bland_switch = 400
 
-let optimize tab ~allowed =
-  let m = Array.length tab.rows in
-  let start_pivots = tab.pivots in
-  let rec step () =
-    let bland = tab.pivots - start_pivots > bland_switch in
-    let entering = ref (-1) in
-    if bland then begin
-      let j = ref 0 in
-      while !entering < 0 && !j < tab.ncols do
-        if allowed !j && Rat.sign tab.obj.(!j) < 0 then entering := !j;
-        incr j
-      done
-    end
-    else begin
-      let best = ref Rat.zero in
-      for j = 0 to tab.ncols - 1 do
-        if allowed j && Rat.compare tab.obj.(j) !best < 0 then begin
-          best := tab.obj.(j);
-          entering := j
-        end
-      done
-    end;
-    if !entering < 0 then `Optimal
-    else begin
-      let c = !entering in
-      let best_row = ref (-1) in
-      let best_ratio = ref Rat.zero in
-      for i = 0 to m - 1 do
-        let a = tab.rows.(i).(c) in
-        if Rat.sign a > 0 then begin
-          let ratio = Rat.div tab.rows.(i).(tab.ncols) a in
-          let better =
-            !best_row < 0
-            || Rat.compare ratio !best_ratio < 0
-            || (Rat.compare ratio !best_ratio = 0 && tab.basis.(i) < tab.basis.(!best_row))
-          in
-          if better then begin
-            best_row := i;
-            best_ratio := ratio
-          end
-        end
-      done;
-      if !best_row < 0 then `Unbounded
-      else begin
-        pivot tab !best_row c;
-        step ()
-      end
-    end
-  in
-  step ()
-
-let solve_reference ?bounds ?(max_pivots = 2_000_000) model =
-  let nv = Model.num_vars model in
-  let lb = Array.init nv (Model.var_lb model) in
-  let ub = Array.init nv (Model.var_ub model) in
-  (match bounds with
-  | Some (l, u) ->
-    Array.blit l 0 lb 0 nv;
-    Array.blit u 0 ub 0 nv
-  | None -> ());
-  let bound_conflict = ref false in
-  let shifted_ub =
-    Array.init nv (fun j ->
-        match ub.(j) with
-        | None -> None
-        | Some u ->
-          let d = Rat.sub u lb.(j) in
-          if Rat.sign d < 0 then bound_conflict := true;
-          Some d)
-  in
-  if !bound_conflict then Infeasible
-  else begin
-    (* Collect rows over the shifted variables y = x - lb. *)
-    let raw_rows = ref [] in
-    let add_row coeffs rel rhs = raw_rows := (coeffs, rel, rhs) :: !raw_rows in
-    List.iter
-      (fun (e, rel, rhs) ->
-        let coeffs = Array.make nv Rat.zero in
-        List.iter (fun (v, c) -> coeffs.(v) <- c) (Linear.terms e);
-        let shift = ref Rat.zero in
-        for j = 0 to nv - 1 do
-          if not (Rat.is_zero coeffs.(j)) then shift := Rat.add !shift (Rat.mul coeffs.(j) lb.(j))
-        done;
-        add_row coeffs rel (Rat.sub rhs !shift))
-      (Model.constraints model);
-    Array.iteri
-      (fun j u ->
-        match u with
-        | Some u ->
-          let coeffs = Array.make nv Rat.zero in
-          coeffs.(j) <- Rat.one;
-          add_row coeffs Model.Le u
-        | None -> ())
-      shifted_ub;
-    let rows = List.rev !raw_rows in
-    (* Normalize to nonnegative right-hand sides. *)
-    let rows =
-      List.map
-        (fun (coeffs, rel, rhs) ->
-          if Rat.sign rhs < 0 then begin
-            let coeffs = Array.map Rat.neg coeffs in
-            let rel = match rel with Model.Le -> Model.Ge | Model.Ge -> Model.Le | Model.Eq -> Model.Eq in
-            (coeffs, rel, Rat.neg rhs)
-          end
-          else (coeffs, rel, rhs))
-        rows
-    in
-    let m = List.length rows in
-    let nslack = List.length (List.filter (fun (_, rel, _) -> rel <> Model.Eq) rows) in
-    let nart = List.length (List.filter (fun (_, rel, _) -> rel <> Model.Le) rows) in
-    let art_start = nv + nslack in
-    let ncols = nv + nslack + nart in
-    let tab =
-      {
-        rows = Array.init m (fun _ -> Array.make (ncols + 1) Rat.zero);
-        basis = Array.make m (-1);
-        obj = Array.make (ncols + 1) Rat.zero;
-        ncols;
-        art_start;
-        pivots = 0;
-        max_pivots;
-      }
-    in
-    let next_slack = ref nv and next_art = ref art_start in
-    List.iteri
-      (fun i (coeffs, rel, rhs) ->
-        let row = tab.rows.(i) in
-        Array.blit coeffs 0 row 0 nv;
-        row.(ncols) <- rhs;
-        (match rel with
-        | Model.Le ->
-          row.(!next_slack) <- Rat.one;
-          tab.basis.(i) <- !next_slack;
-          incr next_slack
-        | Model.Ge ->
-          row.(!next_slack) <- Rat.minus_one;
-          incr next_slack;
-          row.(!next_art) <- Rat.one;
-          tab.basis.(i) <- !next_art;
-          incr next_art
-        | Model.Eq ->
-          row.(!next_art) <- Rat.one;
-          tab.basis.(i) <- !next_art;
-          incr next_art))
-      rows;
-    (* Phase 1: minimize the sum of artificials.  Price out basic
-       artificials so their reduced costs start at zero. *)
-    let need_phase1 = nart > 0 in
-    let feasible =
-      if not need_phase1 then true
-      else begin
-        for j = art_start to ncols - 1 do
-          tab.obj.(j) <- Rat.one
-        done;
-        Array.iteri
-          (fun i b ->
-            if b >= art_start then
-              for j = 0 to ncols do
-                tab.obj.(j) <- Rat.sub tab.obj.(j) tab.rows.(i).(j)
-              done)
-          tab.basis;
-        (match optimize tab ~allowed:(fun _ -> true) with
-        | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
-        | `Optimal -> ());
-        let phase1_obj = Rat.neg tab.obj.(ncols) in
-        Rat.is_zero phase1_obj
-      end
-    in
-    if not feasible then Infeasible
-    else begin
-      (* Drive any basic artificial (necessarily at value zero) out of the
-         basis, or drop its row when it is redundant. *)
-      if need_phase1 then begin
-        let keep = ref [] in
-        Array.iteri
-          (fun i b ->
-            if b >= art_start then begin
-              let row = tab.rows.(i) in
-              let col = ref (-1) in
-              (let j = ref 0 in
-               while !col < 0 && !j < art_start do
-                 if not (Rat.is_zero row.(!j)) then col := !j;
-                 incr j
-               done);
-              if !col >= 0 then begin
-                pivot tab i !col;
-                keep := i :: !keep
-              end
-              (* else: redundant row, dropped below *)
-            end
-            else keep := i :: !keep)
-          tab.basis;
-        let keep = List.sort compare !keep in
-        let nkeep = List.length keep in
-        if nkeep <> Array.length tab.rows then begin
-          let rows' = Array.make nkeep [||] in
-          let basis' = Array.make nkeep (-1) in
-          List.iteri
-            (fun k i ->
-              rows'.(k) <- tab.rows.(i);
-              basis'.(k) <- tab.basis.(i))
-            keep;
-          tab.rows <- rows';
-          tab.basis <- basis'
-        end
-      end;
-      (* Phase 2: install the real objective (internally minimized). *)
-      let sense, obj_expr = Model.objective model in
-      let c = Array.make ncols Rat.zero in
-      List.iter
-        (fun (v, k) -> c.(v) <- (match sense with Model.Minimize -> k | Model.Maximize -> Rat.neg k))
-        (Linear.terms obj_expr);
-      Array.fill tab.obj 0 (ncols + 1) Rat.zero;
-      Array.blit c 0 tab.obj 0 ncols;
-      Array.iteri
-        (fun i b ->
-          let cb = if b < ncols then c.(b) else Rat.zero in
-          if not (Rat.is_zero cb) then
-            for j = 0 to ncols do
-              tab.obj.(j) <- Rat.sub tab.obj.(j) (Rat.mul cb tab.rows.(i).(j))
-            done)
-        tab.basis;
-      match optimize tab ~allowed:(fun j -> j < art_start) with
-      | `Unbounded -> Unbounded
-      | `Optimal ->
-        let values = Array.init nv (fun j -> lb.(j)) in
-        Array.iteri
-          (fun i b -> if b < nv then values.(b) <- Rat.add values.(b) tab.rows.(i).(ncols))
-          tab.basis;
-        let objective = Linear.eval obj_expr (fun v -> values.(v)) in
-        Optimal { objective; values; pivots = tab.pivots }
-    end
-  end
-
 (* ================================================================== *)
-(* Prepared template + bounded-variable simplex (the hot path).        *)
+(* Prepared template + bounded-variable simplex (the exact path).      *)
 (* ================================================================== *)
 
 (* One model constraint, pre-lowered to dense form.  [coeffs] and [neg]
    are the +/- coefficient rows (both precomputed so a per-node sign
-   normalization is a blit, not nv Rat.neg allocations); [terms] is the
-   sparse view used to re-shift the rhs under new lower bounds. *)
+   normalization picks a row instead of allocating nv Rat.neg); [terms]
+   is the sparse view used to re-shift the rhs under new lower bounds. *)
 type prow = {
   coeffs : Rat.t array; (* length nv *)
   neg : Rat.t array;
@@ -312,6 +36,8 @@ type prepared = {
   pncols : int;
   base_lb : Rat.t array;
   base_ub : Rat.t option array;
+  cost : Rat.t array; (* the objective as minimized, one entry per variable *)
+  fcost : float array; (* [cost] in doubles, for the float tableau *)
 }
 
 let prepare model =
@@ -350,6 +76,11 @@ let prepare model =
         })
       constrs
   in
+  let sense, obj_expr = Model.objective model in
+  let cost = Array.make nv Rat.zero in
+  List.iter
+    (fun (v, k) -> cost.(v) <- (match sense with Model.Minimize -> k | Model.Maximize -> Rat.neg k))
+    (Linear.terms obj_expr);
   {
     model;
     nv;
@@ -358,13 +89,112 @@ let prepare model =
     pncols;
     base_lb = Array.init nv (Model.var_lb model);
     base_ub = Array.init nv (Model.var_ub model);
+    cost;
+    fcost = Array.map Rat.to_float cost;
   }
 
-(* Working tableau of the bounded-variable simplex.  Unlike the reference
-   tableau, the rhs is NOT part of the coefficient rows: [bxb] holds the
-   current values of the basic variables directly (with the contributions
-   of nonbasic-at-upper columns folded in), so pivoting touches only the
-   coefficient matrix and the step logic updates the values. *)
+(* Node-specific variable bounds, computed exactly once per solve and
+   shared by whichever tableau runs and the certification pass: the lower
+   bounds, the upper bounds shifted by them, and whether some upper bound
+   lies below its lower bound. *)
+let node_bounds p bounds =
+  (* Read-only below: alias the node's arrays instead of copying them,
+     two allocations saved per LP solve on the branch-and-bound hot path. *)
+  let lb, ub =
+    match bounds with Some (l, u) -> (l, u) | None -> (p.base_lb, p.base_ub)
+  in
+  let conflict = ref false in
+  let shifted_ub =
+    Array.init p.nv (fun j ->
+        match ub.(j) with
+        | None -> None
+        | Some u ->
+          let d = if Rat.is_zero lb.(j) then u else Rat.sub u lb.(j) in
+          if Rat.sign d < 0 then conflict := true;
+          Some d)
+  in
+  (lb, shifted_ub, !conflict)
+
+(* A variable fixed by its bounds (shifted ub = 0) stays glued to 0;
+   excluding its column from pricing removes it from the search entirely
+   — the incremental payoff deep in the branch-and-bound tree, where most
+   binaries are fixed. *)
+let is_fixed shifted_ub nv j =
+  j < nv && match shifted_ub.(j) with Some u -> Rat.is_zero u | None -> false
+
+(* Row [pr] over the shifted variables x - lb: the rhs less the exact
+   lower-bound shift and, when that is negative, the negated row with its
+   relation flipped, so every row starts with a nonnegative basic value.
+   The exact and the float tableau both orient their rows here, so the
+   two can never disagree on a row's sign. *)
+let orient pr lb =
+  (* Most lower bounds are zero (free or 0-fixed binaries), so guard the
+     Rat.mul: exact-rational ops dominate the per-node cost. *)
+  let shift =
+    List.fold_left
+      (fun acc (v, c) -> if Rat.is_zero lb.(v) then acc else Rat.add acc (Rat.mul c lb.(v)))
+      Rat.zero pr.terms
+  in
+  let rhs = Rat.sub pr.rhs shift in
+  if Rat.sign rhs >= 0 then (pr.coeffs, rhs, pr.rel)
+  else
+    ( pr.neg,
+      Rat.neg rhs,
+      match pr.rel with Model.Le -> Model.Ge | Model.Ge -> Model.Le | Model.Eq -> Model.Eq )
+
+(* Lay every oriented template row into a fresh tableau whose entries are
+   [conv]erted from Rat: the structural coefficients, then a basic slack
+   on a [Le] row, or a basic artificial on a [Ge] row (after its surplus)
+   or an [Eq] row.  Returns how many artificials start basic. *)
+let lay_rows p ~lb ~conv ~one ~minus_one rows xb basis =
+  let nart = ref 0 in
+  Array.iteri
+    (fun i pr ->
+      let src, rhs, rel = orient pr lb in
+      let row = rows.(i) in
+      for j = 0 to p.nv - 1 do
+        row.(j) <- conv src.(j)
+      done;
+      (match rel with
+      | Model.Le ->
+        row.(pr.slack) <- one;
+        basis.(i) <- pr.slack
+      | Model.Ge ->
+        row.(pr.slack) <- minus_one;
+        row.(pr.art) <- one;
+        basis.(i) <- pr.art;
+        incr nart
+      | Model.Eq ->
+        row.(pr.art) <- one;
+        basis.(i) <- pr.art;
+        incr nart);
+      xb.(i) <- conv rhs)
+    p.prows;
+  !nart
+
+(* After phase 1, the column that replaces the basic artificial (at value
+   zero) of [row]: the first [nonzero] entry at its lower bound and not
+   fixed, else the first [nonzero] entry at all, which then sits at its
+   upper bound or is fixed.  Either exchange is degenerate: the
+   artificial leaves at zero and the entering column keeps its current
+   value, so no variable moves.  -1 when [row] has no [nonzero] entry. *)
+let exchange_col p ~nonzero ~at_upper ~fixed row =
+  let col = ref (-1) and stuck = ref (-1) in
+  let j = ref 0 in
+  while !col < 0 && !j < p.part_start do
+    if nonzero row.(!j) then begin
+      if (not at_upper.(!j)) && not (fixed !j) then col := !j
+      else if !stuck < 0 then stuck := !j
+    end;
+    incr j
+  done;
+  if !col >= 0 then !col else !stuck
+
+(* Working tableau of the bounded-variable simplex.  The rhs is NOT part
+   of the coefficient rows: [bxb] holds the current values of the basic
+   variables directly (with the contributions of nonbasic-at-upper
+   columns folded in), so pivoting touches only the coefficient matrix
+   and the step logic updates the values. *)
 type btab = {
   mutable brows : Rat.t array array; (* m x ncols, B^-1 A *)
   mutable bxb : Rat.t array; (* current basic values *)
@@ -377,11 +207,6 @@ type btab = {
   mutable iters : int; (* pivots + bound flips *)
   max_iters : int;
 }
-
-(* Rare corner (redundant constraints whose rows end up expressible only
-   through columns pinned at their upper bound): punt to the reference
-   solver instead of growing a basis-repair special case. *)
-exception Fallback
 
 let bpivot tab r c =
   tab.iters <- tab.iters + 1;
@@ -527,217 +352,128 @@ let boptimize tab ~allowed =
   in
   step ()
 
-let solve_prepared_exn ?bounds ~max_pivots p =
+(* The exact two-phase solve of one node whose bounds passed
+   [node_bounds] without a conflict. *)
+let solve_exact p ~lb ~shifted_ub ~max_pivots =
   let nv = p.nv in
-  (* The node bounds are only read below, never written, so alias them
-     directly instead of copy-then-overwrite: two array allocations per
-     LP solve saved on the branch-and-bound hot path. *)
-  let lb, ub =
-    match bounds with Some (l, u) -> (l, u) | None -> (p.base_lb, p.base_ub)
+  let m0 = Array.length p.prows in
+  let ncols = p.pncols in
+  let tab =
+    {
+      brows = Array.init m0 (fun _ -> Array.make ncols Rat.zero);
+      bxb = Array.make m0 Rat.zero;
+      bbasis = Array.make m0 (-1);
+      bobj = Array.make ncols Rat.zero;
+      bubs = Array.make ncols None;
+      at_upper = Array.make ncols false;
+      bncols = ncols;
+      iters = 0;
+      max_iters = max_pivots;
+    }
   in
-  let bound_conflict = ref false in
-  let shifted_ub =
-    Array.init nv (fun j ->
-        match ub.(j) with
-        | None -> None
-        | Some u ->
-          if Rat.is_zero lb.(j) then begin
-            if Rat.sign u < 0 then bound_conflict := true;
-            Some u
-          end
-          else begin
-            let d = Rat.sub u lb.(j) in
-            if Rat.sign d < 0 then bound_conflict := true;
-            Some d
-          end)
+  Array.blit shifted_ub 0 tab.bubs 0 nv;
+  let fixed = is_fixed shifted_ub nv in
+  let nart_basic =
+    lay_rows p ~lb ~conv:Fun.id ~one:Rat.one ~minus_one:Rat.minus_one tab.brows tab.bxb
+      tab.bbasis
   in
-  if !bound_conflict then Infeasible
-  else begin
-    let m0 = Array.length p.prows in
-    let ncols = p.pncols in
-    let tab =
-      {
-        brows = Array.init m0 (fun _ -> Array.make ncols Rat.zero);
-        bxb = Array.make m0 Rat.zero;
-        bbasis = Array.make m0 (-1);
-        bobj = Array.make ncols Rat.zero;
-        bubs = Array.make ncols None;
-        at_upper = Array.make ncols false;
-        bncols = ncols;
-        iters = 0;
-        max_iters = max_pivots;
-      }
-    in
-    Array.blit shifted_ub 0 tab.bubs 0 nv;
-    (* A variable fixed by its bounds (shifted ub = 0) stays glued to 0;
-       excluding its column from pricing removes it from the search
-       entirely — the incremental payoff deep in the branch-and-bound
-       tree, where most binaries are fixed. *)
-    let fixed j =
-      j < nv && match tab.bubs.(j) with Some u -> Rat.is_zero u | None -> false
-    in
-    let nart_basic = ref 0 in
-    Array.iteri
-      (fun i pr ->
-        (* Most lower bounds are zero (free or 0-fixed binaries), so guard
-           the Rat.mul: exact-rational ops dominate the per-node cost. *)
-        let shift =
-          List.fold_left
-            (fun acc (v, c) ->
-              if Rat.is_zero lb.(v) then acc else Rat.add acc (Rat.mul c lb.(v)))
-            Rat.zero pr.terms
-        in
-        let rhs = Rat.sub pr.rhs shift in
-        let negate = Rat.sign rhs < 0 in
-        let src = if negate then pr.neg else pr.coeffs in
-        let rhs = if negate then Rat.neg rhs else rhs in
-        let rel =
-          if negate then
-            match pr.rel with Model.Le -> Model.Ge | Model.Ge -> Model.Le | Model.Eq -> Model.Eq
-          else pr.rel
-        in
-        let row = tab.brows.(i) in
-        Array.blit src 0 row 0 nv;
-        (match rel with
-        | Model.Le ->
-          row.(pr.slack) <- Rat.one;
-          tab.bbasis.(i) <- pr.slack
-        | Model.Ge ->
-          row.(pr.slack) <- Rat.minus_one;
-          row.(pr.art) <- Rat.one;
-          tab.bbasis.(i) <- pr.art;
-          incr nart_basic
-        | Model.Eq ->
-          row.(pr.art) <- Rat.one;
-          tab.bbasis.(i) <- pr.art;
-          incr nart_basic);
-        tab.bxb.(i) <- rhs)
-      p.prows;
-    (* Phase 1: minimize the sum of artificials (cost 1 each, priced out
-       over the initial basis so basic artificials start at reduced cost
-       zero). *)
-    let feasible =
-      if !nart_basic = 0 then true
-      else begin
-        for j = p.part_start to ncols - 1 do
-          tab.bobj.(j) <- Rat.one
-        done;
-        Array.iteri
-          (fun i b ->
-            if b >= p.part_start then begin
-              let row = tab.brows.(i) in
-              for j = 0 to ncols - 1 do
-                tab.bobj.(j) <- Rat.sub tab.bobj.(j) row.(j)
-              done
-            end)
-          tab.bbasis;
-        (match boptimize tab ~allowed:(fun j -> not (fixed j)) with
-        | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
-        | `Optimal -> ());
-        (* Artificials have no upper bound, so nonbasic ones sit at 0 and
-           the phase-1 objective is exactly the sum of basic artificial
-           values. *)
-        let infeas = ref Rat.zero in
-        Array.iteri
-          (fun i b -> if b >= p.part_start then infeas := Rat.add !infeas tab.bxb.(i))
-          tab.bbasis;
-        Rat.is_zero !infeas
-      end
-    in
-    if not feasible then Infeasible
+  (* Phase 1: minimize the sum of artificials (cost 1 each, priced out
+     over the initial basis so basic artificials start at reduced cost
+     zero). *)
+  let feasible =
+    if nart_basic = 0 then true
     else begin
-      if !nart_basic > 0 then begin
-        (* Drive any basic artificial (necessarily at value zero) out of
-           the basis through a column currently at value zero (nonbasic at
-           lower, not fixed), or drop its row when it is redundant. *)
-        let keep = ref [] in
-        Array.iteri
-          (fun i b ->
-            if b >= p.part_start then begin
-              let row = tab.brows.(i) in
-              let col = ref (-1) in
-              let redundant = ref true in
-              (let j = ref 0 in
-               while !col < 0 && !j < p.part_start do
-                 if not (Rat.is_zero row.(!j)) then begin
-                   redundant := false;
-                   if (not tab.at_upper.(!j)) && not (fixed !j) then col := !j
-                 end;
-                 incr j
-               done);
-              if !col >= 0 then begin
-                bpivot tab i !col;
-                tab.bxb.(i) <- Rat.zero;
-                keep := i :: !keep
-              end
-              else if not !redundant then raise Fallback
-              (* else: redundant row, dropped below *)
-            end
-            else keep := i :: !keep)
-          tab.bbasis;
-        let keep = List.sort compare !keep in
-        let nkeep = List.length keep in
-        if nkeep <> Array.length tab.brows then begin
-          let rows' = Array.make nkeep [||] in
-          let xb' = Array.make nkeep Rat.zero in
-          let basis' = Array.make nkeep (-1) in
-          List.iteri
-            (fun k i ->
-              rows'.(k) <- tab.brows.(i);
-              xb'.(k) <- tab.bxb.(i);
-              basis'.(k) <- tab.bbasis.(i))
-            keep;
-          tab.brows <- rows';
-          tab.bxb <- xb';
-          tab.bbasis <- basis'
-        end
-      end;
-      (* Every artificial is now out of the basis (or its row dropped), and
-         phase 2 never lets one re-enter, so the artificial block can no
-         longer influence anything: shrink the active column window and
-         spare every pivot/elimination loop the all-zero tail.  On the
-         all-[Le] models branch-and-bound produces this skips the block
-         from the very first pivot. *)
-      tab.bncols <- p.part_start;
-      (* Phase 2: install the real objective (internally minimized). *)
-      let sense, obj_expr = Model.objective p.model in
-      let pncols = tab.bncols in
-      let c = Array.make pncols Rat.zero in
-      List.iter
-        (fun (v, k) -> c.(v) <- (match sense with Model.Minimize -> k | Model.Maximize -> Rat.neg k))
-        (Linear.terms obj_expr);
-      (* Stale phase-1 entries past [pncols] are unreachable once the
-         window is shrunk, so only the active prefix needs installing. *)
-      Array.blit c 0 tab.bobj 0 pncols;
+      for j = p.part_start to ncols - 1 do
+        tab.bobj.(j) <- Rat.one
+      done;
       Array.iteri
         (fun i b ->
-          let cb = if b < nv then c.(b) else Rat.zero in
-          if not (Rat.is_zero cb) then begin
+          if b >= p.part_start then begin
             let row = tab.brows.(i) in
-            for j = 0 to pncols - 1 do
-              tab.bobj.(j) <- Rat.sub tab.bobj.(j) (Rat.mul cb row.(j))
+            for j = 0 to ncols - 1 do
+              tab.bobj.(j) <- Rat.sub tab.bobj.(j) row.(j)
             done
           end)
         tab.bbasis;
-      match boptimize tab ~allowed:(fun j -> j < p.part_start && not (fixed j)) with
-      | `Unbounded -> Unbounded
-      | `Optimal ->
-        let values =
-          Array.init nv (fun j ->
-              if tab.at_upper.(j) then Rat.add lb.(j) (Option.get shifted_ub.(j)) else lb.(j))
-        in
-        Array.iteri
-          (fun i b -> if b < nv then values.(b) <- Rat.add lb.(b) tab.bxb.(i))
-          tab.bbasis;
-        let objective = Linear.eval obj_expr (fun v -> values.(v)) in
-        Optimal { objective; values; pivots = tab.iters }
+      (match boptimize tab ~allowed:(fun j -> not (fixed j)) with
+      | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
+      | `Optimal -> ());
+      (* Artificials have no upper bound, so nonbasic ones sit at 0 and
+         the phase-1 objective is exactly the sum of basic artificial
+         values. *)
+      let infeas = ref Rat.zero in
+      Array.iteri
+        (fun i b -> if b >= p.part_start then infeas := Rat.add !infeas tab.bxb.(i))
+        tab.bbasis;
+      Rat.is_zero !infeas
     end
+  in
+  if not feasible then Infeasible
+  else begin
+    if nart_basic > 0 then begin
+      (* Exchange every basic artificial (at value zero) for a structural
+         or slack column, or drop its row when it is all zero there
+         (redundant). *)
+      let keep = ref [] in
+      Array.iteri
+        (fun i b ->
+          if b < p.part_start then keep := i :: !keep
+          else begin
+            let c =
+              exchange_col p ~nonzero:(fun a -> not (Rat.is_zero a)) ~at_upper:tab.at_upper
+                ~fixed tab.brows.(i)
+            in
+            if c >= 0 then begin
+              let value = if tab.at_upper.(c) then Option.get tab.bubs.(c) else Rat.zero in
+              bpivot tab i c;
+              tab.bxb.(i) <- value;
+              tab.at_upper.(c) <- false;
+              keep := i :: !keep
+            end
+          end)
+        tab.bbasis;
+      let keep = Array.of_list (List.rev !keep) in
+      if Array.length keep <> m0 then begin
+        tab.brows <- Array.map (fun i -> tab.brows.(i)) keep;
+        tab.bxb <- Array.map (fun i -> tab.bxb.(i)) keep;
+        tab.bbasis <- Array.map (fun i -> tab.bbasis.(i)) keep
+      end
+    end;
+    (* Every artificial is now out of the basis (or its row dropped), and
+       phase 2 never lets one re-enter, so the artificial block can no
+       longer influence anything: shrink the active column window and
+       spare every pivot/elimination loop the all-zero tail.  On the
+       all-[Le] models branch-and-bound produces this skips the block
+       from the very first pivot. *)
+    tab.bncols <- p.part_start;
+    (* Phase 2: install the minimized objective, priced out over the
+       basis.  Stale phase-1 entries past the window are unreachable. *)
+    Array.blit p.cost 0 tab.bobj 0 nv;
+    Array.fill tab.bobj nv (p.part_start - nv) Rat.zero;
+    Array.iteri
+      (fun i b ->
+        if b < nv && not (Rat.is_zero p.cost.(b)) then begin
+          let cb = p.cost.(b) and row = tab.brows.(i) in
+          for j = 0 to p.part_start - 1 do
+            tab.bobj.(j) <- Rat.sub tab.bobj.(j) (Rat.mul cb row.(j))
+          done
+        end)
+      tab.bbasis;
+    match boptimize tab ~allowed:(fun j -> j < p.part_start && not (fixed j)) with
+    | `Unbounded -> Unbounded
+    | `Optimal ->
+      let values =
+        Array.init nv (fun j ->
+            if tab.at_upper.(j) then Rat.add lb.(j) (Option.get shifted_ub.(j)) else lb.(j))
+      in
+      Array.iteri (fun i b -> if b < nv then values.(b) <- Rat.add lb.(b) tab.bxb.(i)) tab.bbasis;
+      let objective = Linear.eval (snd (Model.objective p.model)) (fun v -> values.(v)) in
+      Optimal { objective; values; pivots = tab.iters }
   end
 
 let solve_prepared ?bounds ?(max_pivots = 2_000_000) p =
-  match solve_prepared_exn ?bounds ~max_pivots p with
-  | r -> r
-  | exception Fallback -> solve_reference ?bounds ~max_pivots p.model
+  let lb, shifted_ub, conflict = node_bounds p bounds in
+  if conflict then Infeasible else solve_exact p ~lb ~shifted_ub ~max_pivots
 
 (* ================================================================== *)
 (* Float-first path: double-precision simplex proposes a basis, exact  *)
@@ -1033,36 +769,10 @@ let fdual tab ~allowed =
   in
   step ()
 
-(* Node-specific variable bounds, computed exactly once and shared by the
-   float tableau and the certification pass. *)
-let node_bounds p bounds =
-  let nv = p.nv in
-  (* Read-only below: alias instead of copy-then-overwrite. *)
-  let lb, ub =
-    match bounds with Some (l, u) -> (l, u) | None -> (p.base_lb, p.base_ub)
-  in
-  let conflict = ref false in
-  let shifted_ub =
-    Array.init nv (fun j ->
-        match ub.(j) with
-        | None -> None
-        | Some u ->
-          let d = if Rat.is_zero lb.(j) then u else Rat.sub u lb.(j) in
-          if Rat.sign d < 0 then conflict := true;
-          Some d)
-  in
-  (lb, shifted_ub, !conflict)
-
-let f_fixed shifted_ub nv j =
-  j < nv && match shifted_ub.(j) with Some u -> Rat.is_zero u | None -> false
-
-(* Build the float tableau in the same normalized orientation as the
-   exact prepared path (rows with exact negative shifted rhs are negated,
-   flipping their relation).  Shifts are computed exactly before the
-   float conversion so the orientation decision can never disagree with
-   the exact path. *)
+(* Build the float tableau in the exact path's orientation ([orient]
+   works in Rat before anything is converted, so the orientation
+   decision can never disagree with the exact path). *)
 let build_ftab p ~lb ~shifted_ub ~max_iters =
-  let nv = p.nv in
   let ncols = p.pncols in
   let m0 = Array.length p.prows in
   let tab =
@@ -1081,56 +791,17 @@ let build_ftab p ~lb ~shifted_ub ~max_iters =
   Array.iteri
     (fun j u -> match u with Some u -> tab.fubs.(j) <- Rat.to_float u | None -> ())
     shifted_ub;
-  let nart_basic = ref 0 in
-  Array.iteri
-    (fun i pr ->
-      let shift =
-        List.fold_left
-          (fun acc (v, c) ->
-            if Rat.is_zero lb.(v) then acc else Rat.add acc (Rat.mul c lb.(v)))
-          Rat.zero pr.terms
-      in
-      let rhs = Rat.sub pr.rhs shift in
-      let negate = Rat.sign rhs < 0 in
-      let src = if negate then pr.neg else pr.coeffs in
-      let rhs = if negate then Rat.neg rhs else rhs in
-      let rel =
-        if negate then
-          match pr.rel with Model.Le -> Model.Ge | Model.Ge -> Model.Le | Model.Eq -> Model.Eq
-        else pr.rel
-      in
-      let row = tab.frows.(i) in
-      for j = 0 to nv - 1 do
-        row.(j) <- Rat.to_float src.(j)
-      done;
-      (match rel with
-      | Model.Le ->
-        row.(pr.slack) <- 1.;
-        tab.fbasis.(i) <- pr.slack
-      | Model.Ge ->
-        row.(pr.slack) <- -1.;
-        row.(pr.art) <- 1.;
-        tab.fbasis.(i) <- pr.art;
-        incr nart_basic
-      | Model.Eq ->
-        row.(pr.art) <- 1.;
-        tab.fbasis.(i) <- pr.art;
-        incr nart_basic);
-      tab.fxb.(i) <- Rat.to_float rhs)
-    p.prows;
-  (tab, !nart_basic)
+  let nart_basic =
+    lay_rows p ~lb ~conv:Rat.to_float ~one:1. ~minus_one:(-1.) tab.frows tab.fxb tab.fbasis
+  in
+  (tab, nart_basic)
 
 let finstall_objective p tab =
-  let sense, obj_expr = Model.objective p.model in
-  let c = Array.make tab.fncols 0. in
-  List.iter
-    (fun (v, k) ->
-      c.(v) <- (match sense with Model.Minimize -> Rat.to_float k | Model.Maximize -> -.(Rat.to_float k)))
-    (Linear.terms obj_expr);
-  Array.blit c 0 tab.fobj 0 tab.fncols;
+  Array.blit p.fcost 0 tab.fobj 0 p.nv;
+  Array.fill tab.fobj p.nv (tab.fncols - p.nv) 0.;
   Array.iteri
     (fun i b ->
-      let cb = if b < p.nv then c.(b) else 0. in
+      let cb = if b < p.nv then p.fcost.(b) else 0. in
       if cb <> 0. then begin
         let row = tab.frows.(i) in
         for j = 0 to tab.fncols - 1 do
@@ -1142,14 +813,14 @@ let finstall_objective p tab =
 let fextract_basis tab =
   { bcols = Array.copy tab.fbasis; bupper = Array.copy tab.fupper }
 
-(* Cold float solve: two-phase, mirroring [solve_prepared_exn].  Returns
-   the proposed optimal basis or an (untrusted) infeasible/unbounded
-   claim.  Rows whose artificial cannot be driven out (the exact path
-   would drop them as redundant) give up: certification needs one basic
-   column per template row. *)
+(* Cold float solve: two-phase, mirroring [solve_exact], including its
+   exchange of basic artificials after phase 1.  Returns the proposed
+   optimal basis or an (untrusted) infeasible/unbounded claim.  A row
+   with no entry above [f_piv_eps] gives up instead of being dropped:
+   certification needs one basic column per template row. *)
 let fsolve_cold p ~lb ~shifted_ub ~max_iters =
   let tab, nart_basic = build_ftab p ~lb ~shifted_ub ~max_iters in
-  let fixed = f_fixed shifted_ub p.nv in
+  let fixed = is_fixed shifted_ub p.nv in
   let feasible =
     if nart_basic = 0 then true
     else begin
@@ -1181,17 +852,15 @@ let fsolve_cold p ~lb ~shifted_ub ~max_iters =
       Array.iteri
         (fun i b ->
           if b >= p.part_start then begin
-            let row = tab.frows.(i) in
-            let col = ref (-1) in
-            (let j = ref 0 in
-             while !col < 0 && !j < p.part_start do
-               if Float.abs row.(!j) > f_piv_eps && (not tab.fupper.(!j)) && not (fixed !j)
-               then col := !j;
-               incr j
-             done);
-            if !col < 0 then raise Float_give_up;
-            fpivot tab i !col;
-            tab.fxb.(i) <- 0.
+            let c =
+              exchange_col p ~nonzero:(fun a -> Float.abs a > f_piv_eps) ~at_upper:tab.fupper
+                ~fixed tab.frows.(i)
+            in
+            if c < 0 then raise Float_give_up;
+            let value = if tab.fupper.(c) then tab.fubs.(c) else 0. in
+            fpivot tab i c;
+            tab.fxb.(i) <- value;
+            tab.fupper.(c) <- false
           end)
         tab.fbasis;
     (* No artificial is basic any more and phase 2 never re-admits one:
@@ -1215,7 +884,7 @@ let fsolve_warm p warm ~lb ~shifted_ub ~max_iters =
   (* The warm basis uses only structural/slack columns (checked above),
      so the artificial block is dead weight from the start. *)
   tab.fncols <- p.part_start;
-  let fixed = f_fixed shifted_ub p.nv in
+  let fixed = is_fixed shifted_ub p.nv in
   let is_basic = Array.make p.pncols false in
   Array.iter
     (fun c ->
@@ -1384,7 +1053,7 @@ let certify p ~lb ~shifted_ub ~basis =
       basis.bcols;
     if not !ok then None
     else begin
-      let fixed = f_fixed shifted_ub nv in
+      let fixed = is_fixed shifted_ub nv in
       let slack_row = Array.make p.pncols (-1) in
       Array.iteri (fun i pr -> if pr.slack >= 0 then slack_row.(pr.slack) <- i) p.prows;
       let entry i j =
@@ -1432,20 +1101,15 @@ let certify p ~lb ~shifted_ub ~basis =
           x_b;
         if not !primal_ok then None
         else begin
-          let sense, obj_expr = Model.objective p.model in
-          let c = Array.make p.pncols Rat.zero in
-          List.iter
-            (fun (v, k) ->
-              c.(v) <- (match sense with Model.Minimize -> k | Model.Maximize -> Rat.neg k))
-            (Linear.terms obj_expr);
-          let c_b = Array.map (fun col -> c.(col)) basis.bcols in
+          let cost j = if j < nv then p.cost.(j) else Rat.zero in
+          let c_b = Array.map cost basis.bcols in
           let y = lu_solve_transpose bmat perm c_b in
           let dual_ok = ref true in
           let j = ref 0 in
           while !dual_ok && !j < p.part_start do
             let jc = !j in
             if (not is_basic.(jc)) && not (fixed jc) then begin
-              let d = ref c.(jc) in
+              let d = ref (cost jc) in
               for i = 0 to m0 - 1 do
                 if not (Rat.is_zero y.(i)) then begin
                   let a = entry i jc in
@@ -1469,7 +1133,7 @@ let certify p ~lb ~shifted_ub ~basis =
             Array.iteri
               (fun k col -> if col < nv then values.(col) <- Rat.add lb.(col) x_b.(k))
               basis.bcols;
-            let objective = Linear.eval obj_expr (fun v -> values.(v)) in
+            let objective = Linear.eval (snd (Model.objective p.model)) (fun v -> values.(v)) in
             Some { objective; values; pivots = 0 }
           end
         end
@@ -1492,12 +1156,7 @@ let solve_float_first ?bounds ?warm ?(max_pivots = 2_000_000) p =
   if conflict then { ff_result = Infeasible; ff_basis = None; ff_certified = true }
   else begin
     let fallback () =
-      let r =
-        match solve_prepared_exn ?bounds ~max_pivots p with
-        | r -> r
-        | exception Fallback -> solve_reference ?bounds ~max_pivots p.model
-      in
-      { ff_result = r; ff_basis = None; ff_certified = false }
+      { ff_result = solve_exact p ~lb ~shifted_ub ~max_pivots; ff_basis = None; ff_certified = false }
     in
     let fmax = min max_pivots float_iter_cap in
     let attempt () =

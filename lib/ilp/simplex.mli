@@ -1,36 +1,37 @@
 (** Exact primal simplex over rationals.
 
-    Two implementations share one result type:
+    One exact path, plus a float proposal that it certifies:
 
     {ul
-    {- {!solve_reference} — the original two-phase dense-tableau solver.
-       Variable upper bounds are materialized as explicit [y_j <= u_j]
-       tableau rows, and the whole standard form is rebuilt from the
-       {!Model} on every call.  Still on the production path: the
-       bounded-variable path falls back to it when phase 1 leaves an
-       artificial variable in the basis that no eligible column can
-       replace on a non-redundant row.  It is also the
-       independently-written oracle of the differential tests.}
-    {- {!prepare} / {!solve_prepared} — the incremental hot path used by
-       {!Branch_bound}.  [prepare] computes the standard-form layout
-       (row collection from the model, slack/artificial column
-       assignment, dense +/- coefficient templates) {e once per model};
-       [solve_prepared ~bounds] only re-applies the variable-bound shifts
-       before the two-phase run.  Variable bounds are handled {e
-       implicitly} (bounded-variable simplex: nonbasic variables may sit
-       at either bound, and a ratio test hitting the entering variable's
-       own bound is a cheap bound flip, not a pivot), so the working
-       tableau has one row per model constraint instead of one per
-       constraint plus one per bounded variable.  On the floorplanner's
-       binary-heavy models this shrinks the tableau several-fold and
-       turns most knapsack-style pivots into O(m) flips.}}
+    {- {!prepare} / {!solve_prepared} — the exact two-phase
+       bounded-variable simplex.  [prepare] computes the standard-form
+       layout (row collection from the model, slack/artificial column
+       assignment, dense +/- coefficient templates, the minimized cost
+       vector) {e once per model}; [solve_prepared ~bounds] only
+       re-applies the variable-bound shifts before the two-phase run.
+       Variable bounds are handled {e implicitly} (nonbasic variables may
+       sit at either bound, and a ratio test hitting the entering
+       variable's own bound is a cheap bound flip, not a pivot), so the
+       working tableau has one row per model constraint instead of one
+       per constraint plus one per bounded variable.  When phase 1 leaves
+       an artificial basic on a row whose non-zero columns are all at
+       their upper bound or fixed, one of those columns replaces it in a
+       degenerate exchange: no value moves.}
+    {- {!solve_float_first} — the route {!Branch_bound} and every other
+       solve in the library take.  The same bounded-variable simplex runs
+       in double precision and proposes a basis; exact rational algebra
+       certifies it, and {!solve_prepared}'s exact run re-solves any node
+       it cannot certify.}}
 
-    All arithmetic is exact ({!Tapa_cs_util.Rat}), so "optimal" means
-    provably optimal — this is what lets branch-and-bound certify the same
-    partitions a commercial ILP solver would return.  Both paths agree on
-    the result constructor and the objective value (enforced by a qcheck
-    property); when an LP has several optimal vertices they may return
-    different ones. *)
+    All arithmetic that decides a result is exact
+    ({!Tapa_cs_util.Rat}), so "optimal" means provably optimal — this
+    is what lets branch-and-bound certify the same partitions a
+    commercial ILP solver would return.  The differential tests compare
+    both routes, and the [certcheck] gate the float-first one, against
+    the original seed solver, an independently written dense-tableau
+    oracle that lives test-side in [test/oracle] ([Lp_oracle.solve]):
+    same result constructor and objective value; when an LP has several
+    optimal vertices they may return different ones. *)
 
 open Tapa_cs_util
 
@@ -38,9 +39,8 @@ type solution = {
   objective : Rat.t;  (** value of the model's objective at the optimum *)
   values : Rat.t array;  (** one value per model variable *)
   pivots : int;
-      (** simplex iterations across both phases: basis changes plus, on
-          the prepared path, bound flips (each counts toward
-          [max_pivots]) *)
+      (** simplex iterations across both phases: basis changes plus bound
+          flips (each counts toward [max_pivots]) *)
 }
 
 type result = Optimal of solution | Infeasible | Unbounded
@@ -49,8 +49,9 @@ exception Pivot_limit
 
 type prepared
 (** Standard-form template of one model: row layout, slack/artificial
-    column indices, dense positive/negated coefficient rows and the
-    sparse terms needed to re-shift right-hand sides under new bounds.
+    column indices, dense positive/negated coefficient rows, the sparse
+    terms needed to re-shift right-hand sides under new bounds, and the
+    minimized cost vector (exact and in doubles).
     Immutable after {!prepare}; a single template may be shared by
     concurrent solves (every {!solve_prepared} call allocates its own
     working tableau). *)
@@ -74,9 +75,9 @@ val solve :
   ?max_pivots:int ->
   Model.t ->
   result
-(** Thin wrapper: [solve model = solve_prepared (prepare model)].  Every
-    pre-existing caller compiles unchanged and transparently gets the
-    bounded-variable path.
+(** Thin wrapper: [solve model = solve_prepared (prepare model)], for
+    tests and one-off exact solves; library code goes through
+    {!solve_float_first}.
     @raise Pivot_limit when [max_pivots] is exhausted. *)
 
 type basis
@@ -112,22 +113,8 @@ val solve_float_first :
     reconstructed rational solution is provably optimal and is returned
     with [ff_certified = true].  On any violation — and on float claims
     of infeasibility or unboundedness, which carry no certificate — the
-    node is re-solved by {!solve_prepared} (falling back to
-    {!solve_reference} as before), so the result is always exact; only
-    [ff_certified] records that the fast path missed.
+    node is re-solved by {!solve_prepared}'s exact run, so the result is
+    always exact; only [ff_certified] records that the fast path
+    missed.
     @raise Pivot_limit when the exact fallback exhausts [max_pivots]
     (the float attempt itself is capped separately and cheaply). *)
-
-val solve_reference :
-  ?bounds:Rat.t array * Rat.t option array ->
-  ?max_pivots:int ->
-  Model.t ->
-  result
-(** The original (seed) implementation: full standard-form rebuild with
-    explicit upper-bound rows.  Slower.  {!solve_prepared} and the exact
-    fallback of {!solve_float_first} call it when phase 1 ends with an
-    artificial variable stuck in the basis on a non-redundant row (one
-    whose every candidate column sits at its upper bound or is fixed),
-    so it runs in production; the differential qcheck properties also
-    use it as the oracle.
-    @raise Pivot_limit when [max_pivots] is exhausted. *)

@@ -199,7 +199,7 @@ let prop_prepared_matches_reference =
           Some (lbs, ubs)
         end
       in
-      let reference = Simplex.solve_reference ?bounds m in
+      let reference = Lp_oracle.solve ?bounds m in
       let prepared = Simplex.solve_prepared ?bounds (Simplex.prepare m) in
       match (reference, prepared) with
       | Simplex.Optimal a, Simplex.Optimal b -> Rat.equal a.objective b.objective
@@ -250,7 +250,7 @@ let prop_float_first_matches_reference =
           Some (lbs, ubs)
         end
       in
-      let reference = Simplex.solve_reference ?bounds m in
+      let reference = Lp_oracle.solve ?bounds m in
       let ff = Simplex.solve_float_first ?bounds (Simplex.prepare m) in
       match (reference, ff.Simplex.ff_result) with
       | Simplex.Optimal a, Simplex.Optimal b ->
@@ -291,7 +291,7 @@ let test_float_first_adversarial_tie () =
     check rat "y carries the bonus" (r 1) s.values.(y)
   | _ -> Alcotest.fail "expected optimal");
   check bool "certification refused the float basis" false ff.Simplex.ff_certified;
-  match Simplex.solve_reference m with
+  match Lp_oracle.solve m with
   | Simplex.Optimal s -> check rat "reference agrees" (Rat.add (r 1) q) s.objective
   | _ -> Alcotest.fail "reference should be optimal"
 
@@ -326,6 +326,44 @@ let test_float_first_certifies_clean_lp () =
     check rat "y" (r 1) s.values.(y)
   | _ -> Alcotest.fail "expected optimal");
   check bool "certified without fallback" true ff.Simplex.ff_certified
+
+(* Phase 1 can end with an artificial basic (at zero) on a row whose
+   non-zero columns all sit at their upper bound or are fixed.  The
+   simplex exchanges the artificial for one of them in a degenerate
+   pivot, so the float basis still certifies and the exact run agrees
+   with the oracle. *)
+let test_stuck_artificial_exchange () =
+  let check_lp label m =
+    let p = Simplex.prepare m in
+    let ff = Simplex.solve_float_first p in
+    (match ff.Simplex.ff_result with
+    | Simplex.Optimal s -> check rat (label ^ ": float-first optimum") (r 1) s.objective
+    | _ -> Alcotest.fail (label ^ ": expected optimal"));
+    check bool (label ^ ": certified without fallback") true ff.Simplex.ff_certified;
+    match (Simplex.solve_prepared p, Lp_oracle.solve m) with
+    | Simplex.Optimal a, Simplex.Optimal b ->
+      check rat (label ^ ": exact optimum") (r 1) a.objective;
+      check rat (label ^ ": oracle agrees") a.objective b.objective
+    | _ -> Alcotest.fail (label ^ ": expected optimal from both exact solvers")
+  in
+  (* max x  s.t.  x = 1, 0 <= x <= 1: phase 1 flips x to its upper bound
+     and leaves the artificial basic. *)
+  let m = Model.create () in
+  let x = Model.add_var m Model.Continuous ~ub:(r 1) in
+  Model.add_constraint m (Linear.var x) Model.Eq (r 1);
+  Model.set_objective m Model.Maximize (Linear.var x);
+  check_lp "x = 1" m;
+  (* x0 + x1 = 1 with x1 fixed to 0 by its upper bound, y >= x0,
+     min y + x1: x0 ends phase 1 at its upper bound, and the column
+     that replaces the artificial is x1, the first one, fixed. *)
+  let m = Model.create () in
+  let x1 = Model.add_var m Model.Continuous ~ub:Rat.zero in
+  let x0 = Model.add_var m Model.Continuous ~ub:(r 1) in
+  let y = Model.add_var m Model.Continuous in
+  Model.add_constraint m (Linear.of_terms [ (x0, r 1); (x1, r 1) ]) Model.Eq (r 1);
+  Model.add_constraint m (Linear.of_terms [ (y, r 1); (x0, r (-1)) ]) Model.Ge Rat.zero;
+  Model.set_objective m Model.Minimize (Linear.of_terms [ (y, r 1); (x1, r 1) ]);
+  check_lp "fixed column" m
 
 (* ------------------------------------------------------------------ *)
 (* Branch and bound                                                    *)
@@ -620,6 +658,7 @@ let () =
             test_float_first_adversarial_tie;
           Alcotest.test_case "float-first adversarial infeasibility" `Quick
             test_float_first_adversarial_infeasible;
+          Alcotest.test_case "stuck artificial exchange" `Quick test_stuck_artificial_exchange;
         ] );
       ( "branch_bound",
         [
