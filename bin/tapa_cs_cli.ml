@@ -99,16 +99,25 @@ let topology_arg =
            Topology.Ring
        & info [ "topology" ] ~doc)
 
-(* A utilization threshold is a fraction in (0, 1]; anything else (NaN
-   included) is a usage error rather than a late routing failure. *)
-let fraction =
+(* Float flags parse through one converter: a value outside its range,
+   NaN or an infinity is a usage error (exit 124) rather than a late
+   routing failure, a NaN report or a farm event loop that never
+   drains. *)
+let float_in ~docv ~expected ok =
   let parse s =
     match Arg.conv_parser Arg.float s with
-    | Ok t when t > 0.0 && t <= 1.0 -> Ok t
-    | Ok t -> Error (`Msg (Printf.sprintf "expected a fraction in (0, 1], got %g" t))
+    | Ok x when Float.is_finite x && ok x -> Ok x
+    | Ok x -> Error (`Msg (Printf.sprintf "expected %s, got %g" expected x))
     | Error _ as e -> e
   in
-  Arg.conv ~docv:"T" (parse, Arg.conv_printer Arg.float)
+  Arg.conv ~docv (parse, Arg.conv_printer Arg.float)
+
+(* A utilization threshold is a fraction in (0, 1]. *)
+let fraction = float_in ~docv:"T" ~expected:"a fraction in (0, 1]" (fun t -> t > 0.0 && t <= 1.0)
+
+(* Durations, sizes and rates. *)
+let positive_float = float_in ~docv:"X" ~expected:"a finite number > 0" (fun x -> x > 0.0)
+let non_negative_float = float_in ~docv:"X" ~expected:"a finite number >= 0" (fun x -> x >= 0.0)
 
 let threshold_arg =
   let doc = "Per-resource utilization threshold T of Eq. 1, in (0, 1]." in
@@ -558,9 +567,16 @@ let emit_cmd =
     term
 
 let autoscale_cmd =
-  let elems_arg = Arg.(value & opt float 1e8 & info [ "elems" ] ~doc:"Total elements of work.") in
-  let ops_arg = Arg.(value & opt float 8.0 & info [ "ops" ] ~doc:"Arithmetic ops per element.") in
-  let bytes_arg = Arg.(value & opt float 8.0 & info [ "bytes" ] ~doc:"External-memory bytes per element.") in
+  let elems_arg =
+    Arg.(value & opt non_negative_float 1e8 & info [ "elems" ] ~doc:"Total elements of work.")
+  in
+  let ops_arg =
+    Arg.(value & opt non_negative_float 8.0 & info [ "ops" ] ~doc:"Arithmetic ops per element.")
+  in
+  let bytes_arg =
+    let doc = "External-memory bytes per element." in
+    Arg.(value & opt non_negative_float 8.0 & info [ "bytes" ] ~doc)
+  in
   let lanes_arg = Arg.(value & opt positive_int 4 & info [ "lanes" ] ~doc:"Elements per cycle one PE sustains.") in
   let lut_arg = Arg.(value & opt positive_int 30_000 & info [ "pe-lut" ] ~doc:"LUTs per processing element.") in
   let measured_arg =
@@ -580,7 +596,7 @@ let autoscale_cmd =
        lower bound already exceeds the SLO are pruned without simulating (counted in \
        --stats-json as static_pruned).  0 disables pruning."
     in
-    Arg.(value & opt float 0.0 & info [ "slo-ms" ] ~doc)
+    Arg.(value & opt non_negative_float 0.0 & info [ "slo-ms" ] ~doc)
   in
   let autoscale_stats_arg =
     let doc = "Print the simulation-cache and static-pruning counters after the sweep." in
@@ -828,15 +844,15 @@ let farm_cmd =
   in
   let tenants_arg =
     let doc = "Number of tenant designs in the seeded admission stream." in
-    Arg.(value & opt int 12 & info [ "tenants" ] ~doc)
+    Arg.(value & opt positive_int 12 & info [ "tenants" ] ~doc)
   in
   let horizon_arg =
     let doc = "Farm-clock horizon in seconds." in
-    Arg.(value & opt float 600.0 & info [ "horizon" ] ~doc)
+    Arg.(value & opt positive_float 600.0 & info [ "horizon" ] ~doc)
   in
   let mean_gap_arg =
     let doc = "Mean tenant inter-arrival gap in seconds." in
-    Arg.(value & opt float 30.0 & info [ "mean-gap" ] ~doc)
+    Arg.(value & opt positive_float 30.0 & info [ "mean-gap" ] ~doc)
   in
   let strict_every_arg =
     let doc = "Every Nth tenant gets the strict SLO (0 = all best-effort)." in
@@ -848,7 +864,7 @@ let farm_cmd =
   in
   let backoff_arg =
     let doc = "Base retry backoff in farm-clock seconds (doubles per failure)." in
-    Arg.(value & opt float 5.0 & info [ "backoff" ] ~doc)
+    Arg.(value & opt non_negative_float 5.0 & info [ "backoff" ] ~doc)
   in
   let timeline_arg =
     let doc =
@@ -867,20 +883,26 @@ let farm_cmd =
     Arg.(value & opt (some string) None & info [ "stats-json" ] ~doc ~docv:"FILE")
   in
   let parse_timeline ~file ~events =
+    let reject flag spec reason =
+      Error
+        (Tapa_cs_analysis.Diagnostic.render
+           [ Tapa_cs_analysis.Lint.fault_spec_error ~flag ~spec ~reason ])
+    in
     let file_lines =
       match file with
-      | None -> []
-      | Some path ->
-        let ic = open_in path in
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-        let rec read acc =
-          match input_line ic with
-          | line -> read (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        List.map (fun l -> ("--timeline", l)) (read [])
+      | None -> Ok []
+      | Some path -> (
+        match In_channel.with_open_text path In_channel.input_lines with
+        | lines -> Ok (List.map (fun l -> ("--timeline", l)) lines)
+        | exception Sys_error m ->
+          (* [Sys_error] reads "<path>: <OS reason>"; the spec names the path *)
+          let prefix = path ^ ": " in
+          let n = String.length prefix in
+          let reason =
+            if String.starts_with ~prefix m then String.sub m n (String.length m - n) else m
+          in
+          reject "--timeline" path reason)
     in
-    let all = file_lines @ List.map (fun e -> ("--event", e)) events in
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | (flag, line) :: rest ->
@@ -889,22 +911,16 @@ let farm_cmd =
         else begin
           match Tapa_cs_network.Fault.parse_timeline_entry t with
           | Ok e -> go (e :: acc) rest
-          | Error reason ->
-            Error
-              (Tapa_cs_analysis.Diagnostic.render
-                 [ Tapa_cs_analysis.Lint.fault_spec_error ~flag ~spec:line ~reason ])
+          | Error reason -> reject flag line reason
         end
     in
-    go [] all
+    Result.bind file_lines (fun lines -> go [] (lines @ List.map (fun e -> ("--event", e)) events))
   in
   let run boards boards_per_node mix tenants topology threshold seed horizon mean_gap
       strict_every max_retries backoff timeline_file events stats_json_file jobs =
     match parse_timeline ~file:timeline_file ~events with
     | Error e ->
       prerr_endline e;
-      1
-    | exception Sys_error m ->
-      prerr_endline m;
       1
     | Ok entries ->
       let timeline = Tapa_cs_network.Fault.timeline entries in
@@ -986,7 +1002,7 @@ let serve_cmd =
   in
   let think_ms_arg =
     let doc = "Virtual think time between a scripted response and the next request, ms." in
-    Arg.(value & opt float 0.0 & info [ "think-ms" ] ~doc)
+    Arg.(value & opt non_negative_float 0.0 & info [ "think-ms" ] ~doc)
   in
   let max_depth_arg =
     let doc = "Admission bound: distinct computations a round may schedule (strict class)." in

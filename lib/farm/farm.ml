@@ -106,6 +106,11 @@ type frecord = {
 let norm_pair (a, b) = (min a b, max a b)
 
 let run ?pool ?(config = default_config) ~cluster ~timeline tenants =
+  let finite_non_negative x = Float.is_finite x && x >= 0.0 in
+  if not (finite_non_negative config.backoff_s) then
+    invalid_arg "Farm.run: backoff_s must be finite and >= 0";
+  if not (finite_non_negative config.horizon_s) then
+    invalid_arg "Farm.run: horizon_s must be finite and >= 0";
   (* Start from cold caches so every counter in the emitted stats —
      including the fragment-cache fields below — is a pure function of
      (cluster, workload, timeline, config), never of what ran earlier in

@@ -114,7 +114,11 @@ val run :
     and without it).  Tenants arriving after the horizon are ignored.
     Starts from cold floorplan caches (solution + fragment), so the
     emitted stats — including the fragment-cache counters — are a pure
-    function of the inputs, independent of process history. *)
+    function of the inputs, independent of process history.
+
+    @raise Invalid_argument when [config.backoff_s] or
+    [config.horizon_s] is negative or not finite (a NaN retry time would
+    never drain from the event loop). *)
 
 val total_tenant_s : stats -> float
 (** Sum of every tenant's three buckets = total accounted tenant-time. *)

@@ -77,8 +77,32 @@ let feasible_assignment p assignment =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Heuristic backend: connectivity-ordered first fit + move refinement. *)
+(* Local search: one per-problem index and one move evaluator behind
+   first fit, move refinement, the prefix sweep, recursive bisection and
+   simulated annealing.                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* Built once per problem.  Neighbours and pulls are prepended in edge-
+   and pull-list order, so every sum over them runs in one fixed order;
+   [pin] is each item's fixed part, or -1. *)
+type index = {
+  p : problem;
+  adj : (int * float) list array;  (* (neighbour, edge weight) *)
+  pulls_of : (int * float) list array;  (* (target part, pull weight) *)
+  pin : int array;
+}
+
+let index p =
+  let n = num_items p in
+  let adj = Array.make n [] and pulls_of = Array.make n [] and pin = Array.make n (-1) in
+  List.iter
+    (fun (a, b, w) ->
+      adj.(a) <- (b, w) :: adj.(a);
+      adj.(b) <- (a, w) :: adj.(b))
+    p.edges;
+  List.iter (fun (i, part, w) -> pulls_of.(i) <- (part, w) :: pulls_of.(i)) p.pulls;
+  List.iter (fun (i, part) -> pin.(i) <- part) p.fixed;
+  { p; adj; pulls_of; pin }
 
 (* Normalized overflow of a part: how far past capacity each resource
    goes, as a fraction; drives infeasible starts back to feasibility. *)
@@ -92,18 +116,42 @@ let total_overflow p usage =
   Array.iteri (fun part u -> acc := !acc +. overflow p.capacities.(part) u) usage;
   !acc
 
+(* Every local search minimizes the cost plus [penalty] times the total
+   overflow, so infeasible starts can be repaired. *)
+let penalty = 1e7
+
+(* Change of that working objective when item [i] moves to [dst], in
+   O(degree); [usage] must be current for [assignment]. *)
+let move_delta ix assignment usage i dst =
+  let p = ix.p and src = assignment.(i) in
+  let d = ref 0.0 in
+  List.iter
+    (fun (j, w) ->
+      if j <> i then
+        d := !d +. (w *. float_of_int (p.dist dst assignment.(j) - p.dist src assignment.(j))))
+    ix.adj.(i);
+  List.iter
+    (fun (tp, w) -> d := !d +. (w *. float_of_int (p.dist dst tp - p.dist src tp)))
+    ix.pulls_of.(i);
+  let a = p.areas.(i) and cap = p.capacities in
+  let over_src = overflow cap.(src) usage.(src) in
+  let over_src' = overflow cap.(src) (Resource.sub usage.(src) a) in
+  let over_dst = overflow cap.(dst) usage.(dst) in
+  let over_dst' = overflow cap.(dst) (Resource.add usage.(dst) a) in
+  !d +. (penalty *. (over_src' -. over_src +. over_dst' -. over_dst))
+
+let move ix assignment usage i dst =
+  let src = assignment.(i) and a = ix.p.areas.(i) in
+  usage.(src) <- Resource.sub usage.(src) a;
+  usage.(dst) <- Resource.add usage.(dst) a;
+  assignment.(i) <- dst
+
 (* BFS order from a peripheral (lowest-degree) item: on chains and grids
    this yields an order whose prefixes are contiguous regions, which is
    what both first-fit and the prefix sweep need to find minimum cuts. *)
-let placement_order ?(perturb = true) p rng =
-  let n = num_items p in
-  let adj = Array.make n [] in
-  List.iter
-    (fun (a, b, _) ->
-      adj.(a) <- b :: adj.(a);
-      adj.(b) <- a :: adj.(b))
-    p.edges;
-  let degree = Array.map List.length adj in
+let placement_order ?(perturb = true) ix rng =
+  let n = num_items ix.p in
+  let degree = Array.map List.length ix.adj in
   let visited = Array.make n false in
   let order = ref [] in
   let queue = Queue.create () in
@@ -118,12 +166,12 @@ let placement_order ?(perturb = true) p rng =
           let v = Queue.pop queue in
           order := v :: !order;
           List.iter
-            (fun w ->
-              if not visited.(w) then begin
-                visited.(w) <- true;
-                Queue.add w queue
+            (fun (u, _) ->
+              if not visited.(u) then begin
+                visited.(u) <- true;
+                Queue.add u queue
               end)
-            adj.(v)
+            ix.adj.(v)
         done
       end)
     starts;
@@ -140,18 +188,45 @@ let placement_order ?(perturb = true) p rng =
     done;
   order
 
+(* First fit over [order]: each item not yet placed goes to its pinned
+   part, else to the part with the smallest key (its [place_cost], plus
+   1e9 x (1 + overflow) when it does not fit; then the utilization it
+   leaves), ties to the lower part. *)
+let first_fit ix ?(place_cost = fun _ _ -> 0.0) order assignment usage =
+  let p = ix.p in
+  Array.iter
+    (fun i ->
+      if assignment.(i) < 0 then begin
+        let best = ref ix.pin.(i) in
+        if !best < 0 then begin
+          let best_key = ref (infinity, infinity) in
+          for part = 0 to p.k - 1 do
+            let after = Resource.add usage.(part) p.areas.(i) in
+            let fits = Resource.fits after ~within:p.capacities.(part) in
+            let util = Resource.utilization after ~total:p.capacities.(part) in
+            let key =
+              ( place_cost i part
+                +. (if fits then 0.0 else 1e9 *. (1.0 +. overflow p.capacities.(part) after)),
+                util )
+            in
+            if key < !best_key then begin
+              best_key := key;
+              best := part
+            end
+          done
+        end;
+        assignment.(i) <- !best;
+        usage.(!best) <- Resource.add usage.(!best) p.areas.(i)
+      end)
+    order
+
 (* Move refinement: relocate single items while it strictly helps, for at
    most [max_passes] passes over the items, reshuffled by [rng] before
-   each pass when given, else in index order.  The working objective adds
-   a large overflow penalty so infeasible starts can be repaired.  Returns
-   the number of moves made. *)
-let refine_moves ?rng p ~max_passes assignment =
-  let n = num_items p in
-  let usage = usage_of p assignment in
-  let fixed_part = Array.make n (-1) in
-  List.iter (fun (i, part) -> fixed_part.(i) <- part) p.fixed;
-  let penalty = 1e7 in
-  let objective () = cost_of p assignment +. (penalty *. total_overflow p usage) in
+   each pass when given, else in index order.  Returns the number of
+   moves made. *)
+let refine_moves ?rng ix ~max_passes assignment =
+  let n = num_items ix.p in
+  let usage = usage_of ix.p assignment in
   let moves = ref 0 in
   let improved = ref true in
   let passes = ref 0 in
@@ -162,103 +237,107 @@ let refine_moves ?rng p ~max_passes assignment =
     Option.iter (fun rng -> Prng.shuffle rng items) rng;
     Array.iter
       (fun i ->
-        if fixed_part.(i) < 0 then begin
-          let cur_obj = ref (objective ()) in
-          for part = 0 to p.k - 1 do
-            if part <> assignment.(i) then begin
-              let old = assignment.(i) in
-              usage.(old) <- Resource.sub usage.(old) p.areas.(i);
-              usage.(part) <- Resource.add usage.(part) p.areas.(i);
-              assignment.(i) <- part;
-              let obj = objective () in
-              if obj < !cur_obj -. 1e-9 then begin
-                cur_obj := obj;
-                incr moves;
-                improved := true
-              end
-              else begin
-                (* revert *)
-                usage.(part) <- Resource.sub usage.(part) p.areas.(i);
-                usage.(old) <- Resource.add usage.(old) p.areas.(i);
-                assignment.(i) <- old
-              end
+        if ix.pin.(i) < 0 then
+          for part = 0 to ix.p.k - 1 do
+            if part <> assignment.(i) && move_delta ix assignment usage i part < -1e-9 then begin
+              move ix assignment usage i part;
+              incr moves;
+              improved := true
             end
-          done
-        end)
+          done)
       items
   done;
   !moves
 
-let heuristic_once ?(perturb = true) p rng =
+(* Deterministic simulated annealing from [init] (pinned items never
+   move): single-item relocations drawn from a Prng seeded with [seed],
+   geometric cooling over [iters] proposals, Metropolis acceptance.  The
+   answer is a pure function of the inputs, which keeps the portfolio
+   race's arbitration deterministic.  Returns the cheapest feasible
+   assignment observed with the number of accepted moves, or [None] when
+   the walk never reached feasibility. *)
+let anneal ix ~seed ~iters init =
+  let p = ix.p in
   let n = num_items p in
-  let fixed_part = Array.make n (-1) in
-  List.iter (fun (i, part) -> fixed_part.(i) <- part) p.fixed;
-  let assignment = Array.make n (-1) in
+  let assignment = Array.copy init in
+  let usage = usage_of p assignment in
+  let moves = ref 0 in
+  let best = ref None in
+  let consider_best () =
+    if total_overflow p usage = 0.0 then begin
+      let c = cost_of p assignment in
+      match !best with
+      | Some (bc, _) when bc <= c -> ()
+      | _ -> best := Some (c, Array.copy assignment)
+    end
+  in
+  consider_best ();
+  if n > 0 && p.k > 1 && iters > 0 then begin
+    let rng = Prng.create seed in
+    (* Temperature: start proportional to the objective scale, cool
+       geometrically to ~1/1000th over the iteration budget. *)
+    let obj0 = cost_of p assignment +. (penalty *. total_overflow p usage) in
+    let t0 = Stdlib.max 1.0 (0.10 *. Float.abs obj0) in
+    let ratio = 1e-3 in
+    let movable_ids = Array.of_list (List.filter (fun i -> ix.pin.(i) < 0) (List.init n Fun.id)) in
+    let m = Array.length movable_ids in
+    if m > 0 then
+      for it = 0 to iters - 1 do
+        let temp = t0 *. (ratio ** (float_of_int it /. float_of_int iters)) in
+        let i = movable_ids.(Prng.int rng m) in
+        let dst = Prng.int rng p.k in
+        if dst <> assignment.(i) then begin
+          let delta = move_delta ix assignment usage i dst in
+          if delta < 0.0 || Prng.float rng 1.0 < Float.exp (-.delta /. temp) then begin
+            move ix assignment usage i dst;
+            incr moves;
+            if delta < 0.0 then consider_best ()
+          end
+        end
+      done;
+    consider_best ()
+  end;
+  match !best with
+  | Some (_, a) when feasible_assignment p a -> Some (a, !moves)
+  | _ -> None
+
+let heuristic_once ?(perturb = true) ix rng =
+  let p = ix.p in
+  let assignment = Array.make (num_items p) (-1) in
   let usage = Array.make p.k Resource.zero in
-  let adj = Array.make n [] in
-  List.iter
-    (fun (a, b, w) ->
-      adj.(a) <- (b, w) :: adj.(a);
-      adj.(b) <- (a, w) :: adj.(b))
-    p.edges;
-  let pulls_of = Array.make n [] in
-  List.iter (fun (i, part, w) -> pulls_of.(i) <- (part, w) :: pulls_of.(i)) p.pulls;
   (* Incremental cost of placing item [i] on [part] given current placement. *)
   let place_cost i part =
     let c = ref 0.0 in
     List.iter
       (fun (j, w) -> if assignment.(j) >= 0 then c := !c +. (w *. float_of_int (p.dist part assignment.(j))))
-      adj.(i);
-    List.iter (fun (tp, w) -> c := !c +. (w *. float_of_int (p.dist part tp))) pulls_of.(i);
+      ix.adj.(i);
+    List.iter (fun (tp, w) -> c := !c +. (w *. float_of_int (p.dist part tp))) ix.pulls_of.(i);
     !c
   in
-  let place i part =
-    assignment.(i) <- part;
-    usage.(part) <- Resource.add usage.(part) p.areas.(i)
-  in
-  let order = placement_order ~perturb p rng in
-  Array.iter
-    (fun i ->
-      if fixed_part.(i) >= 0 then place i fixed_part.(i)
-      else begin
-        let best = ref (-1) and best_key = ref (infinity, infinity) in
-        for part = 0 to p.k - 1 do
-          let after = Resource.add usage.(part) p.areas.(i) in
-          let fits = Resource.fits after ~within:p.capacities.(part) in
-          let util = Resource.utilization after ~total:p.capacities.(part) in
-          let key = (place_cost i part +. (if fits then 0.0 else 1e9 *. (1.0 +. overflow p.capacities.(part) after)), util) in
-          if key < !best_key then begin
-            best_key := key;
-            best := part
-          end
-        done;
-        place i !best
-      end)
-    order;
-  let moves = refine_moves ~rng p ~max_passes:40 assignment in
+  first_fit ix ~place_cost (placement_order ~perturb ix rng) assignment usage;
+  let moves = refine_moves ~rng ix ~max_passes:40 assignment in
   (assignment, moves)
 
 (* For two-way instances, sweep every contiguous BFS-prefix cut.  On
    chain- and grid-shaped dataflow designs (stencil chains, systolic
    arrays) the optimal bisection is a contiguous prefix, which single-move
    refinement cannot always reach across zero-gain plateaus. *)
-let sweep_two_way p =
+let sweep_two_way ix =
+  let p = ix.p in
   if p.k <> 2 then None
   else begin
     let n = num_items p in
-    let order = placement_order ~perturb:false p (Prng.create 0) in
-    let fixed_part = Array.make n (-1) in
-    List.iter (fun (i, part) -> fixed_part.(i) <- part) p.fixed;
+    let order = placement_order ~perturb:false ix (Prng.create 0) in
     let best = ref None in
     let assignment = Array.make n 1 in
     (* Start with everything on part 1, move the prefix to part 0 one item
-       at a time, re-evaluating cost and feasibility at each cut.  Equal
+       at a time, re-evaluating cost and feasibility at each cut (a full
+       re-sum: an incremental one could flip the 1e-12 ties).  Equal
        costs (every cut of a uniform chain) break toward the balanced cut
        so recursive sub-levels stay solvable. *)
     for cut = 1 to n - 1 do
       assignment.(order.(cut - 1)) <- 0;
-      let ok = Array.for_all (fun i -> fixed_part.(i) < 0 || assignment.(i) = fixed_part.(i)) (Array.init n Fun.id) in
-      if ok && feasible_assignment p assignment then begin
+      if feasible_assignment p assignment then begin
         let c = cost_of p assignment in
         let usage = usage_of p assignment in
         let balance =
@@ -274,7 +353,10 @@ let sweep_two_way p =
     Option.map (fun (c, _, a) -> (a, c)) !best
   end
 
-let heuristic ?(starts = 4) ~seed p =
+(* Four first-fit + refinement starts, then the prefix sweep; the best
+   answer as [(assignment, cost, feasible, moves)], feasible ones first. *)
+let heuristic ~seed ix =
+  let p = ix.p in
   let rng = Prng.create seed in
   let best = ref None in
   let total_moves = ref 0 in
@@ -289,14 +371,60 @@ let heuristic ?(starts = 4) ~seed p =
     in
     if better then best := Some (feasible, cost, Array.copy assignment)
   in
-  for start = 1 to starts do
-    let assignment, moves = heuristic_once ~perturb:(start > 1) p (Prng.split rng) in
+  for start = 1 to 4 do
+    let assignment, moves = heuristic_once ~perturb:(start > 1) ix (Prng.split rng) in
     consider assignment moves
   done;
-  (match sweep_two_way p with Some (a, _) -> consider a 0 | None -> ());
-  match !best with
-  | None -> None
-  | Some (feasible, cost, assignment) -> Some (assignment, cost, feasible, !total_moves)
+  Option.iter (fun (a, _) -> consider a 0) (sweep_two_way ix);
+  let feasible, cost, assignment = Option.get !best in
+  (assignment, cost, feasible, !total_moves)
+
+(* ------------------------------------------------------------------ *)
+(* Greedy backend: deterministic first-fit-decreasing by area.  The last
+   rung of the compile path's fallback chain — no search, no randomness,
+   always terminates; may return an infeasible or high-cut answer, which
+   the caller surfaces as degraded rather than failing outright.         *)
+(* ------------------------------------------------------------------ *)
+
+(* Pinned items first, then the biggest items (ties broken by id), each
+   onto the fitting part with the lowest resulting utilization; when
+   nothing fits, the least-overflowing part. *)
+let greedy_assignment ix =
+  let p = ix.p in
+  let n = num_items p in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      compare
+        (Resource.utilization p.areas.(b) ~total:p.capacities.(0), a)
+        (Resource.utilization p.areas.(a) ~total:p.capacities.(0), b))
+    order;
+  let assignment = Array.make n (-1) in
+  first_fit ix
+    (Array.append (Array.of_list (List.map fst p.fixed)) order)
+    assignment (Array.make p.k Resource.zero);
+  assignment
+
+let greedy p =
+  validate p;
+  let t0 = Sys.time () in
+  if num_items p = 0 then None
+  else begin
+    let assignment = greedy_assignment (index p) in
+    Some
+      {
+        assignment;
+        cost = cost_of p assignment;
+        feasible = feasible_assignment p assignment;
+        stats =
+          {
+            backend = `Greedy;
+            runtime_s = Sys.time () -. t0;
+            counters = Counters.zero;
+            proven_optimal = false;
+          };
+      }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Exact backend: 0-1 ILP with pairwise distance linearization.        *)
@@ -505,46 +633,30 @@ let avg_dist p parts target =
    grouped decomposition's race arm twice it. *)
 let exact_var_limit = 28
 
-let solve_two_way ~strategy ~seed sub =
-  let h = heuristic ~seed sub in
-  let incumbent = match h with Some (a, _, true, _) -> Some a | _ -> None in
-  let try_exact () =
-    if num_items sub <= exact_var_limit then exact ~incumbent sub else None
-  in
-  match strategy with
-  | Heuristic -> (
-    match h with Some (a, _, true, m) -> Some (a, moves_only m, false) | _ -> None)
-  | Exact -> exact ~incumbent:None sub
-  | Auto -> (
-    match h with
-    (* A feasible zero-cost split is optimal by definition (costs are
-       nonnegative): skip the ILP entirely. *)
-    | Some (a, cost, true, m) when cost <= 1e-12 -> Some (a, moves_only m, true)
-    | _ -> (
-      match try_exact () with
-      | Some _ as r -> r
-      | None -> (
-        match h with Some (a, _, true, m) -> Some (a, moves_only m, false) | _ -> None)))
+(* One two-way level: the heuristic, then the exact backend seeded with
+   its answer when the split is small enough. *)
+let solve_two_way ~seed sub =
+  let a, cost, feasible, m = heuristic ~seed (index sub) in
+  let heuristic_answer ~proven = if feasible then Some (a, moves_only m, proven) else None in
+  (* A feasible zero-cost split is optimal by definition (costs are
+     nonnegative): skip the ILP entirely. *)
+  if feasible && cost <= 1e-12 then heuristic_answer ~proven:true
+  else
+    let incumbent = if feasible then Some a else None in
+    match if num_items sub <= exact_var_limit then exact ~incumbent sub else None with
+    | Some _ as r -> r
+    | None -> heuristic_answer ~proven:false
 
-let hierarchical ~strategy ~seed p =
+let hierarchical ~seed ix =
+  let p = ix.p in
   let n = num_items p in
   let assignment = Array.make n (-1) in
-  let fixed_part = Array.make n (-1) in
-  List.iter (fun (i, part) -> fixed_part.(i) <- part) p.fixed;
   let counters = ref Counters.zero in
   let failed = ref false in
   (* BFS over (part range, member items); sibling ranges are known, so
      edges leaving the current range become pulls toward whichever half
      sits closer to the partner's (eventual) range. *)
   let range_of = Array.make n (0, p.k) in
-  let adj = Array.make n [] in
-  List.iter
-    (fun (a, b, w) ->
-      adj.(a) <- (b, w) :: adj.(a);
-      adj.(b) <- (a, w) :: adj.(b))
-    p.edges;
-  let pulls_of = Array.make n [] in
-  List.iter (fun (i, part, w) -> pulls_of.(i) <- (part, w) :: pulls_of.(i)) p.pulls;
   let queue = Queue.create () in
   Queue.add ((0, p.k), List.init n Fun.id) queue;
   while (not (Queue.is_empty queue)) && not !failed do
@@ -577,10 +689,10 @@ let hierarchical ~strategy ~seed p =
                   let rlo, rhi = range_of.(other) in
                   add_pull i ((rlo + rhi - 1) / 2) w
                 end)
-            adj.(tid);
-          List.iter (fun (part, w) -> add_pull i part w) pulls_of.(tid);
-          if fixed_part.(tid) >= 0 then
-            sub_fixed := (i, if fixed_part.(tid) < mid then 0 else 1) :: !sub_fixed)
+            ix.adj.(tid);
+          List.iter (fun (part, w) -> add_pull i part w) ix.pulls_of.(tid);
+          if ix.pin.(tid) >= 0 then
+            sub_fixed := (i, if ix.pin.(tid) < mid then 0 else 1) :: !sub_fixed)
         member_arr;
       let sub =
         {
@@ -593,7 +705,7 @@ let hierarchical ~strategy ~seed p =
           fixed = !sub_fixed;
         }
       in
-      match solve_two_way ~strategy ~seed sub with
+      match solve_two_way ~seed sub with
       | None -> failed := true
       | Some (a, cnt, _) ->
         counters := Counters.add !counters cnt;
@@ -615,76 +727,11 @@ let hierarchical ~strategy ~seed p =
   done;
   if !failed then None
   else begin
-    let moves = refine_moves p ~max_passes:20 assignment in
+    let moves = refine_moves ix ~max_passes:20 assignment in
     Some (assignment, Counters.add !counters (moves_only moves))
   end
 
 let binary_var_count p = if p.k = 2 then num_items p else num_items p * p.k
-
-(* ------------------------------------------------------------------ *)
-(* Greedy backend: deterministic first-fit-decreasing by area.  The last
-   rung of the compile path's fallback chain — no search, no randomness,
-   always terminates; may return an infeasible or high-cut answer, which
-   the caller surfaces as degraded rather than failing outright.         *)
-(* ------------------------------------------------------------------ *)
-
-let greedy p =
-  validate p;
-  let t0 = Sys.time () in
-  let n = num_items p in
-  if n = 0 then None
-  else begin
-    let assignment = Array.make n (-1) in
-    let usage = Array.make p.k Resource.zero in
-    List.iter
-      (fun (i, part) ->
-        assignment.(i) <- part;
-        usage.(part) <- Resource.add usage.(part) p.areas.(i))
-      p.fixed;
-    (* Biggest items first (ties broken by id for determinism), each onto
-       the fitting part with the lowest resulting utilization; when
-       nothing fits, the least-overflowing part. *)
-    let order = Array.init n Fun.id in
-    Array.sort
-      (fun a b ->
-        compare
-          (Resource.utilization p.areas.(b) ~total:p.capacities.(0), a)
-          (Resource.utilization p.areas.(a) ~total:p.capacities.(0), b))
-      order;
-    Array.iter
-      (fun i ->
-        if assignment.(i) < 0 then begin
-          let best = ref 0 and best_key = ref (infinity, infinity) in
-          for part = 0 to p.k - 1 do
-            let after = Resource.add usage.(part) p.areas.(i) in
-            let fits = Resource.fits after ~within:p.capacities.(part) in
-            let util = Resource.utilization after ~total:p.capacities.(part) in
-            let key =
-              ((if fits then 0.0 else 1e9 *. (1.0 +. overflow p.capacities.(part) after)), util)
-            in
-            if key < !best_key then begin
-              best_key := key;
-              best := part
-            end
-          done;
-          assignment.(i) <- !best;
-          usage.(!best) <- Resource.add usage.(!best) p.areas.(i)
-        end)
-      order;
-    Some
-      {
-        assignment;
-        cost = cost_of p assignment;
-        feasible = feasible_assignment p assignment;
-        stats =
-          {
-            backend = `Greedy;
-            runtime_s = Sys.time () -. t0;
-            counters = Counters.zero;
-            proven_optimal = false;
-          };
-      }
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio race: deterministic simulated annealing vs parallel exact
@@ -702,8 +749,9 @@ let greedy p =
 
 let race_iters p = Stdlib.min 200_000 (2_000 * num_items p)
 
-let exact_race ?pool ~seed ~incumbent p =
-  let m, incumbent_values, decode = build_ilp ~incumbent p in
+let exact_race ?pool ~seed ix =
+  let p = ix.p in
+  let m, _, decode = build_ilp ~incumbent:None p in
   let lp_bound =
     match (Ilp.Simplex.solve_float_first (Ilp.Simplex.prepare m)).ff_result with
     | Ilp.Simplex.Optimal s -> Some s.objective
@@ -712,28 +760,18 @@ let exact_race ?pool ~seed ~incumbent p =
   in
   let token = Pool.cancel_token () in
   let run_anneal () =
-    let init =
-      match incumbent with
-      | Some a -> Array.copy a
-      | None -> (
-        match greedy p with Some r -> r.assignment | None -> Array.make (num_items p) 0)
-    in
-    let o =
-      Anneal.run ~areas:p.areas ~edges:p.edges ~pulls:p.pulls ~k:p.k ~capacities:p.capacities
-        ~dist:p.dist ~fixed:p.fixed ~seed ~iters:(race_iters p) ~init ()
-    in
+    let o = anneal ix ~seed ~iters:(race_iters p) (greedy_assignment ix) in
     let certified =
-      o.feasible
-      && feasible_assignment p o.assignment
-      && (match lp_bound with Some b -> Rat.equal (cost_rat p o.assignment) b | None -> false)
+      match (o, lp_bound) with
+      | Some (a, _), Some b -> Rat.equal (cost_rat p a) b
+      | _ -> false
     in
     if certified then Pool.cancel token;
     `Anneal (o, certified)
   in
   let run_bb () =
     `Bb
-      (Ilp.Branch_bound.solve_parallel ~max_nodes:800 ~max_pivots:300_000 ~stall_nodes:80
-         ?incumbent:incumbent_values ?pool
+      (Ilp.Branch_bound.solve_parallel ~max_nodes:800 ~max_pivots:300_000 ~stall_nodes:80 ?pool
          ~should_stop:(fun () -> Pool.cancelled token)
          m)
   in
@@ -748,37 +786,30 @@ let exact_race ?pool ~seed ~incumbent p =
   let bb_result = match outs.(1) with `Bb r -> r | _ -> assert false in
   (* Only the deterministic root LP solve is accounted for an anneal
      answer the exact arm did not produce. *)
-  let anneal_won = { (moves_only anneal_o.moves) with lp_solves = 1; races_anneal = 1 } in
-  if anneal_certified then
+  let anneal_won moves = { (moves_only moves) with lp_solves = 1; races_anneal = 1 } in
+  match anneal_o with
+  | Some (a, moves) when anneal_certified ->
     (* Provably optimal: the anneal cost equals the exact root LP bound.
        Only the deterministic root LP solve is accounted — the cancelled
        exact arm's partial counters depend on how fast it was stopped. *)
-    Some (anneal_o.assignment, anneal_won, true)
-  else
+    Some (a, anneal_won moves, true)
+  | _ -> (
     match bb_result with
     | (Ilp.Branch_bound.Optimal sol | Ilp.Branch_bound.Feasible sol
-      | Ilp.Branch_bound.Timeout (Some sol)) as result ->
+      | Ilp.Branch_bound.Timeout (Some sol)) as result -> (
       let proven = match result with Ilp.Branch_bound.Optimal _ -> true | _ -> false in
       let a = decode sol.values in
       (* An uncertified but feasible anneal answer can still beat a
          budget-limited exact incumbent; the exact arm wins ties. *)
-      if
-        (not proven)
-        && anneal_o.feasible
-        && feasible_assignment p anneal_o.assignment
-        && Rat.compare (cost_rat p anneal_o.assignment) (cost_rat p a) < 0
-      then
-        Some
-          ( anneal_o.assignment,
-            { sol.counters with races_anneal = 1; refinement_moves = anneal_o.moves },
-            false )
-      else Some (a, { sol.counters with races_exact = 1 }, proven)
+      match anneal_o with
+      | Some (anneal_a, moves)
+        when (not proven) && Rat.compare (cost_rat p anneal_a) (cost_rat p a) < 0 ->
+        Some (anneal_a, { sol.counters with races_anneal = 1; refinement_moves = moves }, false)
+      | _ -> Some (a, { sol.counters with races_exact = 1 }, proven))
     | Ilp.Branch_bound.Infeasible | Ilp.Branch_bound.Unbounded | Ilp.Branch_bound.Timeout None ->
       (* The exact arm's budget-limited "Infeasible" is a conflation (no
          incumbent found in budget); a feasible anneal answer refutes it. *)
-      if anneal_o.feasible && feasible_assignment p anneal_o.assignment then
-        Some (anneal_o.assignment, anneal_won, false)
-      else None
+      Option.map (fun (a, moves) -> (a, anneal_won moves, false)) anneal_o)
 
 (* ------------------------------------------------------------------ *)
 (* Subproblem fragments: renaming-invariant canonicalization and the
@@ -804,10 +835,11 @@ let exact_race ?pool ~seed ~incumbent p =
    independently, so a caller-seeded fragment would never be shared. *)
 (* ------------------------------------------------------------------ *)
 
-(* Exact, order-normalized serialization: every input the sub-solver
-   consults is in the bytes ([dist] as its full k x k table, floats
-   hex-exact, edge/pull/fixed lists sorted), so two problems with equal
-   [problem_bytes] are solution-equivalent. *)
+(* Exact serialization: every input the solvers consult is in the bytes
+   ([dist] as its full k x k table, floats hex-exact), so two problems
+   with equal [problem_bytes] are solution-equivalent.  Lists go in as
+   given: the heuristics depend on their order, and the canonical
+   problems the fragment key serializes have sorted lists already. *)
 let problem_bytes p =
   let buf = Buffer.create 1024 in
   let int i =
@@ -823,23 +855,17 @@ let problem_bytes p =
   Array.iter res p.areas;
   int p.k;
   Array.iter res p.capacities;
-  let edges =
-    List.sort compare
-      (List.map (fun (a, b, w) -> (Stdlib.min a b, Stdlib.max a b, w)) p.edges)
-  in
-  int (List.length edges);
-  List.iter (fun (a, b, w) -> int a; int b; flt w) edges;
-  let pulls = List.sort compare p.pulls in
-  int (List.length pulls);
-  List.iter (fun (i, part, w) -> int i; int part; flt w) pulls;
+  int (List.length p.edges);
+  List.iter (fun (a, b, w) -> int a; int b; flt w) p.edges;
+  int (List.length p.pulls);
+  List.iter (fun (i, part, w) -> int i; int part; flt w) p.pulls;
   for a = 0 to p.k - 1 do
     for b = 0 to p.k - 1 do
       int (p.dist a b)
     done
   done;
-  let fixed = List.sort compare p.fixed in
-  int (List.length fixed);
-  List.iter (fun (i, part) -> int i; int part) fixed;
+  int (List.length p.fixed);
+  List.iter (fun (i, part) -> int i; int part) p.fixed;
   Buffer.contents buf
 
 (* Iterated structural color refinement (Weisfeiler-Leman over the
@@ -1057,34 +1083,20 @@ let frag_seed bytes =
    instances — otherwise anneal from the heuristic start with greedy as
    the last rung. *)
 let solve_sub_core ?pool ~seed sub =
+  let ix = index sub in
+  let one c = { c with Counters.subproblems = 1 } in
   if binary_var_count sub <= 2 * exact_var_limit then
-    match exact_race ?pool ~seed ~incumbent:None sub with
-    | Some (a, cnt, _proven) -> Some (a, { cnt with subproblems = 1 })
-    | None -> None
+    Option.map (fun (a, cnt, _proven) -> (a, one cnt)) (exact_race ?pool ~seed ix)
   else begin
-    let h = heuristic ~seed sub in
-    let init =
-      match h with
-      | Some (a, _, _, _) -> a
-      | None -> (
-        match greedy sub with Some r -> r.assignment | None -> Array.make (num_items sub) 0)
-    in
-    let o =
-      Anneal.run ~areas:sub.areas ~edges:sub.edges ~pulls:sub.pulls ~k:sub.k
-        ~capacities:sub.capacities ~dist:sub.dist ~fixed:sub.fixed ~seed
-        ~iters:(race_iters sub) ~init ()
-    in
-    if o.feasible && feasible_assignment sub o.assignment then
-      (* no exact arm ran, so this is not a race win — only [subproblems] *)
-      Some (o.assignment, { (moves_only o.moves) with subproblems = 1 })
-    else
-      match h with
-      | Some (a, _, true, mv) -> Some (a, { (moves_only mv) with subproblems = 1 })
-      | _ -> (
-        (* last rung: first-fit-decreasing, accepted only when feasible *)
-        match greedy sub with
-        | Some r when r.feasible -> Some (r.assignment, { Counters.zero with subproblems = 1 })
-        | _ -> None)
+    let h, _, h_feasible, h_moves = heuristic ~seed ix in
+    match anneal ix ~seed ~iters:(race_iters sub) h with
+    (* no exact arm ran, so this is not a race win — only [subproblems] *)
+    | Some (a, moves) -> Some (a, one (moves_only moves))
+    | None when h_feasible -> Some (h, one (moves_only h_moves))
+    | None ->
+      (* last rung: first-fit-decreasing, accepted only when feasible *)
+      let g = greedy_assignment ix in
+      if feasible_assignment sub g then Some (g, one Counters.zero) else None
   end
 
 (* Canonicalize, consult the fragment cache, solve in canonical space on
@@ -1119,18 +1131,14 @@ let solve_fragment ?pool sub =
    + cluster anneal (~295 ms of the 703 ms 100-FPGA/1000-task pin, and
    weight-sensitive: one edited weight reshuffles every group) remains
    the fallback when chunking cannot place feasibly. *)
-let cluster_chunk gproblem =
-  let n = num_items gproblem and g = gproblem.k in
-  let fixed_part = Array.make n (-1) in
-  List.iter (fun (i, part) -> fixed_part.(i) <- part) gproblem.fixed;
-  let assignment = Array.make n (-1) in
+let cluster_chunk gix =
+  let gproblem = gix.p in
+  let g = gproblem.k in
+  let assignment = Array.copy gix.pin in
   let usage = Array.make g Resource.zero in
-  for i = 0 to n - 1 do
-    if fixed_part.(i) >= 0 then begin
-      assignment.(i) <- fixed_part.(i);
-      usage.(fixed_part.(i)) <- Resource.add usage.(fixed_part.(i)) gproblem.areas.(i)
-    end
-  done;
+  Array.iteri
+    (fun i q -> if q >= 0 then usage.(q) <- Resource.add usage.(q) gproblem.areas.(i))
+    assignment;
   (* Fill groups toward a common utilization target with a little slack,
      quantized to 1/32 so a marginal change in total area or capacity
      cannot shift every boundary. *)
@@ -1138,7 +1146,7 @@ let cluster_chunk gproblem =
   let total_cap = Resource.sum (Array.to_list gproblem.capacities) in
   let u = Resource.utilization total_area ~total:total_cap in
   let target = Float.min 1.0 (1.10 *. (Float.ceil (u *. 32.0) /. 32.0)) in
-  let order = placement_order ~perturb:false gproblem (Prng.create 0) in
+  let order = placement_order ~perturb:false gix (Prng.create 0) in
   let gi = ref 0 and ok = ref true in
   Array.iter
     (fun i ->
@@ -1178,7 +1186,8 @@ let cluster_chunk gproblem =
    with a feasible, no-worse assignment.                                *)
 (* ------------------------------------------------------------------ *)
 
-let solve_grouped ~seed ?pool ~groups p =
+let solve_grouped ~seed ?pool ~groups ix =
+  let p = ix.p in
   let n = num_items p in
   let g_count = 1 + Array.fold_left Stdlib.max 0 groups in
   let gparts = Array.make g_count [] in
@@ -1219,29 +1228,22 @@ let solve_grouped ~seed ?pool ~groups p =
     (* Cluster-level solve: deterministic weight-independent BFS
        chunking first (edit-stable, which is what keeps the fragment
        cache warm across design edits), falling back to greedy first
-       fit + delta-cost annealing when chunking cannot place.  The
-       move-refinement heuristic recomputes the full objective per
-       candidate move (O(n * k * E) per pass) — fine at intra-node
-       scale, hopeless at 1000 tasks x dozens of groups — whereas the
-       annealer's per-proposal cost is O(degree). *)
+       fit + annealing when chunking cannot place.  The fallback anneals
+       rather than refines: move refinement takes only strictly
+       improving moves and re-scans every group for every item on each
+       of up to 40 passes, while the annealer also takes uphill moves
+       from the greedy packing and stops after a fixed proposal budget
+       (400 per item, at most 400,000) — its cost at 1000 tasks x dozens
+       of groups is known in advance. *)
+    let gix = index gproblem in
     let cluster =
-      match cluster_chunk gproblem with
+      match cluster_chunk gix with
       | Some a -> Some (a, Counters.zero)
       | None -> (
-        match greedy gproblem with
-        | None -> None
-        | Some g0 ->
-          let o =
-            Anneal.run ~areas:gproblem.areas ~edges:gproblem.edges ~pulls:gproblem.pulls
-              ~k:gproblem.k ~capacities:gproblem.capacities ~dist:gproblem.dist
-              ~fixed:gproblem.fixed ~seed
-              ~iters:(Stdlib.min 400_000 (400 * n))
-              ~init:g0.assignment ()
-          in
-          if o.feasible && feasible_assignment gproblem o.assignment then
-            Some (o.assignment, moves_only o.moves)
-          else if g0.feasible then Some (g0.assignment, Counters.zero)
-          else None)
+        let g0 = greedy_assignment gix in
+        match anneal gix ~seed ~iters:(Stdlib.min 400_000 (400 * n)) g0 with
+        | Some (a, moves) -> Some (a, moves_only moves)
+        | None -> if feasible_assignment gproblem g0 then Some (g0, Counters.zero) else None)
     in
     match cluster with
     | None -> None
@@ -1279,16 +1281,6 @@ let solve_grouped ~seed ?pool ~groups p =
       Array.iteri
         (fun _g parts -> Array.iteri (fun li q -> local_part.(q) <- li) parts)
         parts_arr;
-      let adj = Array.make n [] in
-      List.iter
-        (fun (a, b, w) ->
-          adj.(a) <- (b, w) :: adj.(a);
-          adj.(b) <- (a, w) :: adj.(b))
-        p.edges;
-      let pulls_of = Array.make n [] in
-      List.iter (fun (i, part, w) -> pulls_of.(i) <- (part, w) :: pulls_of.(i)) p.pulls;
-      let fixed_part = Array.make n (-1) in
-      List.iter (fun (i, part) -> fixed_part.(i) <- part) p.fixed;
       let make_sub g =
         let mem = Array.of_list members.(g) in
         let index_of = Hashtbl.create 16 in
@@ -1305,14 +1297,13 @@ let solve_grouped ~seed ?pool ~groups p =
                   let g' = cluster_assign.(other) in
                   if g' <> g then
                     sub_pulls := (li, local_part.(gateway.(g).(g')), w) :: !sub_pulls)
-              adj.(tid);
+              ix.adj.(tid);
             List.iter
               (fun (part, w) ->
                 let tgt = if groups.(part) = g then part else gateway.(g).(groups.(part)) in
                 sub_pulls := (li, local_part.(tgt), w) :: !sub_pulls)
-              pulls_of.(tid);
-            if fixed_part.(tid) >= 0 then
-              sub_fixed := (li, local_part.(fixed_part.(tid))) :: !sub_fixed)
+              ix.pulls_of.(tid);
+            if ix.pin.(tid) >= 0 then sub_fixed := (li, local_part.(ix.pin.(tid))) :: !sub_fixed)
           mem;
         {
           areas = Array.map (fun tid -> p.areas.(tid)) mem;
@@ -1368,26 +1359,16 @@ let solve_grouped ~seed ?pool ~groups p =
         let final =
           if n_boundary = 0 then assignment
           else begin
-            let pins = ref p.fixed in
+            let pin = Array.copy ix.pin in
             Array.iteri
-              (fun i b ->
-                if (not b) && fixed_part.(i) < 0 then pins := (i, assignment.(i)) :: !pins)
+              (fun i b -> if (not b) && pin.(i) < 0 then pin.(i) <- assignment.(i))
               boundary;
-            let o =
-              Anneal.run ~areas:p.areas ~edges:p.edges ~pulls:p.pulls ~k:p.k
-                ~capacities:p.capacities ~dist:p.dist ~fixed:!pins ~seed
-                ~iters:(Stdlib.min 200_000 (30 * n_boundary))
-                ~init:assignment ()
-            in
-            if
-              o.feasible
-              && feasible_assignment p o.assignment
-              && cost_of p o.assignment <= cost_of p assignment +. 1e-9
-            then begin
-              counters := Counters.add !counters (moves_only o.moves);
-              o.assignment
-            end
-            else assignment
+            let iters = Stdlib.min 200_000 (30 * n_boundary) in
+            match anneal { ix with pin } ~seed ~iters assignment with
+            | Some (a, moves) when cost_of p a <= cost_of p assignment +. 1e-9 ->
+              counters := Counters.add !counters (moves_only moves);
+              a
+            | _ -> assignment
           end
         in
         Some (final, !counters)
@@ -1426,14 +1407,13 @@ let solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p =
     if feasible_assignment p assignment then finish `Heuristic ~proven:true assignment else None
   end
   else begin
-    let run_heuristic () = heuristic ~seed p in
+    let ix = index p in
     let run_exact incumbent = exact ~incumbent p in
     match strategy with
-    | Heuristic -> (
-      match run_heuristic () with
-      | Some (assignment, _, feasible, moves) when feasible ->
-        finish `Heuristic ~counters:(moves_only moves) ~proven:false assignment
-      | Some _ | None -> None)
+    | Heuristic ->
+      let assignment, _, feasible, moves = heuristic ~seed ix in
+      if feasible then finish `Heuristic ~counters:(moves_only moves) ~proven:false assignment
+      else None
     | Exact -> (
       match run_exact warm_incumbent with
       | Some (assignment, counters, proven) -> finish `Exact ~counters ~proven assignment
@@ -1446,26 +1426,25 @@ let solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p =
         match groups with
         | Some g when p.k > 8 && Array.length g = p.k ->
           let gc = 1 + Array.fold_left Stdlib.max 0 g in
-          if gc >= 2 && gc < p.k && Array.for_all (fun x -> x >= 0) g then solve_grouped ~seed ?pool ~groups:g p
+          if gc >= 2 && gc < p.k && Array.for_all (fun x -> x >= 0) g then
+            solve_grouped ~seed ?pool ~groups:g ix
           else None
         | _ -> None
       in
       match grouped with
       | Some (assignment, counters) -> finish `Heuristic ~counters ~proven:false assignment
       | None ->
-      let h = run_heuristic () in
+      let h, h_cost, h_feasible, h_moves = heuristic ~seed ix in
       let incumbent =
-        let from_h = match h with Some (assignment, _, true, _) -> Some assignment | _ -> None in
-        match (warm_incumbent, from_h) with
-        | Some w, Some hh -> if cost_of p w <= cost_of p hh then Some w else Some hh
-        | Some w, None -> Some w
-        | None, hh -> hh
+        match warm_incumbent with
+        | Some w when h_feasible -> if cost_of p w <= cost_of p h then Some w else Some h
+        | Some w -> Some w
+        | None -> if h_feasible then Some h else None
       in
-      match h with
       (* A feasible zero-cost assignment is optimal outright. *)
-      | Some (assignment, cost, true, moves) when cost <= 1e-12 ->
-        finish `Heuristic ~counters:(moves_only moves) ~proven:true assignment
-      | _ ->
+      if h_feasible && h_cost <= 1e-12 then
+        finish `Heuristic ~counters:(moves_only h_moves) ~proven:true h
+      else
       (* Joint k-way ILPs carry k*(k-1) linearization variables per edge,
          so they earn a much smaller size budget than two-way instances. *)
       let joint_limit = if p.k = 2 then exact_var_limit else exact_var_limit / 2 in
@@ -1476,9 +1455,7 @@ let solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p =
         | Some (assignment, counters, false) -> (
           (* Search budget exhausted: the recursive-bisection backend often
              beats a stalled joint search on k > 2 instances. *)
-          let hier =
-            if p.k > 2 then hierarchical ~strategy:Auto ~seed p else None
-          in
+          let hier = if p.k > 2 then hierarchical ~seed ix else None in
           match hier with
           | Some (ha, hc)
             when feasible_assignment p ha && cost_of p ha < cost_of p assignment -. 1e-9 ->
@@ -1490,10 +1467,8 @@ let solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p =
         (* Too large for one joint ILP: recursive two-way bisection (exact
            at each level), falling back to the flat heuristic.  Keep the
            better of the two. *)
-        let hier =
-          if p.k > 2 then hierarchical ~strategy:Auto ~seed p else None
-        in
-        let flat = match h with Some (a, c, true, m) -> Some (a, c, m) | _ -> None in
+        let hier = if p.k > 2 then hierarchical ~seed ix else None in
+        let flat = if h_feasible then Some (h, h_cost, h_moves) else None in
         match (hier, flat) with
         | Some (a, counters), Some (_, fc, _)
           when feasible_assignment p a && cost_of p a <= fc +. 1e-9 ->
@@ -1526,53 +1501,19 @@ let solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p =
 
 let cache : result option Memo.t = Memo.create ()
 
+(* The part grouping routes the decomposition, so it is part of the
+   answer's identity; the worker pool is deliberately NOT hashed — it may
+   only change wall-clock, never the result. *)
 let cache_key ~strategy ~seed ?warm_incumbent ?groups p =
-  let buf = Buffer.create 512 in
-  let int i = Buffer.add_string buf (string_of_int i); Buffer.add_char buf ';' in
-  let flt f =
-    (* %h is exact (hex float): no decimal rounding can merge keys *)
-    Buffer.add_string buf (Printf.sprintf "%h" f);
-    Buffer.add_char buf ';'
+  let ints = function
+    | None -> "n"
+    | Some a -> String.concat ";" (List.map string_of_int (Array.length a :: Array.to_list a))
   in
-  let res (r : Resource.t) =
-    int r.lut; int r.ff; int r.bram; int r.dsp; int r.uram
-  in
-  Buffer.add_string buf
-    (match strategy with Exact -> "E" | Heuristic -> "H" | Auto -> "A");
-  int seed;
-  (match warm_incumbent with
-  | None -> Buffer.add_char buf 'n'
-  | Some a ->
-    Buffer.add_char buf 'w';
-    int (Array.length a);
-    Array.iter int a);
-  int (Array.length p.areas);
-  Array.iter res p.areas;
-  int (List.length p.edges);
-  List.iter (fun (a, b, w) -> int a; int b; flt w) p.edges;
-  int (List.length p.pulls);
-  List.iter (fun (i, part, w) -> int i; int part; flt w) p.pulls;
-  int p.k;
-  Array.iter res p.capacities;
-  (* [dist] is a function; its observable behaviour on this problem is
-     exactly the k x k table, so that table is what gets hashed. *)
-  for a = 0 to p.k - 1 do
-    for b = 0 to p.k - 1 do
-      int (p.dist a b)
-    done
-  done;
-  int (List.length p.fixed);
-  List.iter (fun (i, part) -> int i; int part) p.fixed;
-  (* The part grouping routes the decomposition, so it is part of the
-     answer's identity; the worker pool is deliberately NOT hashed — it
-     may only change wall-clock, never the result. *)
-  (match groups with
-  | None -> Buffer.add_char buf 'n'
-  | Some g ->
-    Buffer.add_char buf 'g';
-    int (Array.length g);
-    Array.iter int g);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let strategy = match strategy with Exact -> "E" | Heuristic -> "H" | Auto -> "A" in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "/"
+          [ strategy; string_of_int seed; ints warm_incumbent; problem_bytes p; ints groups ]))
 
 let solve ?(strategy = Auto) ?(seed = 1) ?warm_incumbent ?pool ?groups p =
   validate p;

@@ -499,9 +499,7 @@ let test_roundtrip_catches_tampering () =
   check bool "tampered stage comment flagged" true (flags "TCS604" ds)
 
 (* Golden files: the emitted artifacts for the 8-iteration 2-FPGA stencil,
-   with the two wall-clock floorplanner-runtime lines dropped.  Regenerate
-   with TAPA_CS_UPDATE_GOLDEN=1 (writes into TAPA_CS_GOLDEN_DIR, default
-   ./golden). *)
+   with the two wall-clock floorplanner-runtime lines dropped. *)
 
 let normalize s =
   String.split_on_char '\n' s
@@ -514,30 +512,7 @@ let normalize s =
          not (has "_floorplan_seconds"))
   |> String.concat "\n"
 
-(* dune runtest runs in the test directory, dune exec in the workspace
-   root: accept both. *)
-let golden_dir () =
-  match Sys.getenv_opt "TAPA_CS_GOLDEN_DIR" with
-  | Some d -> d
-  | None -> if Sys.file_exists "golden" then "golden" else Filename.concat "test" "golden"
-
-let golden_check name actual =
-  let path = Filename.concat (golden_dir ()) name in
-  let actual = normalize actual in
-  if Sys.getenv_opt "TAPA_CS_UPDATE_GOLDEN" <> None then begin
-    let oc = open_out path in
-    output_string oc actual;
-    close_out oc
-  end
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let expected = really_input_string ic n in
-    close_in ic;
-    if actual <> expected then
-      Alcotest.failf "%s drifted from its golden file (regenerate with TAPA_CS_UPDATE_GOLDEN=1)"
-        name
-  end
+let golden_check name actual = Golden_file.check name (normalize actual)
 
 let test_emit_golden () =
   let c = compile_stencil2 () in

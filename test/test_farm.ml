@@ -258,6 +258,22 @@ let test_stats_json_shape () =
   check bool "samples in time order" true (ordered stats.Farm.timeline);
   check bool "samples exist" true (stats.Farm.timeline <> [])
 
+(* A NaN retry time never drains from the event loop, so a bad backoff
+   or horizon must be refused before the loop starts. *)
+let test_bad_config_rejected () =
+  List.iter
+    (fun (what, config) ->
+      match Farm.run ~config ~cluster:(farm_cluster 4) ~timeline:(Fault.timeline []) [] with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("backoff nan", { small_config with Farm.backoff_s = Float.nan });
+      ("backoff -1", { small_config with Farm.backoff_s = -1.0 });
+      ("backoff inf", { small_config with Farm.backoff_s = Float.infinity });
+      ("horizon nan", { small_config with Farm.horizon_s = Float.nan });
+      ("horizon -5", { small_config with Farm.horizon_s = -5.0 });
+    ]
+
 let () =
   Alcotest.run "farm"
     [
@@ -268,6 +284,7 @@ let () =
           Alcotest.test_case "fault reports and TTR" `Quick test_fault_reports_and_recovery;
           Alcotest.test_case "exclusive device ownership" `Quick test_device_ownership_exclusive;
           Alcotest.test_case "stats json shape" `Quick test_stats_json_shape;
+          Alcotest.test_case "bad backoff or horizon rejected" `Quick test_bad_config_rejected;
         ] );
       ( "determinism",
         [

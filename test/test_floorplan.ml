@@ -142,6 +142,110 @@ let test_heuristic_always_feasible_when_returned =
     | None -> ()
   done
 
+(* Decision golden: what the heuristics decide, pinned line by line.
+   The corpus is shaped so that every part of the working objective
+   decides some answers: k from 2 to 12, pins, pulls with half-integer
+   weights, 512-bit-scale edge weights (a third of them divided by 3, so
+   float sums round) and capacities of 0.95-1.25x an even share, so
+   first-fit starts overflow and the penalty has to repair them.  The
+   golden file holds the decisions of the earlier two-module heuristics
+   (refinement re-summing the whole objective, a separate annealer): a
+   drift is a changed decision, not a file to regenerate. *)
+let decision_problem rng =
+  let k = 2 + Prng.int rng 11 in
+  let n = (2 * k) + Prng.int rng (k + 2) in
+  let areas =
+    Array.init n (fun _ ->
+        let lut = 1_000 + Prng.int rng 4_000 in
+        Resource.make ~lut ~ff:((lut / 2) + Prng.int rng 500) ())
+  in
+  let share = Resource.scale (1.0 /. float_of_int k) (Resource.sum (Array.to_list areas)) in
+  (* identical parts in half the problems, so first fit meets ties *)
+  let uniform = Prng.bool rng in
+  let f = 0.95 +. Prng.float rng 0.30 in
+  let capacities =
+    Array.init k (fun _ ->
+        Resource.scale (if uniform then f else 0.95 +. Prng.float rng 0.30) share)
+  in
+  let weight () =
+    let w = 512.0 *. float_of_int (1 + Prng.int rng 4) in
+    if Prng.int rng 3 = 0 then w /. 3.0 else w
+  in
+  let edges =
+    List.filter_map Fun.id
+      (List.init (n + Prng.int rng n) (fun _ ->
+           let a = Prng.int rng n and b = Prng.int rng n in
+           if a = b then None else Some (a, b, weight ())))
+  in
+  let pulls =
+    List.init (Prng.int rng 4) (fun _ ->
+        (Prng.int rng n, Prng.int rng k, 0.5 *. float_of_int (1 + Prng.int rng 40)))
+  in
+  let items = Array.init n Fun.id in
+  Prng.shuffle rng items;
+  let fixed = List.init (Prng.int rng 3) (fun j -> (items.(j), Prng.int rng k)) in
+  let dist =
+    if Prng.bool rng then fun a b -> abs (a - b)
+    else fun a b -> abs ((a / 3) - (b / 3)) + abs ((a mod 3) - (b mod 3))
+  in
+  { Partition.areas; edges; pulls; k; capacities; dist; fixed }
+
+(* A chain across 12 parts in 3 groups of 4 (server nodes): the grouped
+   decomposition's cluster chunking, raced subproblems and boundary
+   polish.  Dense random grouped instances take minutes; chains do
+   not. *)
+let decision_chain rng =
+  let n = 12 + Prng.int rng 2 in
+  let areas = Array.init n (fun _ -> Resource.make ~lut:(1_000 + Prng.int rng 3_000) ()) in
+  let share = Resource.scale (1.0 /. 12.0) (Resource.sum (Array.to_list areas)) in
+  let capacities = Array.init 12 (fun _ -> Resource.scale (1.3 +. Prng.float rng 0.4) share) in
+  let edges =
+    List.init (n - 1) (fun i ->
+        let w = 512.0 *. float_of_int (1 + Prng.int rng 4) in
+        (i, i + 1, if i mod 3 = 0 then w /. 3.0 else w))
+  in
+  let pulls = [ (0, 0, 64.5); (n - 1, 11, 64.5) ] in
+  let group q = q / 4 in
+  let dist a b = if a = b then 0 else if group a = group b then 1 else 3 in
+  { Partition.areas; edges; pulls; k = 12; capacities; dist; fixed = [] }
+
+let decision_line tag = function
+  | None -> tag ^ " none"
+  | Some (r : Partition.result) ->
+    let c = r.stats.counters in
+    Printf.sprintf "%s a=%s cost=%h feasible=%b proven=%b backend=%s %s" tag
+      (String.concat "," (Array.to_list (Array.map string_of_int r.assignment)))
+      r.cost r.feasible r.stats.proven_optimal
+      (match r.stats.backend with
+      | `Exact -> "exact"
+      | `Heuristic -> "heuristic"
+      | `Greedy -> "greedy")
+      (String.concat " "
+         (List.map
+            (fun (f : Tapa_cs_ilp.Counters.field) -> Printf.sprintf "%s=%d" f.key (f.get c))
+            Tapa_cs_ilp.Counters.fields))
+
+let test_partition_decision_golden () =
+  Partition.reset_cache ();
+  let rng = Prng.create 2024 in
+  let lines = ref [] in
+  let emit l = lines := l :: !lines in
+  for i = 1 to 24 do
+    let p = decision_problem rng in
+    let tag call = Printf.sprintf "p%02d k=%d n=%d %s" i p.k (Partition.num_items p) call in
+    emit (decision_line (tag "heuristic") (Partition.solve ~strategy:Partition.Heuristic p));
+    emit (decision_line (tag "auto") (Partition.solve p));
+    emit (decision_line (tag "greedy") (Partition.greedy p))
+  done;
+  let groups = Array.init 12 (fun q -> q / 4) in
+  for i = 1 to 2 do
+    let p = decision_chain rng in
+    let tag = Printf.sprintf "g%d k=12 n=%d grouped" i (Partition.num_items p) in
+    emit (decision_line tag (Partition.solve ~groups p))
+  done;
+  Golden_file.check "partition_decisions.expected"
+    (String.concat "\n" (List.rev !lines) ^ "\n")
+
 (* ------------------------------------------------------------------ *)
 (* Inter-FPGA floorplanning                                            *)
 (* ------------------------------------------------------------------ *)
@@ -834,6 +938,7 @@ let () =
           Alcotest.test_case "k = 4 chain" `Quick test_partition_k4_chain;
           Alcotest.test_case "exact = brute force" `Slow test_exact_matches_brute_force;
           Alcotest.test_case "heuristic feasibility" `Quick test_heuristic_always_feasible_when_returned;
+          Alcotest.test_case "decision golden" `Quick test_partition_decision_golden;
           Alcotest.test_case "determinism" `Quick test_partition_deterministic;
           Alcotest.test_case "solution cache" `Quick test_partition_cache;
           Alcotest.test_case "min-cut lower bound (oracle)" `Quick test_partition_cost_bounded_by_global_mincut;
