@@ -46,8 +46,8 @@ let simplex_lp =
   Test.make ~name:"simplex 12x10 LP" (Staged.stage (fun () -> ignore (Ilp.Simplex.solve lp_model)))
 
 (* Float-first vs exact on the same pre-prepared template: the gap is
-   pure arithmetic — double pivots plus one rational LU certification
-   versus rational pivots throughout. *)
+   pure arithmetic — double pivots plus one exact certificate on the
+   basis's structural block versus rational pivots throughout. *)
 let lp_prepared = Ilp.Simplex.prepare lp_model
 
 let simplex_float_first =

@@ -134,6 +134,32 @@ let jobs_arg =
 
 let effective_jobs jobs = if jobs <= 0 then Tapa_cs_util.Pool.default_jobs () else jobs
 
+(* The OS reason of a [Sys_error] about [path], which reads
+   "<path>: <reason>". *)
+let os_reason ~path msg =
+  let prefix = path ^ ": " in
+  let n = String.length prefix in
+  if String.starts_with ~prefix msg then String.sub msg n (String.length msg - n) else msg
+
+(* The --stats-json FILE of farm and serve ('-' = stdout), opened before
+   any work so an unwritable path fails fast: the writer of the final
+   JSON line, or the one line naming the flag, the path and the OS
+   reason. *)
+let stats_json_writer ~what = function
+  | None -> Ok ignore
+  | Some "-" -> Ok print_endline
+  | Some path -> (
+    match open_out path with
+    | exception Sys_error msg ->
+      Error (Printf.sprintf "--stats-json %S: %s" path (os_reason ~path msg))
+    | oc ->
+      Ok
+        (fun json ->
+          Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+          output_string oc json;
+          output_char oc '\n';
+          Format.printf "wrote %s to %s@." what path))
+
 (* Fault-injection flags (the §5 Fig-8-style experiments rerun under faults). *)
 
 let fail_fpga_arg =
@@ -894,14 +920,7 @@ let farm_cmd =
       | Some path -> (
         match In_channel.with_open_text path In_channel.input_lines with
         | lines -> Ok (List.map (fun l -> ("--timeline", l)) lines)
-        | exception Sys_error m ->
-          (* [Sys_error] reads "<path>: <OS reason>"; the spec names the path *)
-          let prefix = path ^ ": " in
-          let n = String.length prefix in
-          let reason =
-            if String.starts_with ~prefix m then String.sub m n (String.length m - n) else m
-          in
-          reject "--timeline" path reason)
+        | exception Sys_error m -> reject "--timeline" path (os_reason ~path m))
     in
     let rec go acc = function
       | [] -> Ok (List.rev acc)
@@ -918,11 +937,16 @@ let farm_cmd =
   in
   let run boards boards_per_node mix tenants topology threshold seed horizon mean_gap
       strict_every max_retries backoff timeline_file events stats_json_file jobs =
-    match parse_timeline ~file:timeline_file ~events with
+    match
+      Result.bind (parse_timeline ~file:timeline_file ~events) (fun entries ->
+          Result.map
+            (fun write -> (entries, write))
+            (stats_json_writer ~what:"stats timeline" stats_json_file))
+    with
     | Error e ->
       prerr_endline e;
       1
-    | Ok entries ->
+    | Ok (entries, write_stats) ->
       let timeline = Tapa_cs_network.Fault.timeline entries in
       let cluster =
         Cluster.heterogeneous ~topology ~boards_per_node (List.map board_of_name mix) boards
@@ -938,15 +962,7 @@ let farm_cmd =
       Format.printf "%a@." Tapa_cs_network.Fault.pp_timeline timeline;
       let stats = Farm.run ?pool ~config ~cluster ~timeline workload in
       Format.printf "%a" Farm.pp_summary stats;
-      (match stats_json_file with
-      | None -> ()
-      | Some "-" -> print_endline (Farm.stats_json stats)
-      | Some path ->
-        let oc = open_out path in
-        Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-        output_string oc (Farm.stats_json stats);
-        output_char oc '\n';
-        Format.printf "wrote stats timeline to %s@." path);
+      write_stats (Farm.stats_json stats);
       0
   in
   let term =
@@ -1022,65 +1038,59 @@ let serve_cmd =
     let doc = "Write the final report/metrics JSON to $(docv) ('-' for stdout)." in
     Arg.(value & opt (some string) None & info [ "stats-json" ] ~doc ~docv:"FILE")
   in
-  let emit_stats stats_json_file json =
-    match stats_json_file with
-    | None -> ()
-    | Some "-" -> print_endline json
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-      output_string oc json;
-      output_char oc '\n';
-      Format.printf "wrote service stats to %s@." path
-  in
   let run script socket clients rpc distinct seed warm think_ms max_depth best_effort_depth
       max_requests stats_json_file jobs =
-    let jobs = effective_jobs jobs in
-    let pool =
-      if jobs > 1 then Some (Tapa_cs_util.Pool.create ~domains:(jobs - 1) ()) else None
-    in
-    Fun.protect ~finally:(fun () -> Option.iter Tapa_cs_util.Pool.shutdown pool) @@ fun () ->
-    let service_config = { Service.max_depth; best_effort_depth; cache_entries = 8192 } in
-    if script then begin
-      let cfg =
-        {
-          Script.default_config with
-          Script.clients;
-          requests_per_client = rpc;
-          distinct;
-          seed;
-          warm;
-          think_s = think_ms /. 1000.0;
-          service_config;
-        }
+    match stats_json_writer ~what:"service stats" stats_json_file with
+    | Error e ->
+      prerr_endline e;
+      1
+    | Ok emit_stats ->
+      let jobs = effective_jobs jobs in
+      let pool =
+        if jobs > 1 then Some (Tapa_cs_util.Pool.create ~domains:(jobs - 1) ()) else None
       in
-      let report = Script.run ?pool cfg in
-      let c = report.Script.counters in
-      Format.printf
-        "script: %d clients x %d requests, universe %d, %s@." cfg.Script.clients
-        cfg.Script.requests_per_client cfg.Script.distinct
-        (if warm then "warm" else "cold");
-      Format.printf
-        "  received %d  completed %d  hits %d  misses %d  coalesced %d  rejected %d@."
-        c.Service.received c.Service.completed c.Service.hits c.Service.misses
-        c.Service.coalesced
-        (c.Service.rejected_strict + c.Service.shed_best_effort);
-      Format.printf "  virtual makespan %.6f s  throughput %.1f req/s@."
-        report.Script.virtual_makespan_s report.Script.virtual_requests_per_s;
-      emit_stats stats_json_file (Script.report_json report);
-      0
-    end
-    else begin
-      let svc = Service.create ?pool ~config:service_config () in
-      let server = Server.create ~socket_path:socket svc in
-      Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
-      Format.printf "listening on %s (max-depth %d, best-effort %d, jobs %d)@." socket max_depth
-        best_effort_depth jobs;
-      let served = Server.serve ~max_requests server in
-      Format.printf "served %d request(s)@." served;
-      emit_stats stats_json_file (Service.metrics_json svc);
-      0
-    end
+      Fun.protect ~finally:(fun () -> Option.iter Tapa_cs_util.Pool.shutdown pool) @@ fun () ->
+      let service_config = { Service.max_depth; best_effort_depth; cache_entries = 8192 } in
+      if script then begin
+        let cfg =
+          {
+            Script.default_config with
+            Script.clients;
+            requests_per_client = rpc;
+            distinct;
+            seed;
+            warm;
+            think_s = think_ms /. 1000.0;
+            service_config;
+          }
+        in
+        let report = Script.run ?pool cfg in
+        let c = report.Script.counters in
+        Format.printf
+          "script: %d clients x %d requests, universe %d, %s@." cfg.Script.clients
+          cfg.Script.requests_per_client cfg.Script.distinct
+          (if warm then "warm" else "cold");
+        Format.printf
+          "  received %d  completed %d  hits %d  misses %d  coalesced %d  rejected %d@."
+          c.Service.received c.Service.completed c.Service.hits c.Service.misses
+          c.Service.coalesced
+          (c.Service.rejected_strict + c.Service.shed_best_effort);
+        Format.printf "  virtual makespan %.6f s  throughput %.1f req/s@."
+          report.Script.virtual_makespan_s report.Script.virtual_requests_per_s;
+        emit_stats (Script.report_json report);
+        0
+      end
+      else begin
+        let svc = Service.create ?pool ~config:service_config () in
+        let server = Server.create ~socket_path:socket svc in
+        Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
+        Format.printf "listening on %s (max-depth %d, best-effort %d, jobs %d)@." socket max_depth
+          best_effort_depth jobs;
+        let served = Server.serve ~max_requests server in
+        Format.printf "served %d request(s)@." served;
+        emit_stats (Service.metrics_json svc);
+        0
+      end
   in
   let term =
     Term.(const run $ script_arg $ socket_arg $ clients_arg $ rpc_arg $ distinct_arg $ seed_arg

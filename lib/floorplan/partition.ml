@@ -39,6 +39,7 @@ let validate p =
     (fun (a, b, w) ->
       if a < 0 || a >= num_items p || b < 0 || b >= num_items p then
         invalid_arg "Partition: edge endpoint out of range";
+      if not (Float.is_finite w) then invalid_arg "Partition: non-finite edge weight";
       if w < 0.0 then invalid_arg "Partition: negative edge weight")
     p.edges;
   List.iter
@@ -47,9 +48,10 @@ let validate p =
         invalid_arg "Partition: bad fixed placement")
     p.fixed;
   List.iter
-    (fun (i, part, _) ->
+    (fun (i, part, w) ->
       if i < 0 || i >= num_items p || part < 0 || part >= p.k then
-        invalid_arg "Partition: bad pull")
+        invalid_arg "Partition: bad pull";
+      if not (Float.is_finite w) then invalid_arg "Partition: non-finite pull weight")
     p.pulls
 
 let cost_of p assignment =

@@ -96,7 +96,11 @@ val solve :
     cache is transparent: hits return the stored record — including its
     original [runtime_s] — so compile output is bit-identical whether the
     cache is cold or warm, and it is safe under domain-parallel compile.
-    Observe it via {!cache_stats} / {!reset_cache}. *)
+    Observe it via {!cache_stats} / {!reset_cache}.
+    @raise Invalid_argument on a malformed problem: [k <= 0], a
+    capacity count other than [k], an edge, pull or fixed placement out
+    of range, a negative or non-finite edge weight, or a non-finite pull
+    weight (each message names which).  {!greedy} checks the same. *)
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the process-wide solution cache. *)

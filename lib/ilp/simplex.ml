@@ -16,11 +16,15 @@ let bland_switch = 400
 
 (* One model constraint, pre-lowered to dense form.  [coeffs] and [neg]
    are the +/- coefficient rows (both precomputed so a per-node sign
-   normalization picks a row instead of allocating nv Rat.neg); [terms]
-   is the sparse view used to re-shift the rhs under new lower bounds. *)
+   normalization picks a row instead of allocating nv Rat.neg), and
+   [fcoeffs]/[fneg] the same rows in doubles for the float tableau;
+   [terms] is the sparse view used to re-shift the rhs under new lower
+   bounds and by the certificates. *)
 type prow = {
   coeffs : Rat.t array; (* length nv *)
   neg : Rat.t array;
+  fcoeffs : float array;
+  fneg : float array;
   terms : (int * Rat.t) list;
   rel : Model.relation;
   rhs : Rat.t;
@@ -32,6 +36,7 @@ type prepared = {
   model : Model.t;
   nv : int;
   prows : prow array;
+  slack_row : int array; (* the row of slack column [nv + k], at index k *)
   part_start : int; (* first artificial column *)
   pncols : int;
   base_lb : Rat.t array;
@@ -60,14 +65,19 @@ let prepare model =
      column: the layout must not depend on the bounds. *)
   let part_start = !next_slack in
   let pncols = part_start + Array.length constrs in
+  let slack_row = Array.make (part_start - nv) (-1) in
+  Array.iteri (fun i c -> if c >= 0 then slack_row.(c - nv) <- i) slack_cols;
   let prows =
     Array.mapi
       (fun i (e, rel, rhs) ->
         let coeffs = Array.make nv Rat.zero in
         List.iter (fun (v, c) -> coeffs.(v) <- c) (Linear.terms e);
+        let neg = Array.map Rat.neg coeffs in
         {
           coeffs;
-          neg = Array.map Rat.neg coeffs;
+          neg;
+          fcoeffs = Array.map Rat.to_float coeffs;
+          fneg = Array.map Rat.to_float neg;
           terms = Linear.terms e;
           rel;
           rhs;
@@ -85,6 +95,7 @@ let prepare model =
     model;
     nv;
     prows;
+    slack_row;
     part_start;
     pncols;
     base_lb = Array.init nv (Model.var_lb model);
@@ -94,7 +105,7 @@ let prepare model =
   }
 
 (* Node-specific variable bounds, computed exactly once per solve and
-   shared by whichever tableau runs and the certification pass: the lower
+   shared by whichever tableau runs and the certificates: the lower
    bounds, the upper bounds shifted by them, and whether some upper bound
    lies below its lower bound. *)
 let node_bounds p bounds =
@@ -115,6 +126,20 @@ let node_bounds p bounds =
   in
   (lb, shifted_ub, !conflict)
 
+(* Each row's rhs less the exact lower-bound shift, over the shifted
+   variables x - lb, in the template's orientation.  Computed once per
+   solve: both tableaus orient their rows by its sign, and the
+   certificates read it as it is. *)
+let shifted_rhs p lb =
+  (* Most lower bounds are zero (free or 0-fixed binaries), so guard the
+     Rat.mul: exact-rational ops dominate the per-node cost. *)
+  Array.map
+    (fun pr ->
+      List.fold_left
+        (fun acc (v, c) -> if Rat.is_zero lb.(v) then acc else Rat.sub acc (Rat.mul c lb.(v)))
+        pr.rhs pr.terms)
+    p.prows
+
 (* A variable fixed by its bounds (shifted ub = 0) stays glued to 0;
    excluding its column from pricing removes it from the search entirely
    — the incremental payoff deep in the branch-and-bound tree, where most
@@ -122,40 +147,30 @@ let node_bounds p bounds =
 let is_fixed shifted_ub nv j =
   j < nv && match shifted_ub.(j) with Some u -> Rat.is_zero u | None -> false
 
-(* Row [pr] over the shifted variables x - lb: the rhs less the exact
-   lower-bound shift and, when that is negative, the negated row with its
-   relation flipped, so every row starts with a nonnegative basic value.
-   The exact and the float tableau both orient their rows here, so the
+(* Whether row [i] is laid negated: a negative shifted rhs flips the row
+   and its relation, so every row starts with a nonnegative basic value.
+   The exact and the float tableau both decide it here, in Rat, so the
    two can never disagree on a row's sign. *)
-let orient pr lb =
-  (* Most lower bounds are zero (free or 0-fixed binaries), so guard the
-     Rat.mul: exact-rational ops dominate the per-node cost. *)
-  let shift =
-    List.fold_left
-      (fun acc (v, c) -> if Rat.is_zero lb.(v) then acc else Rat.add acc (Rat.mul c lb.(v)))
-      Rat.zero pr.terms
-  in
-  let rhs = Rat.sub pr.rhs shift in
-  if Rat.sign rhs >= 0 then (pr.coeffs, rhs, pr.rel)
-  else
-    ( pr.neg,
-      Rat.neg rhs,
-      match pr.rel with Model.Le -> Model.Ge | Model.Ge -> Model.Le | Model.Eq -> Model.Eq )
+let flipped rhs i = Rat.sign rhs.(i) < 0
 
-(* Lay every oriented template row into a fresh tableau whose entries are
-   [conv]erted from Rat: the structural coefficients, then a basic slack
-   on a [Le] row, or a basic artificial on a [Ge] row (after its surplus)
-   or an [Eq] row.  Returns how many artificials start basic. *)
-let lay_rows p ~lb ~conv ~one ~minus_one rows xb basis =
+let oriented_rel pr ~flip =
+  if not flip then pr.rel
+  else match pr.rel with Model.Le -> Model.Ge | Model.Ge -> Model.Le | Model.Eq -> Model.Eq
+
+(* Lay every oriented template row into a fresh tableau: the structural
+   coefficients blitted from the template row [src] picks (the +/- Rat
+   rows or their float copies), then a basic slack on a [Le] row, or a
+   basic artificial on a [Ge] row (after its surplus) or an [Eq] row,
+   and the [conv]erted |rhs| as the basic value.  Returns how many
+   artificials start basic. *)
+let lay_rows p ~rhs ~src ~conv ~one ~minus_one rows xb basis =
   let nart = ref 0 in
   Array.iteri
     (fun i pr ->
-      let src, rhs, rel = orient pr lb in
+      let flip = flipped rhs i in
       let row = rows.(i) in
-      for j = 0 to p.nv - 1 do
-        row.(j) <- conv src.(j)
-      done;
-      (match rel with
+      Array.blit (src pr flip) 0 row 0 p.nv;
+      (match oriented_rel pr ~flip with
       | Model.Le ->
         row.(pr.slack) <- one;
         basis.(i) <- pr.slack
@@ -168,7 +183,7 @@ let lay_rows p ~lb ~conv ~one ~minus_one rows xb basis =
         row.(pr.art) <- one;
         basis.(i) <- pr.art;
         incr nart);
-      xb.(i) <- conv rhs)
+      xb.(i) <- conv (Rat.abs rhs.(i)))
     p.prows;
   !nart
 
@@ -354,7 +369,7 @@ let boptimize tab ~allowed =
 
 (* The exact two-phase solve of one node whose bounds passed
    [node_bounds] without a conflict. *)
-let solve_exact p ~lb ~shifted_ub ~max_pivots =
+let solve_exact p ~lb ~rhs ~shifted_ub ~max_pivots =
   let nv = p.nv in
   let m0 = Array.length p.prows in
   let ncols = p.pncols in
@@ -374,8 +389,9 @@ let solve_exact p ~lb ~shifted_ub ~max_pivots =
   Array.blit shifted_ub 0 tab.bubs 0 nv;
   let fixed = is_fixed shifted_ub nv in
   let nart_basic =
-    lay_rows p ~lb ~conv:Fun.id ~one:Rat.one ~minus_one:Rat.minus_one tab.brows tab.bxb
-      tab.bbasis
+    lay_rows p ~rhs
+      ~src:(fun pr flip -> if flip then pr.neg else pr.coeffs)
+      ~conv:Fun.id ~one:Rat.one ~minus_one:Rat.minus_one tab.brows tab.bxb tab.bbasis
   in
   (* Phase 1: minimize the sum of artificials (cost 1 each, priced out
      over the initial basis so basic artificials start at reduced cost
@@ -473,28 +489,38 @@ let solve_exact p ~lb ~shifted_ub ~max_pivots =
 
 let solve_prepared ?bounds ?(max_pivots = 2_000_000) p =
   let lb, shifted_ub, conflict = node_bounds p bounds in
-  if conflict then Infeasible else solve_exact p ~lb ~shifted_ub ~max_pivots
+  if conflict then Infeasible
+  else solve_exact p ~lb ~rhs:(shifted_rhs p lb) ~shifted_ub ~max_pivots
 
 (* ================================================================== *)
-(* Float-first path: double-precision simplex proposes a basis, exact  *)
-(* rational linear algebra certifies it.                               *)
+(* Float-first path: double-precision simplex proposes, exact rational *)
+(* arithmetic checks.                                                  *)
 (*                                                                     *)
 (* The float tableau is a structural mirror of the bounded-variable    *)
 (* solver above (same column layout, same sign normalization, same     *)
 (* two-phase structure) but runs in doubles with epsilon tolerances.   *)
-(* Nothing it computes is trusted: the only thing taken from it is the *)
-(* final basis (one column per row plus the at-upper flags), and that  *)
-(* basis is re-checked from scratch in Rat.t — basic values via an     *)
-(* exact LU solve of B x_B = b_eff, reduced costs via B^T y = c_B.     *)
-(* Any violation, numerical failure, or float-claimed infeasibility /  *)
-(* unboundedness routes to the exact solver, so results are exact      *)
-(* regardless of floating-point behaviour.                             *)
+(* Nothing it computes is trusted: the only things taken from it are   *)
+(* its final basis (one column per row plus the at-upper flags) and,   *)
+(* when it claims infeasibility, which basic columns carry the claim.  *)
+(* Both are re-checked from scratch in Rat.t on the basis's structural *)
+(* block: an optimal basis by its exact primal and dual feasibility, an *)
+(* infeasibility claim by a Farkas ray.  A failed check, a numerical   *)
+(* failure or a float-claimed unboundedness routes to the exact       *)
+(* solver, so results are exact regardless of floating-point behaviour. *)
 (* ================================================================== *)
 
 type basis = {
   bcols : int array; (* basic column of each template row *)
   bupper : bool array; (* per-column nonbasic-at-upper-bound flags *)
 }
+
+(* A float infeasibility claim: a basis and one cost per basic column,
+   whose multipliers y = B^-T cost are the candidate Farkas ray.  The
+   dual simplex's unrepairable row puts cost 1 on that row's basic
+   column (y is then the row of B^-1); a phase 1 that ends infeasible
+   puts cost 1 on every artificial, its own objective (y is then its
+   final duals). *)
+type claim = { claim_cols : int array; claim_cost : Rat.t array }
 
 (* Any situation the float path does not model (redundant rows that the
    exact path would drop, singular warm bases, iteration exhaustion,
@@ -728,7 +754,7 @@ let fdual tab ~allowed =
           end
         end
       done;
-      if !best < 0 then `Infeasible (* dual unbounded: no primal solution *)
+      if !best < 0 then `Infeasible r (* dual unbounded: no primal solution *)
       else begin
         let e = !best in
         let from_upper = tab.fupper.(e) in
@@ -769,10 +795,10 @@ let fdual tab ~allowed =
   in
   step ()
 
-(* Build the float tableau in the exact path's orientation ([orient]
-   works in Rat before anything is converted, so the orientation
-   decision can never disagree with the exact path). *)
-let build_ftab p ~lb ~shifted_ub ~max_iters =
+(* Build the float tableau in the exact path's orientation ([flipped]
+   decides it in Rat, so it can never disagree with the exact path),
+   its rows blitted from the template's float rows. *)
+let build_ftab p ~rhs ~shifted_ub ~max_iters =
   let ncols = p.pncols in
   let m0 = Array.length p.prows in
   let tab =
@@ -792,7 +818,9 @@ let build_ftab p ~lb ~shifted_ub ~max_iters =
     (fun j u -> match u with Some u -> tab.fubs.(j) <- Rat.to_float u | None -> ())
     shifted_ub;
   let nart_basic =
-    lay_rows p ~lb ~conv:Rat.to_float ~one:1. ~minus_one:(-1.) tab.frows tab.fxb tab.fbasis
+    lay_rows p ~rhs
+      ~src:(fun pr flip -> if flip then pr.fneg else pr.fcoeffs)
+      ~conv:Rat.to_float ~one:1. ~minus_one:(-1.) tab.frows tab.fxb tab.fbasis
   in
   (tab, nart_basic)
 
@@ -815,11 +843,12 @@ let fextract_basis tab =
 
 (* Cold float solve: two-phase, mirroring [solve_exact], including its
    exchange of basic artificials after phase 1.  Returns the proposed
-   optimal basis or an (untrusted) infeasible/unbounded claim.  A row
-   with no entry above [f_piv_eps] gives up instead of being dropped:
-   certification needs one basic column per template row. *)
-let fsolve_cold p ~lb ~shifted_ub ~max_iters =
-  let tab, nart_basic = build_ftab p ~lb ~shifted_ub ~max_iters in
+   optimal basis or an (untrusted) infeasible/unbounded claim; an
+   infeasible one carries the final phase-1 basis.  A row with no entry
+   above [f_piv_eps] gives up instead of being dropped: certification
+   needs one basic column per template row. *)
+let fsolve_cold p ~rhs ~shifted_ub ~max_iters =
+  let tab, nart_basic = build_ftab p ~rhs ~shifted_ub ~max_iters in
   let fixed = is_fixed shifted_ub p.nv in
   let feasible =
     if nart_basic = 0 then true
@@ -846,7 +875,13 @@ let fsolve_cold p ~lb ~shifted_ub ~max_iters =
       !infeas <= f_feas_eps
     end
   in
-  if not feasible then `Infeasible
+  if not feasible then
+    `Infeasible
+      {
+        claim_cols = Array.copy tab.fbasis;
+        claim_cost =
+          Array.map (fun c -> if c >= p.part_start then Rat.one else Rat.zero) tab.fbasis;
+      }
   else begin
     if nart_basic > 0 then
       Array.iteri
@@ -876,11 +911,11 @@ let fsolve_cold p ~lb ~shifted_ub ~max_iters =
    branching bound change), fold the at-upper contributions into the rhs,
    run the dual simplex until primal feasible, then finish with the
    primal phase.  Phase 1 is skipped entirely. *)
-let fsolve_warm p warm ~lb ~shifted_ub ~max_iters =
+let fsolve_warm p warm ~rhs ~shifted_ub ~max_iters =
   let m0 = Array.length p.prows in
   if Array.length warm.bcols <> m0 then raise Float_give_up;
   Array.iter (fun c -> if c < 0 || c >= p.part_start then raise Float_give_up) warm.bcols;
-  let tab, _ = build_ftab p ~lb ~shifted_ub ~max_iters in
+  let tab, _ = build_ftab p ~rhs ~shifted_ub ~max_iters in
   (* The warm basis uses only structural/slack columns (checked above),
      so the artificial block is dead weight from the start. *)
   tab.fncols <- p.part_start;
@@ -924,22 +959,26 @@ let fsolve_warm p warm ~lb ~shifted_ub ~max_iters =
   finstall_objective p tab;
   let allowed j = j < p.part_start && not (fixed j) in
   match fdual tab ~allowed with
-  | `Infeasible -> `Infeasible
+  | `Infeasible r ->
+    `Infeasible
+      {
+        claim_cols = Array.copy tab.fbasis;
+        claim_cost = Array.init m0 (fun k -> if k = r then Rat.one else Rat.zero);
+      }
   | `Feasible -> (
     match foptimize tab ~allowed with
     | `Unbounded -> `Unbounded
     | `Optimal -> `Basis (fextract_basis tab, tab.fiters))
 
 (* ------------------------------------------------------------------ *)
-(* Exact certification of a proposed basis.                            *)
+(* Exact certificates on the basis's structural block.                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Dense LU with partial pivoting over Rat, preferring +/-1 pivots (the
-   basis matrix is dominated by unit slack columns, so most elimination
-   steps are exact unit pivots with no fraction growth).  Returns the
-   row permutation, or None when the matrix is singular.  The factors
-   overwrite [a]: L below the diagonal (unit diagonal implicit), U on
-   and above. *)
+(* Dense LU with partial pivoting over Rat, preferring +/-1 pivots (a
+   unit pivot divides nothing, so it adds no fraction growth).  Returns
+   the row permutation, or None when the matrix is singular.  The
+   factors overwrite [a]: L below the diagonal (unit diagonal implicit),
+   U on and above. *)
 let lu_factor a =
   let m = Array.length a in
   let perm = Array.init m (fun i -> i) in
@@ -1027,118 +1066,221 @@ let lu_solve_transpose a perm c =
   Array.iteri (fun k wk -> y.(perm.(k)) <- wk) w;
   y
 
-(* Certify a proposed basis against the CANONICAL (un-negated) row
-   orientation: row negation in the solvers multiplies an entire
-   equation by -1, which changes neither its solution set nor which
-   column sets form a nonsingular basis, so certification is
-   representation-independent.  Checks, all in exact arithmetic:
-   - B nonsingular (LU succeeds);
-   - primal: 0 <= x_B <= ub for x_B = B^-1 b_eff, where b_eff folds the
-     exact lower-bound shift and the nonbasic-at-upper contributions;
-   - dual: reduced costs d_j = c_j - y.A_j (y = B^-T c_B) are >= 0 at
-     lower bound and <= 0 at upper bound for every priceable column.
-   Passing both proves the basis optimal for the minimized objective, so
-   the reconstructed rational solution is exactly optimal. *)
-let certify p ~lb ~shifted_ub ~basis =
-  let nv = p.nv in
+(* A slack or artificial column is a unit column: its one entry (+/-1)
+   sits in its own row.  Let S be the rows whose unit column is basic, R
+   the others and C the basic structural columns (|C| = |R|).  Ordering
+   S first puts B in the block form [[U, A_SC]; [0, A_RC]] with U a
+   signed identity, so det B = +/-det A_RC; B x = b solves A_RC x_C = b_R
+   and reads each unit column's value off its own row; and B^T y = c
+   sets y_i = c_k * entry for the unit column k of row i in S, then
+   solves A_RC^T y_R = c_C - A_SC^T y_S.  [block] is A_RC factored: one
+   row per tight row, not one per model row. *)
+type block = {
+  unit_pos : int array; (* per template row: basis position of its unit column, or -1 *)
+  unit_coef : Rat.t array; (* per template row: that column's entry, template orientation *)
+  rows : int array; (* R *)
+  cols : int array; (* basis positions of the structural columns, C *)
+  lu : Rat.t array array; (* A_RC, factored *)
+  perm : int array;
+}
+
+(* Factor the structural block of basis [bcols]; None when some row holds
+   two unit columns or A_RC is singular, i.e. when B is singular.  An
+   artificial column is +1 on its row as laid, so its template-orientation
+   entry depends on the node's [rhs]; on a row laid as [Le] it is empty. *)
+let factor_block p ~rhs bcols =
   let m0 = Array.length p.prows in
-  if Array.length basis.bcols <> m0 then None
+  let unit_pos = Array.make m0 (-1) and unit_coef = Array.make m0 Rat.zero in
+  let ok = ref (Array.length bcols = m0) and cols = ref [] in
+  Array.iteri
+    (fun k c ->
+      if c < 0 || c >= p.pncols then ok := false
+      else if c < p.nv then cols := k :: !cols
+      else begin
+        let i = if c < p.part_start then p.slack_row.(c - p.nv) else c - p.part_start in
+        let pr = p.prows.(i) in
+        let flip = flipped rhs i in
+        let coef =
+          if c < p.part_start then if pr.rel = Model.Ge then Rat.minus_one else Rat.one
+          else if oriented_rel pr ~flip = Model.Le then Rat.zero
+          else if flip then Rat.minus_one
+          else Rat.one
+        in
+        if unit_pos.(i) >= 0 || Rat.is_zero coef then ok := false
+        else begin
+          unit_pos.(i) <- k;
+          unit_coef.(i) <- coef
+        end
+      end)
+    bcols;
+  if not !ok then None
   else begin
-    let ok = ref true in
-    let is_basic = Array.make p.pncols false in
-    Array.iter
-      (fun c ->
-        if c < 0 || c >= p.part_start || is_basic.(c) then ok := false
-        else is_basic.(c) <- true)
-      basis.bcols;
-    if not !ok then None
-    else begin
+    let rows = List.filter (fun i -> unit_pos.(i) < 0) (List.init m0 Fun.id) in
+    let rows = Array.of_list rows and cols = Array.of_list (List.rev !cols) in
+    let lu = Array.map (fun i -> Array.map (fun k -> p.prows.(i).coeffs.(bcols.(k))) cols) rows in
+    match lu_factor lu with
+    | None -> None
+    | Some perm -> Some { unit_pos; unit_coef; rows; cols; lu; perm }
+  end
+
+(* Accumulate [scale * row i] into [acc] through row i's sparse terms. *)
+let add_row p acc scale i =
+  List.iter (fun (v, a) -> acc.(v) <- Rat.add acc.(v) (Rat.mul scale a)) p.prows.(i).terms
+
+(* The multipliers y (one per template row) with B^T y = [cost], one
+   cost per basis position. *)
+let block_dual p blk bcols cost =
+  let y = Array.make (Array.length p.prows) Rat.zero in
+  Array.iteri
+    (fun i k -> if k >= 0 then y.(i) <- Rat.mul cost.(k) blk.unit_coef.(i))
+    blk.unit_pos;
+  let c_c = Array.map (fun k -> cost.(k)) blk.cols in
+  if Array.exists (fun v -> not (Rat.is_zero v)) y then begin
+    let paid = Array.make p.nv Rat.zero in
+    Array.iteri (fun i yi -> if not (Rat.is_zero yi) then add_row p paid yi i) y;
+    Array.iteri (fun b k -> c_c.(b) <- Rat.sub c_c.(b) paid.(bcols.(k))) blk.cols
+  end;
+  let y_r = lu_solve_transpose blk.lu blk.perm c_c in
+  Array.iteri (fun a i -> y.(i) <- y_r.(a)) blk.rows;
+  y
+
+(* Certify a proposed basis against the template (un-negated) row
+   orientation: negating a row multiplies an entire equation by -1,
+   which changes neither its solution set nor which column sets form a
+   nonsingular basis, so certification is representation-independent.
+   Checks, all in exact arithmetic on the structural block:
+   - B nonsingular (A_RC factors);
+   - primal: 0 <= x_B <= ub, where x_C solves A_RC x_C = b_R less the
+     nonbasic-at-upper contributions and each basic slack is its row's
+     residual, summed over the row's sparse terms;
+   - dual: reduced costs d_j = c_j - y.A_j (y = B^-T c_B, zero on every
+     row whose slack is basic) are >= 0 at lower bound and <= 0 at upper
+     bound for every priceable column, priced through the rows where y
+     is non-zero.
+   B is nonsingular, so x_B and y are the unique values a full m x m
+   solve would give.  Passing both checks proves the basis optimal for
+   the minimized objective, so the reconstructed rational solution is
+   exactly optimal. *)
+let certify p ~lb ~rhs ~shifted_ub ~basis =
+  let nv = p.nv in
+  let bcols = basis.bcols in
+  if Array.exists (fun c -> c >= p.part_start) bcols then None
+  else
+    match factor_block p ~rhs bcols with
+    | None -> None
+    | Some blk ->
       let fixed = is_fixed shifted_ub nv in
-      let slack_row = Array.make p.pncols (-1) in
-      Array.iteri (fun i pr -> if pr.slack >= 0 then slack_row.(pr.slack) <- i) p.prows;
-      let entry i j =
-        if j < nv then p.prows.(i).coeffs.(j)
-        else if slack_row.(j) = i then
-          match p.prows.(i).rel with
-          | Model.Le -> Rat.one
-          | Model.Ge -> Rat.minus_one
-          | Model.Eq -> Rat.zero
-        else Rat.zero
-      in
+      let is_basic = Array.make p.part_start false in
+      Array.iter (fun c -> is_basic.(c) <- true) bcols;
       let at_up j =
         j < nv
         && basis.bupper.(j)
         && (not is_basic.(j))
         && match shifted_ub.(j) with Some u -> not (Rat.is_zero u) | None -> false
       in
-      let bmat = Array.init m0 (fun i -> Array.init m0 (fun k -> entry i basis.bcols.(k))) in
-      match lu_factor bmat with
-      | None -> None
-      | Some perm ->
-        let b_eff =
-          Array.init m0 (fun i ->
-              let pr = p.prows.(i) in
-              List.fold_left
-                (fun acc (v, c) ->
-                  let acc =
-                    if Rat.is_zero lb.(v) then acc else Rat.sub acc (Rat.mul c lb.(v))
-                  in
-                  if at_up v then Rat.sub acc (Rat.mul c (Option.get shifted_ub.(v))) else acc)
-                pr.rhs pr.terms)
+      (* x: every structural value over x - lb, basic ones filled below. *)
+      let x = Array.init nv (fun j -> if at_up j then Option.get shifted_ub.(j) else Rat.zero) in
+      let b_r =
+        Array.map
+          (fun i ->
+            List.fold_left
+              (fun acc (v, a) -> if at_up v then Rat.sub acc (Rat.mul a x.(v)) else acc)
+              rhs.(i) p.prows.(i).terms)
+          blk.rows
+      in
+      let x_c = lu_solve blk.lu blk.perm b_r in
+      Array.iteri (fun b k -> x.(bcols.(k)) <- x_c.(b)) blk.cols;
+      let in_box b v =
+        Rat.sign v >= 0
+        &&
+        match shifted_ub.(bcols.(blk.cols.(b))) with
+        | Some u -> Rat.compare v u <= 0
+        | None -> true
+      in
+      let slack_ok i k =
+        k < 0
+        ||
+        let residual =
+          List.fold_left
+            (fun acc (v, a) -> if Rat.is_zero x.(v) then acc else Rat.sub acc (Rat.mul a x.(v)))
+            rhs.(i) p.prows.(i).terms
         in
-        let x_b = lu_solve bmat perm b_eff in
-        let primal_ok = ref true in
+        Rat.sign residual * Rat.sign blk.unit_coef.(i) >= 0
+      in
+      let primal_ok = ref true in
+      Array.iteri (fun b v -> if not (in_box b v) then primal_ok := false) x_c;
+      Array.iteri (fun i k -> if not (slack_ok i k) then primal_ok := false) blk.unit_pos;
+      if not !primal_ok then None
+      else begin
+        let c_b = Array.map (fun c -> if c < nv then p.cost.(c) else Rat.zero) bcols in
+        let y = block_dual p blk bcols c_b in
+        let priced j = (not is_basic.(j)) && not (fixed j) in
+        let d = Array.copy p.cost in
         Array.iteri
-          (fun k x ->
-            if Rat.sign x < 0 then primal_ok := false
-            else begin
-              let c = basis.bcols.(k) in
-              if c < nv then
-                match shifted_ub.(c) with
-                | Some u -> if Rat.compare x u > 0 then primal_ok := false
-                | None -> ()
-            end)
-          x_b;
-        if not !primal_ok then None
-        else begin
-          let cost j = if j < nv then p.cost.(j) else Rat.zero in
-          let c_b = Array.map cost basis.bcols in
-          let y = lu_solve_transpose bmat perm c_b in
-          let dual_ok = ref true in
-          let j = ref 0 in
-          while !dual_ok && !j < p.part_start do
-            let jc = !j in
-            if (not is_basic.(jc)) && not (fixed jc) then begin
-              let d = ref (cost jc) in
-              for i = 0 to m0 - 1 do
-                if not (Rat.is_zero y.(i)) then begin
-                  let a = entry i jc in
-                  if not (Rat.is_zero a) then d := Rat.sub !d (Rat.mul y.(i) a)
-                end
-              done;
-              let s = Rat.sign !d in
-              if at_up jc then begin
-                if s > 0 then dual_ok := false
-              end
-              else if s < 0 then dual_ok := false
-            end;
-            incr j
-          done;
-          if not !dual_ok then None
-          else begin
-            let values =
-              Array.init nv (fun v ->
-                  if at_up v then Rat.add lb.(v) (Option.get shifted_ub.(v)) else lb.(v))
-            in
-            Array.iteri
-              (fun k col -> if col < nv then values.(col) <- Rat.add lb.(col) x_b.(k))
-              basis.bcols;
-            let objective = Linear.eval (snd (Model.objective p.model)) (fun v -> values.(v)) in
-            Some { objective; values; pivots = 0 }
+          (fun i yi ->
+            if not (Rat.is_zero yi) then
+              List.iter
+                (fun (v, a) -> if priced v then d.(v) <- Rat.sub d.(v) (Rat.mul yi a))
+                p.prows.(i).terms)
+          y;
+        let dual_ok = ref true in
+        for j = 0 to nv - 1 do
+          if priced j then begin
+            let s = Rat.sign d.(j) in
+            if (at_up j && s > 0) || ((not (at_up j)) && s < 0) then dual_ok := false
           end
+        done;
+        (* A nonbasic slack sits at 0 with reduced cost -(entry * y_i). *)
+        Array.iteri
+          (fun i pr ->
+            if pr.slack >= 0 && (not is_basic.(pr.slack)) && not (Rat.is_zero y.(i)) then begin
+              let entry = if pr.rel = Model.Ge then -1 else 1 in
+              if Rat.sign y.(i) * entry > 0 then dual_ok := false
+            end)
+          p.prows;
+        if not !dual_ok then None
+        else begin
+          let values = Array.mapi (fun v xv -> Rat.add lb.(v) xv) x in
+          let objective = Linear.eval (snd (Model.objective p.model)) (fun v -> values.(v)) in
+          Some { objective; values; pivots = 0 }
         end
-    end
-  end
+      end
+
+(* Prove a float infeasibility claim.  The claim names a basis and one
+   cost per basic column; y = B^-T cost is a candidate Farkas ray.  Every
+   feasible point satisfies y.A x' + y.S s = y.b', where b' is [rhs], x'
+   = x - lb lies in the node's box [0, ub - lb] and every slack s >= 0.
+   So when beta = y.b' lies outside [min, max] of alpha = y.[A S] over
+   that box, no point is feasible.  The ray is sound whatever y is: the
+   basis only proposes it, and a wrong one just fails the check. *)
+let farkas p ~rhs ~shifted_ub claim =
+  match factor_block p ~rhs claim.claim_cols with
+  | None -> false
+  | Some blk ->
+    let y = block_dual p blk claim.claim_cols claim.claim_cost in
+    let alpha = Array.make p.nv Rat.zero in
+    let beta = ref Rat.zero in
+    (* Each end of the range; None once it is unbounded. *)
+    let lo = ref (Some Rat.zero) and hi = ref (Some Rat.zero) in
+    let widen a u =
+      let s = Rat.sign a in
+      let grow e = match (e, u) with Some e, Some u -> Some (Rat.add e (Rat.mul a u)) | _ -> None in
+      if s > 0 then hi := grow !hi else if s < 0 then lo := grow !lo
+    in
+    Array.iteri
+      (fun i yi ->
+        if not (Rat.is_zero yi) then begin
+          beta := Rat.add !beta (Rat.mul yi rhs.(i));
+          add_row p alpha yi i;
+          match p.prows.(i).rel with
+          | Model.Le -> widen yi None
+          | Model.Ge -> widen (Rat.neg yi) None
+          | Model.Eq -> ()
+        end)
+      y;
+    Array.iteri (fun j a -> widen a shifted_ub.(j)) alpha;
+    (match !lo with Some l -> Rat.compare !beta l < 0 | None -> false)
+    || match !hi with Some h -> Rat.compare !beta h > 0 | None -> false
 
 type float_first_outcome = {
   ff_result : result;
@@ -1155,25 +1297,32 @@ let solve_float_first ?bounds ?warm ?(max_pivots = 2_000_000) p =
   let lb, shifted_ub, conflict = node_bounds p bounds in
   if conflict then { ff_result = Infeasible; ff_basis = None; ff_certified = true }
   else begin
+    let rhs = shifted_rhs p lb in
     let fallback () =
-      { ff_result = solve_exact p ~lb ~shifted_ub ~max_pivots; ff_basis = None; ff_certified = false }
+      {
+        ff_result = solve_exact p ~lb ~rhs ~shifted_ub ~max_pivots;
+        ff_basis = None;
+        ff_certified = false;
+      }
     in
     let fmax = min max_pivots float_iter_cap in
     let attempt () =
       match warm with
       | Some w -> (
-        try fsolve_warm p w ~lb ~shifted_ub ~max_iters:fmax
-        with Float_give_up -> fsolve_cold p ~lb ~shifted_ub ~max_iters:fmax)
-      | None -> fsolve_cold p ~lb ~shifted_ub ~max_iters:fmax
+        try fsolve_warm p w ~rhs ~shifted_ub ~max_iters:fmax
+        with Float_give_up -> fsolve_cold p ~rhs ~shifted_ub ~max_iters:fmax)
+      | None -> fsolve_cold p ~rhs ~shifted_ub ~max_iters:fmax
     in
     match attempt () with
     | exception Float_give_up -> fallback ()
-    | `Infeasible | `Unbounded ->
-      (* Float claims of infeasibility/unboundedness carry no certificate:
-         re-derive the verdict exactly. *)
+    | `Infeasible claim when farkas p ~rhs ~shifted_ub claim ->
+      { ff_result = Infeasible; ff_basis = None; ff_certified = true }
+    | `Infeasible _ | `Unbounded ->
+      (* An unproven infeasibility claim, or an unboundedness claim (no
+         certificate is checked for it): re-derive the verdict exactly. *)
       fallback ()
     | `Basis (b, fiters) -> (
-      match certify p ~lb ~shifted_ub ~basis:b with
+      match certify p ~lb ~rhs ~shifted_ub ~basis:b with
       | Some sol ->
         {
           ff_result = Optimal { sol with pivots = fiters };

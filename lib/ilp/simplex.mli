@@ -19,9 +19,13 @@
        degenerate exchange: no value moves.}
     {- {!solve_float_first} — the route {!Branch_bound} and every other
        solve in the library take.  The same bounded-variable simplex runs
-       in double precision and proposes a basis; exact rational algebra
-       certifies it, and {!solve_prepared}'s exact run re-solves any node
-       it cannot certify.}}
+       in double precision and proposes a basis, or claims infeasibility;
+       exact rational algebra checks the proposal on the basis's
+       structural block (the basic structural columns on the rows whose
+       slack is nonbasic), an optimal basis by its primal and dual
+       feasibility and an infeasibility claim by a Farkas ray, and
+       {!solve_prepared}'s exact run re-solves any node whose check
+       fails.}}
 
     All arithmetic that decides a result is exact
     ({!Tapa_cs_util.Rat}), so "optimal" means provably optimal — this
@@ -49,9 +53,10 @@ exception Pivot_limit
 
 type prepared
 (** Standard-form template of one model: row layout, slack/artificial
-    column indices, dense positive/negated coefficient rows, the sparse
-    terms needed to re-shift right-hand sides under new bounds, and the
-    minimized cost vector (exact and in doubles).
+    column indices, dense positive/negated coefficient rows (exact, and
+    in doubles for the float tableau to copy), the sparse terms needed
+    to re-shift right-hand sides under new bounds and to check
+    certificates, and the minimized cost vector (exact and in doubles).
     Immutable after {!prepare}; a single template may be shared by
     concurrent solves (every {!solve_prepared} call allocates its own
     working tableau). *)
@@ -93,9 +98,10 @@ type float_first_outcome = {
       (** the certified optimal basis; [None] on exact fallback (or when
           the node was decided by a bound conflict) *)
   ff_certified : bool;
-      (** [true] when the float proposal passed exact certification (or
-          the node was infeasible by an exact bound conflict); [false]
-          when the exact solver had to be consulted *)
+      (** [true] when the float proposal passed its exact check: an
+          optimal basis certified, or an infeasibility claim proven by a
+          Farkas ray (or the node was infeasible by an exact bound
+          conflict); [false] when the exact solver had to be consulted *)
 }
 
 val solve_float_first :
@@ -106,15 +112,29 @@ val solve_float_first :
   float_first_outcome
 (** Float-first solve with exact certification.  Runs the prepared
     bounded-variable simplex in double precision (warm-restarting from
-    [warm] with a dual simplex phase when given), then re-derives the
-    proposed basis's solution {e exactly}: basic values via a rational
-    LU solve of [B x_B = b], reduced costs via [B^T y = c_B].  If the
-    basis passes the exact primal and dual feasibility checks the
-    reconstructed rational solution is provably optimal and is returned
-    with [ff_certified = true].  On any violation — and on float claims
-    of infeasibility or unboundedness, which carry no certificate — the
-    node is re-solved by {!solve_prepared}'s exact run, so the result is
-    always exact; only [ff_certified] records that the fast path
-    missed.
+    [warm] with a dual simplex phase when given), then checks what it
+    proposes {e exactly}, on the structural block of its basis [B]: a
+    basic slack is a unit column, so [det B = +/-det A_RC] for the basic
+    structural columns [C] on the rows [R] whose slack is nonbasic.
+    {ul
+    {- An optimal basis: basic values solve [A_RC x_C = b_R], and each
+       basic slack is its row's residual; duals solve
+       [A_RC^T y_R = c_C], zero on every other row; reduced costs are
+       priced through the rows where [y] is non-zero.  These are the
+       unique values of [B x_B = b] and [B^T y = c_B].  If the basis
+       passes the exact primal and dual feasibility checks the
+       reconstructed rational solution is provably optimal and is
+       returned with [ff_certified = true].}
+    {- An infeasibility claim: the dual simplex's unrepairable row, or
+       a cold phase 1's final duals, give multipliers [y] solved over the
+       same block.  With [alpha = y^T A] and [beta = y^T b'] exact ([b']
+       the right-hand side after the lower-bound shift), [beta] outside
+       the range of [alpha . x'] over the node's box (slacks [>= 0])
+       proves the node infeasible: [Infeasible] with
+       [ff_certified = true].}}
+    On any failed check — and on float claims of unboundedness, which
+    carry no certificate — the node is re-solved by {!solve_prepared}'s
+    exact run, so the result is always exact; only [ff_certified]
+    records that the fast path missed.
     @raise Pivot_limit when the exact fallback exhausts [max_pivots]
     (the float attempt itself is capped separately and cheaply). *)

@@ -40,10 +40,14 @@ let add_mag a b =
   res
 
 let of_nonneg n =
-  let rec digits acc n =
-    if n = 0 then acc else digits (n land base_mask :: acc) (n lsr base_bits)
-  in
-  make 1 (Array.of_list (List.rev (digits [] n)))
+  (* One digit needs no list: every small-rational result is boxed here. *)
+  if n > 0 && n < base then { sign = 1; mag = [| n |] }
+  else begin
+    let rec digits acc n =
+      if n = 0 then acc else digits (n land base_mask :: acc) (n lsr base_bits)
+    in
+    make 1 (Array.of_list (List.rev (digits [] n)))
+  end
 
 let of_int n =
   if n = 0 then zero

@@ -42,6 +42,31 @@ let test_partition_infeasible () =
   let p = simple_problem ~cap:50 [ 60 ] in
   check bool "oversized item rejected" true (Partition.solve p = None)
 
+(* A NaN weight would leave first fit with no part whose key beats the
+   initial infinity, so every backend rejects non-finite weights up
+   front. *)
+let test_partition_non_finite_weights () =
+  let raises label msg p =
+    List.iter
+      (fun (backend, solve) ->
+        Alcotest.check_raises (label ^ " (" ^ backend ^ ")") (Invalid_argument msg) (fun () ->
+            ignore (solve p)))
+      [
+        ("heuristic", fun p -> Partition.solve ~strategy:Partition.Heuristic p);
+        ("auto", fun p -> Partition.solve p);
+        ("greedy", Partition.greedy);
+      ]
+  in
+  let edges = [ (0, 1, 1.0); (1, 2, Float.nan); (2, 3, 1.0) ] in
+  raises "NaN edge weight" "Partition: non-finite edge weight"
+    (simple_problem ~cap:100 ~edges [ 40; 40; 40; 40 ]);
+  raises "infinite edge weight" "Partition: non-finite edge weight"
+    (simple_problem ~cap:100 ~edges:[ (0, 1, Float.infinity) ] [ 40; 40; 40; 40 ]);
+  raises "NaN pull weight" "Partition: non-finite pull weight"
+    (simple_problem ~cap:100 ~pulls:[ (0, 1, Float.nan) ] [ 40; 40; 40; 40 ]);
+  raises "infinite pull weight" "Partition: non-finite pull weight"
+    (simple_problem ~cap:100 ~pulls:[ (3, 0, Float.neg_infinity) ] [ 40; 40; 40; 40 ])
+
 let test_partition_min_cut () =
   (* chain a-b-c-d with a heavy middle edge: optimal cut avoids it. *)
   let edges = [ (0, 1, 1.0); (1, 2, 100.0); (2, 3, 1.0) ] in
@@ -945,6 +970,7 @@ let () =
           Alcotest.test_case "distance metrics" `Quick test_partition_distance_metric_matters;
           Alcotest.test_case "grouped decomposition" `Quick test_partition_grouped_decomposition;
           Alcotest.test_case "fragment cache" `Quick test_fragment_cache;
+          Alcotest.test_case "non-finite weights rejected" `Quick test_partition_non_finite_weights;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_digest_renaming_invariant; prop_digest_mutation_sensitive ] );

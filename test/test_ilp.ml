@@ -365,6 +365,78 @@ let test_stuck_artificial_exchange () =
   Model.set_objective m Model.Minimize (Linear.of_terms [ (y, r 1); (x1, r 1) ]);
   check_lp "fixed column" m
 
+(* Infeasible LPs are settled by a Farkas ray checked exactly, not by an
+   exact re-solve, on both float routes: the dual simplex of a warm child
+   and a cold phase 1. *)
+let test_farkas_warm_child () =
+  (* x + y >= 3/2 over [0, 1]^2, min x + 2y: the root's basis has y
+     basic at 1/2.  Fixing x to 0 leaves y >= 3/2 > 1, and the dual
+     simplex finds no column to repair y's row. *)
+  let m = Model.create () in
+  let x = Model.add_var m Model.Continuous ~ub:(r 1) in
+  let y = Model.add_var m Model.Continuous ~ub:(r 1) in
+  Model.add_constraint m (Linear.of_terms [ (x, r 1); (y, r 1) ]) Model.Ge (Rat.of_ints 3 2);
+  Model.set_objective m Model.Minimize (Linear.of_terms [ (x, r 1); (y, r 2) ]);
+  let p = Simplex.prepare m in
+  let root = Simplex.solve_float_first p in
+  let warm =
+    match (root.Simplex.ff_result, root.Simplex.ff_basis) with
+    | Simplex.Optimal s, Some b ->
+      check rat "root optimum" (Rat.of_ints 2 1) s.objective;
+      b
+    | _ -> Alcotest.fail "root: expected a certified optimum"
+  in
+  let bounds = ([| r 0; r 0 |], [| Some (r 0); Some (r 1) |]) in
+  let ff = Simplex.solve_float_first ~bounds ~warm p in
+  check bool "child infeasible" true (ff.Simplex.ff_result = Simplex.Infeasible);
+  check bool "proven by the dual simplex's ray" true ff.Simplex.ff_certified;
+  check bool "oracle agrees" true (Lp_oracle.solve ~bounds m = Simplex.Infeasible)
+
+let test_farkas_phase1 () =
+  (* x + y >= 3 over [0, 1]^2: phase 1 ends with the artificial at 1. *)
+  let m = Model.create () in
+  let x = Model.add_var m Model.Continuous ~ub:(r 1) in
+  let y = Model.add_var m Model.Continuous ~ub:(r 1) in
+  Model.add_constraint m (Linear.of_terms [ (x, r 1); (y, r 1) ]) Model.Ge (r 3);
+  Model.set_objective m Model.Maximize (Linear.of_terms [ (x, r 1); (y, r 1) ]);
+  let ff = Simplex.solve_float_first (Simplex.prepare m) in
+  check bool "infeasible" true (ff.Simplex.ff_result = Simplex.Infeasible);
+  check bool "proven by phase 1's duals" true ff.Simplex.ff_certified
+
+let test_farkas_refuted_claim () =
+  (* x + 10^-9 z >= 1, x in [0, 1], z in [0, 10^9], min z.  The root
+     fixes z to 0, so its basis holds the row's surplus with x at its
+     upper bound.  The child fixes x to 0 and loosens z: the row is now
+     violated, and z, the only column that repairs it, has an entry
+     below the float pivot tolerance, so the dual simplex claims
+     infeasibility.  Its ray does not prove it (z = 10^9 is feasible),
+     and the exact re-solve returns that optimum. *)
+  let m = Model.create () in
+  let x = Model.add_var m Model.Continuous ~ub:(r 1) in
+  let z = Model.add_var m Model.Continuous ~ub:(r 1_000_000_000) in
+  Model.add_constraint m
+    (Linear.of_terms [ (x, r 1); (z, Rat.of_ints 1 1_000_000_000) ])
+    Model.Ge (r 1);
+  Model.set_objective m Model.Minimize (Linear.var z);
+  let p = Simplex.prepare m in
+  let root = Simplex.solve_float_first ~bounds:([| r 0; r 0 |], [| Some (r 1); Some (r 0) |]) p in
+  let warm =
+    match root.Simplex.ff_basis with
+    | Some b -> b
+    | None -> Alcotest.fail "root: expected a certified basis"
+  in
+  let bounds = ([| r 0; r 0 |], [| Some (r 0); Some (r 1_000_000_000) |]) in
+  let ff = Simplex.solve_float_first ~bounds ~warm p in
+  (match ff.Simplex.ff_result with
+  | Simplex.Optimal s ->
+    check rat "exact optimum" (r 1_000_000_000) s.objective;
+    check rat "z at its bound" (r 1_000_000_000) s.values.(z)
+  | _ -> Alcotest.fail "expected optimal");
+  check bool "claim not accepted" false ff.Simplex.ff_certified;
+  match Lp_oracle.solve ~bounds m with
+  | Simplex.Optimal s -> check rat "oracle agrees" (r 1_000_000_000) s.objective
+  | _ -> Alcotest.fail "oracle: expected optimal"
+
 (* ------------------------------------------------------------------ *)
 (* Branch and bound                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -659,6 +731,9 @@ let () =
           Alcotest.test_case "float-first adversarial infeasibility" `Quick
             test_float_first_adversarial_infeasible;
           Alcotest.test_case "stuck artificial exchange" `Quick test_stuck_artificial_exchange;
+          Alcotest.test_case "Farkas ray: warm child" `Quick test_farkas_warm_child;
+          Alcotest.test_case "Farkas ray: phase 1" `Quick test_farkas_phase1;
+          Alcotest.test_case "Farkas ray: refuted float claim" `Quick test_farkas_refuted_claim;
         ] );
       ( "branch_bound",
         [
