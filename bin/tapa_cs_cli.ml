@@ -16,24 +16,29 @@ open Tapa_cs_apps
 (* Shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let app_names = [ "stencil"; "pagerank"; "knn"; "cnn" ]
-
-(* Counts (FPGAs, boards, iterations, columns, dataset sizes) parse
-   through one converter: zero or a negative value is a usage error
-   (exit 124) instead of an exception from a generator or cluster
-   constructor. *)
-let positive_int =
+(* Integer flags parse through one converter: a value below its floor
+   is a usage error (exit 124) instead of an exception from a generator
+   or cluster constructor, or a value silently read as a default. *)
+let int_at_least floor ~expected =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n > 0 -> Ok n
-    | Ok n -> Error (`Msg (Printf.sprintf "expected a positive integer, got %d" n))
+    | Ok n when n >= floor -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "expected %s, got %d" expected n))
     | Error _ as e -> e
   in
   Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
 
+(* Counts: FPGAs, boards, iterations, columns, dataset sizes. *)
+let positive_int = int_at_least 1 ~expected:"a positive integer"
+
+(* Where 0 means "default" or "none": --jobs, --cluster-fpgas, retries. *)
+let non_negative_int = int_at_least 0 ~expected:"a non-negative integer"
+
 let app_arg =
-  let doc = "Benchmark application: " ^ String.concat ", " app_names ^ "." in
-  Arg.(required & opt (some (enum (List.map (fun a -> (a, a)) app_names))) None & info [ "app" ] ~doc)
+  let doc = "Benchmark application: " ^ String.concat ", " Catalog.apps ^ "." in
+  Arg.(required
+       & opt (some (enum (List.map (fun a -> (a, a)) Catalog.apps))) None
+       & info [ "app" ] ~doc)
 
 let fpgas_arg =
   let doc = "Number of FPGAs the design is generated for." in
@@ -44,7 +49,7 @@ let cluster_fpgas_arg =
     "Physical cluster size; defaults to --fpgas.  A value larger than --fpgas leaves spare \
      devices — the headroom the --fail-fpga experiments degrade into."
   in
-  Arg.(value & opt int 0 & info [ "cluster-fpgas" ] ~doc)
+  Arg.(value & opt non_negative_int 0 & info [ "cluster-fpgas" ] ~doc)
 
 let iters_arg =
   let doc = "Stencil iterations (64-512)." in
@@ -68,6 +73,13 @@ let d_arg =
 let cols_arg =
   let doc = "CNN grid columns (grid is 13 x cols)." in
   Arg.(value & opt positive_int 8 & info [ "cols" ] ~doc)
+
+(* The design flags of every subcommand that builds an app, as the
+   catalog spec of [app].  Sweep sizes each point itself and passes a
+   constant [fpgas]; lint names its designs itself. *)
+let design ?(fpgas = fpgas_arg) app_term =
+  let spec app fpgas iters dataset n d cols = { Catalog.app; fpgas; iters; dataset; n; d; cols } in
+  Term.(const spec $ app_term $ fpgas $ iters_arg $ dataset_arg $ n_arg $ d_arg $ cols_arg)
 
 let flow_arg =
   let doc = "Compilation flow: vitis, tapa, or tapa-cs." in
@@ -123,16 +135,22 @@ let threshold_arg =
   let doc = "Per-resource utilization threshold T of Eq. 1, in (0, 1]." in
   Arg.(value & opt fraction Constants.utilization_threshold & info [ "threshold" ] ~doc)
 
-let jobs_arg =
-  let doc =
+let jobs_arg doc = Arg.(value & opt non_negative_int 0 & info [ "jobs"; "j" ] ~doc)
+
+let compile_jobs_arg =
+  jobs_arg
     "Worker domains for the parallel compile stages (synthesis estimation and the per-FPGA \
      floorplan/HBM/pipelining/frequency tail). 0 selects the default: the TAPA_CS_JOBS \
      environment variable, else the recommended domain count. The compile result is identical \
      for every value; only wall-clock changes."
-  in
-  Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~doc)
 
 let effective_jobs jobs = if jobs <= 0 then Tapa_cs_util.Pool.default_jobs () else jobs
+
+(* Run [f] with a pool for [jobs] domains in all (the caller is one of
+   them), shut down afterwards. *)
+let with_pool jobs f =
+  let pool = if jobs > 1 then Some (Tapa_cs_util.Pool.create ~domains:(jobs - 1) ()) else None in
+  Fun.protect ~finally:(fun () -> Option.iter Tapa_cs_util.Pool.shutdown pool) (fun () -> f pool)
 
 (* The OS reason of a [Sys_error] about [path], which reads
    "<path>: <reason>". *)
@@ -189,19 +207,17 @@ let seed_arg =
   let doc = "Root seed for the floorplanner and every injected fault (bit-reproducible)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
-let cluster_size ~fpgas ~cluster_fpgas = if cluster_fpgas <= 0 then fpgas else cluster_fpgas
-
-(* The fault flags, checked against the cluster before any work: the
-   first malformed --fail-link spec, device index outside the cluster or
-   loss rate outside [0, 1) renders as its TCS308 registry diagnostic, so
-   no bad fault input reaches the compiler or the simulator. *)
-let make_fault_plan ~fpgas ~cluster_fpgas ~seed ~loss_rate ~fail_fpgas ~fail_links =
+(* The fault flags, checked against a [k]-device cluster before any
+   work: the first malformed --fail-link spec, device index outside the
+   cluster or loss rate outside [0, 1) renders as its TCS308 registry
+   diagnostic, so no bad fault input reaches the compiler or the
+   simulator. *)
+let make_fault_plan ~k ~seed ~loss_rate ~fail_fpgas ~fail_links =
   let reject flag spec reason =
     Error
       (Tapa_cs_analysis.Diagnostic.render
          [ Tapa_cs_analysis.Lint.fault_spec_error ~flag ~spec ~reason ])
   in
-  let k = cluster_size ~fpgas ~cluster_fpgas in
   let outside d = d < 0 || d >= k in
   let out_of_range = Printf.sprintf "device index outside the %d-device cluster (0..%d)" k (k - 1) in
   let rec links acc = function
@@ -223,37 +239,59 @@ let make_fault_plan ~fpgas ~cluster_fpgas ~seed ~loss_rate ~fail_fpgas ~fail_lin
     in
     Ok (if Tapa_cs_network.Fault.is_trivial plan then None else Some plan)
 
-let make_app app ~fpgas ~iters ~dataset ~n ~d ~cols =
-  match app with
-  | "stencil" -> Ok (Stencil.generate (Stencil.make_config ~iterations:iters ~fpgas ()))
-  | "pagerank" -> (
-    match Dataset.find dataset with
-    | Some ds -> Ok (Pagerank.generate (Pagerank.make_config ~dataset:ds ~fpgas ()))
-    | None -> Error (Printf.sprintf "unknown dataset %S (see Table 5)" dataset))
-  | "knn" -> Ok (Knn.generate (Knn.make_config ~n_points:n ~dims:d ~fpgas ()))
-  | "cnn" -> Ok (Cnn.generate (Cnn.make_config ~cols ~fpgas ()))
-  | other -> Error (Printf.sprintf "unknown app %S" other)
+(* What compile, simulate and analyze act on: the app, the board and
+   cluster it runs on, the fault plan and the compile options. *)
+type target = {
+  app : App.t;
+  board : unit -> Board.t;
+  cluster : Cluster.t;
+  options : Compiler.options;  (** the fault plan included *)
+}
 
-let compile_design ?(verify_static = false) app_t ~flow ~fpgas ~cluster_fpgas ~topology ~board
-    ~threshold ~jobs ~seed ~fault_plan =
-  let board = board_of_name board in
-  let k = cluster_size ~fpgas ~cluster_fpgas in
-  let options =
-    {
-      Compiler.default_options with
-      threshold;
-      jobs = effective_jobs jobs;
-      seed;
-      fault_plan;
-      verify_static;
-    }
+(* The target flags as one term, checked before any work: the app
+   through the catalog, the fault flags against the cluster.
+   [verify_static] is the flag, or a constant where a subcommand has
+   none. *)
+let target verify_static =
+  let check spec cluster_fpgas topology board threshold jobs seed loss_rate fail_fpgas fail_links
+      verify_static =
+    let ( let* ) = Result.bind in
+    let* app = Catalog.build spec in
+    let k = if cluster_fpgas = 0 then spec.Catalog.fpgas else cluster_fpgas in
+    let* fault_plan = make_fault_plan ~k ~seed ~loss_rate ~fail_fpgas ~fail_links in
+    let board = board_of_name board in
+    let options =
+      { Compiler.default_options with threshold; jobs = effective_jobs jobs; seed; fault_plan;
+        verify_static }
+    in
+    Ok { app; board; cluster = Cluster.make ~topology ~board k; options }
   in
-  match flow with
-  | `Vitis -> Flow.vitis ~board app_t.App.graph
-  | `Tapa -> Flow.tapa ~board ~options app_t.App.graph
-  | `Tapa_cs ->
-    let cluster = Cluster.make ~topology ~board k in
-    Flow.tapa_cs ~options ~cluster app_t.App.graph
+  Term.(const check $ design app_arg $ cluster_fpgas_arg $ topology_arg $ board_arg $ threshold_arg
+        $ compile_jobs_arg $ seed_arg $ loss_rate_arg $ fail_fpga_arg $ fail_link_arg
+        $ verify_static)
+
+(* Run [f] on a checked value, or print why it was refused (exit 1). *)
+let checked r f =
+  match r with
+  | Error e ->
+    prerr_endline e;
+    1
+  | Ok x -> f x
+
+(* Compile a target through [flow], then run [f] on the design. *)
+let compiled ~flow t f =
+  let graph = t.app.App.graph in
+  let result =
+    match flow with
+    | `Vitis -> Flow.vitis ~board:t.board graph
+    | `Tapa -> Flow.tapa ~board:t.board ~options:t.options graph
+    | `Tapa_cs -> Flow.tapa_cs ~options:t.options ~cluster:t.cluster graph
+  in
+  match result with
+  | Error e ->
+    Format.printf "compilation failed: %s@." e;
+    1
+  | Ok des -> f des
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
@@ -290,7 +328,7 @@ let sim_stat_rows () =
 let print_solver_stats ~json c =
   let s = Compiler.solver_stats c in
   let cache_hits, cache_misses = Tapa_cs_floorplan.Partition.cache_stats () in
-  let fs = Compiler.fragment_stats () in
+  let fs = Tapa_cs_floorplan.Partition.fragment_stats () in
   print_stat_rows ~json ~title:"solver statistics"
     (List.map
        (fun (f : Tapa_cs_ilp.Counters.field) -> (f.key, f.label, f.get s))
@@ -298,9 +336,9 @@ let print_solver_stats ~json c =
     @ [
         ("floorplan_cache_hits", "floorplan cache hits (process)", cache_hits);
         ("floorplan_cache_misses", "floorplan cache misses (process)", cache_misses);
-        ("frag_hits", "fragment cache hits (process)", fs.Compiler.frag_hits);
-        ("frag_misses", "fragment cache misses (process)", fs.Compiler.frag_misses);
-        ("groups_resolved", "subproblems re-solved (process)", fs.Compiler.groups_resolved);
+        ("frag_hits", "fragment cache hits (process)", fs.frag_hits);
+        ("frag_misses", "fragment cache misses (process)", fs.frag_misses);
+        ("groups_resolved", "subproblems re-solved (process)", fs.groups_resolved);
       ]
     @ sim_stat_rows ())
 
@@ -332,111 +370,71 @@ let verify_static_arg =
   Arg.(value & flag & info [ "verify-static" ] ~doc)
 
 let compile_cmd =
-  let run app fpgas cluster_fpgas iters dataset n d cols flow topology board threshold jobs seed
-      loss_rate fail_fpgas fail_links stats stats_json verify_static =
-    match make_app app ~fpgas ~iters ~dataset ~n ~d ~cols with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok a -> (
-      match make_fault_plan ~fpgas ~cluster_fpgas ~seed ~loss_rate ~fail_fpgas ~fail_links with
-      | Error e ->
-        prerr_endline e;
-        1
-      | Ok fault_plan -> (
-        Format.printf "%a@." App.pp a;
-        Option.iter
-          (fun p ->
-            List.iter (Format.printf "injecting: %s@.") (Tapa_cs_network.Fault.describe p))
-          fault_plan;
-        match
-          compile_design ~verify_static a ~flow ~fpgas ~cluster_fpgas ~topology ~board
-            ~threshold ~jobs ~seed ~fault_plan
-        with
-        | Error e ->
-          Format.printf "compilation failed: %s@." e;
-          1
-        | Ok des ->
-          Format.printf "flow %s: %.0f MHz (max slot utilization %s)@." des.Flow.label
-            des.Flow.freq_mhz
-            (Tapa_cs_util.Table.fmt_pct des.Flow.max_slot_util);
-          (match des.Flow.compiled with
-          | Some c ->
-            Format.printf "%a" Compiler.pp_summary c;
-            Format.printf "floorplanner runtimes: L1 %.2fs, L2 %.2fs@." c.Compiler.l1_runtime_s
-              c.Compiler.l2_runtime_s;
-            Format.printf "static bounds: %a@." Tapa_cs_analysis.Static_perf.pp c.Compiler.static;
-            if verify_static then
-              Format.printf "static verification: simulated latency inside the interval@.";
-            if stats then print_solver_stats ~json:stats_json c
-          | None ->
-            if stats then
-              Format.printf "no solver statistics: flow %s has no compile step@." des.Flow.label);
-          0))
+  let run target flow stats stats_json =
+    checked target @@ fun t ->
+    Format.printf "%a@." App.pp t.app;
+    Option.iter
+      (fun p -> List.iter (Format.printf "injecting: %s@.") (Tapa_cs_network.Fault.describe p))
+      t.options.Compiler.fault_plan;
+    compiled ~flow t @@ fun des ->
+    Format.printf "flow %s: %.0f MHz (max slot utilization %s)@." des.Flow.label des.Flow.freq_mhz
+      (Tapa_cs_util.Table.fmt_pct des.Flow.max_slot_util);
+    (match des.Flow.compiled with
+    | Some c ->
+      Format.printf "%a" Compiler.pp_summary c;
+      Format.printf "floorplanner runtimes: L1 %.2fs, L2 %.2fs@." c.Compiler.l1_runtime_s
+        c.Compiler.l2_runtime_s;
+      Format.printf "static bounds: %a@." Tapa_cs_analysis.Static_perf.pp c.Compiler.static;
+      if t.options.Compiler.verify_static then
+        Format.printf "static verification: simulated latency inside the interval@.";
+      if stats then print_solver_stats ~json:stats_json c
+    | None ->
+      if stats then
+        Format.printf "no solver statistics: flow %s has no compile step@." des.Flow.label);
+    0
   in
   let term =
-    Term.(const run $ app_arg $ fpgas_arg $ cluster_fpgas_arg $ iters_arg $ dataset_arg $ n_arg
-          $ d_arg $ cols_arg $ flow_arg $ topology_arg $ board_arg $ threshold_arg $ jobs_arg
-          $ seed_arg $ loss_rate_arg $ fail_fpga_arg $ fail_link_arg $ stats_arg $ stats_json_arg
-          $ verify_static_arg)
+    Term.(const run $ target verify_static_arg $ flow_arg $ stats_arg $ stats_json_arg)
   in
   Cmd.v (Cmd.info "compile" ~doc:"Run the seven-step TAPA-CS compile and print the floorplan.") term
 
 let simulate_cmd =
-  let run app fpgas cluster_fpgas iters dataset n d cols flow topology board threshold jobs seed
-      loss_rate fail_fpgas fail_links stats stats_json =
-    match make_app app ~fpgas ~iters ~dataset ~n ~d ~cols with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok a -> (
-      match make_fault_plan ~fpgas ~cluster_fpgas ~seed ~loss_rate ~fail_fpgas ~fail_links with
-      | Error e ->
-        prerr_endline e;
+  let run target flow stats stats_json =
+    checked target @@ fun t ->
+    compiled ~flow t @@ fun des ->
+    let faults =
+      Option.value t.options.Compiler.fault_plan ~default:Tapa_cs_network.Fault.no_faults
+    in
+    let outcome = Flow.simulate_outcome ~faults des in
+    let print_result (r : Tapa_cs_sim.Design_sim.result) =
+      Format.printf "flow %s on %d FPGA(s): %.0f MHz@." des.Flow.label t.app.App.fpgas
+        des.Flow.freq_mhz;
+      Format.printf "end-to-end latency: %.4f s (%d simulation events)@." r.latency_s r.events;
+      List.iter
+        (fun (l : Tapa_cs_sim.Design_sim.link_stat) ->
+          Format.printf "  link %d->%d: %s moved, busy %.2f ms@." l.src_fpga l.dst_fpga
+            (Tapa_cs_util.Table.fmt_bytes l.bytes)
+            (1e3 *. l.busy_s))
+        r.links
+    in
+    let code =
+      match outcome with
+      | Tapa_cs_sim.Design_sim.Completed r ->
+        print_result r;
+        Format.printf "status: Completed@.";
+        0
+      | Tapa_cs_sim.Design_sim.Degraded { result = r; reasons } ->
+        print_result r;
+        Format.printf "status: Degraded@.";
+        List.iter (Format.printf "  reason: %s@.") reasons;
+        0
+      | Tapa_cs_sim.Design_sim.Failed { fault; partial } ->
+        print_result partial;
+        Format.printf "status: Failed (%s)@." fault;
         1
-      | Ok fault_plan -> (
-        match
-          compile_design a ~flow ~fpgas ~cluster_fpgas ~topology ~board ~threshold ~jobs ~seed
-            ~fault_plan
-        with
-        | Error e ->
-          Format.printf "compilation failed: %s@." e;
-          1
-        | Ok des ->
-          let faults =
-            Option.value fault_plan ~default:Tapa_cs_network.Fault.no_faults
-          in
-          let outcome = Flow.simulate_outcome ~faults des in
-          let print_result (r : Tapa_cs_sim.Design_sim.result) =
-            Format.printf "flow %s on %d FPGA(s): %.0f MHz@." des.Flow.label fpgas
-              des.Flow.freq_mhz;
-            Format.printf "end-to-end latency: %.4f s (%d simulation events)@." r.latency_s
-              r.events;
-            List.iter
-              (fun (l : Tapa_cs_sim.Design_sim.link_stat) ->
-                Format.printf "  link %d->%d: %s moved, busy %.2f ms@." l.src_fpga l.dst_fpga
-                  (Tapa_cs_util.Table.fmt_bytes l.bytes)
-                  (1e3 *. l.busy_s))
-              r.links
-          in
-          let code =
-            match outcome with
-            | Tapa_cs_sim.Design_sim.Completed r ->
-              print_result r;
-              Format.printf "status: Completed@.";
-              0
-            | Tapa_cs_sim.Design_sim.Degraded { result = r; reasons } ->
-              print_result r;
-              Format.printf "status: Degraded@.";
-              List.iter (Format.printf "  reason: %s@.") reasons;
-              0
-            | Tapa_cs_sim.Design_sim.Failed { fault; partial } ->
-              print_result partial;
-              Format.printf "status: Failed (%s)@." fault;
-              1
-          in
-          if stats then print_sim_stats ~json:stats_json ();
-          code))
+    in
+    if stats then print_sim_stats ~json:stats_json ();
+    code
   in
   let sim_stats_arg =
     let doc =
@@ -445,10 +443,7 @@ let simulate_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc)
   in
   let term =
-    Term.(const run $ app_arg $ fpgas_arg $ cluster_fpgas_arg $ iters_arg $ dataset_arg $ n_arg
-          $ d_arg $ cols_arg $ flow_arg $ topology_arg $ board_arg $ threshold_arg $ jobs_arg
-          $ seed_arg $ loss_rate_arg $ fail_fpga_arg $ fail_link_arg $ sim_stats_arg
-          $ stats_json_arg)
+    Term.(const run $ target (Term.const false) $ flow_arg $ sim_stats_arg $ stats_json_arg)
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Compile and run the timed simulation, optionally under injected faults.") term
 
@@ -458,19 +453,18 @@ let sweep_cmd =
     Arg.(value & opt positive_int 4 & info [ "max-fpgas" ] ~doc)
   in
   let sweep_jobs_arg =
-    let doc =
+    jobs_arg
       "Worker domains for the simulation sweep (the compiled points simulate concurrently \
        through the parallel harness).  0 selects the default; results are byte-identical for \
        every value."
-    in
-    Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~doc)
   in
-  let run app max_fpgas iters dataset n d cols topology board threshold jobs seed stats =
+  let run (spec : Catalog.spec) max_fpgas topology board threshold jobs seed stats =
+    let app = spec.Catalog.app in
     let board = board_of_name board in
     let compiled =
       List.filter_map
         (fun k ->
-          match make_app app ~fpgas:k ~iters ~dataset ~n ~d ~cols with
+          match Catalog.build { spec with fpgas = k } with
           | Error e ->
             prerr_endline e;
             None
@@ -482,7 +476,7 @@ let sweep_cmd =
             match Flow.tapa_cs ~options ~cluster a.App.graph with
             | Error e -> Some (k, Error e)
             | Ok des -> Some (k, Ok { des with Flow.label = Printf.sprintf "%s@%d" app k })))
-        (List.init (max 1 max_fpgas) (fun i -> i + 1))
+        (List.init max_fpgas (fun i -> i + 1))
     in
     let designs = List.filter_map (fun (_, r) -> Result.to_option r) compiled in
     let outcomes = Flow.simulate_many ~jobs:(effective_jobs jobs) designs in
@@ -533,9 +527,8 @@ let sweep_cmd =
     0
   in
   let term =
-    Term.(const run $ app_arg $ max_fpgas_arg $ iters_arg $ dataset_arg $ n_arg $ d_arg
-          $ cols_arg $ topology_arg $ board_arg $ threshold_arg $ sweep_jobs_arg $ seed_arg
-          $ stats_arg)
+    Term.(const run $ design ~fpgas:(const 1) app_arg $ max_fpgas_arg $ topology_arg $ board_arg
+          $ threshold_arg $ sweep_jobs_arg $ seed_arg $ stats_arg)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -546,18 +539,12 @@ let sweep_cmd =
     term
 
 let dot_cmd =
-  let run app fpgas iters dataset n d cols =
-    match make_app app ~fpgas ~iters ~dataset ~n ~d ~cols with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok a ->
-      print_string (Taskgraph.to_dot a.App.graph);
-      0
+  let run spec =
+    checked (Catalog.build spec) @@ fun a ->
+    print_string (Taskgraph.to_dot a.App.graph);
+    0
   in
-  let term =
-    Term.(const run $ app_arg $ fpgas_arg $ iters_arg $ dataset_arg $ n_arg $ d_arg $ cols_arg)
-  in
+  let term = Term.(const run $ design app_arg) in
   Cmd.v (Cmd.info "dot" ~doc:"Print the task graph in Graphviz format (Fig. 9 style).") term
 
 let emit_cmd =
@@ -565,28 +552,21 @@ let emit_cmd =
     let doc = "Output directory for the CAD artifacts." in
     Arg.(value & opt string "tapa_cs_out" & info [ "out"; "o" ] ~doc)
   in
-  let run app fpgas iters dataset n d cols topology threshold jobs out =
-    match make_app app ~fpgas ~iters ~dataset ~n ~d ~cols with
+  let run spec topology threshold jobs out =
+    checked (Catalog.build spec) @@ fun a ->
+    let options = { Compiler.default_options with threshold; jobs = effective_jobs jobs } in
+    let cluster = Cluster.make ~topology ~board:Board.u55c spec.Catalog.fpgas in
+    match Compiler.compile ~options ~cluster a.App.graph with
     | Error e ->
-      prerr_endline e;
+      Format.printf "compilation failed: %s@." e;
       1
-    | Ok a -> (
-      let options =
-        { Compiler.default_options with threshold; jobs = effective_jobs jobs }
-      in
-      let cluster = Cluster.make ~topology ~board:Board.u55c fpgas in
-      match Compiler.compile ~options ~cluster a.App.graph with
-      | Error e ->
-        Format.printf "compilation failed: %s@." e;
-        1
-      | Ok c ->
-        Emit.write_all c ~dir:out;
-        Format.printf "wrote floorplan tcl, connectivity cfg and design_report.json to %s/@." out;
-        0)
+    | Ok c ->
+      Emit.write_all c ~dir:out;
+      Format.printf "wrote floorplan tcl, connectivity cfg and design_report.json to %s/@." out;
+      0
   in
   let term =
-    Term.(const run $ app_arg $ fpgas_arg $ iters_arg $ dataset_arg $ n_arg $ d_arg $ cols_arg
-          $ topology_arg $ threshold_arg $ jobs_arg $ out_arg)
+    Term.(const run $ design app_arg $ topology_arg $ threshold_arg $ compile_jobs_arg $ out_arg)
   in
   Cmd.v
     (Cmd.info "emit" ~doc:"Compile and write the Vitis-style CAD constraints (step 7 of §4.2).")
@@ -613,8 +593,7 @@ let autoscale_cmd =
     Arg.(value & flag & info [ "measured" ] ~doc)
   in
   let measured_jobs_arg =
-    let doc = "Worker domains for the --measured simulation sweep (0 = default)." in
-    Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~doc)
+    jobs_arg "Worker domains for the --measured simulation sweep (0 = default)."
   in
   let slo_ms_arg =
     let doc =
@@ -682,7 +661,7 @@ let autoscale_cmd =
     term
 
 let lint_cmd =
-  let lint_names = app_names @ [ "broken" ] in
+  let lint_names = Catalog.apps @ [ "broken" ] in
   let lint_app_arg =
     let doc =
       "Design to lint: " ^ String.concat ", " lint_names
@@ -720,46 +699,41 @@ let lint_cmd =
     in
     Arg.(value & opt int (-1) & info [ "max-warnings" ] ~doc ~docv:"N")
   in
-  let run app fpgas iters dataset n d cols topology threshold json only max_warnings =
+  let run app (spec : Catalog.spec) topology threshold json only max_warnings =
     let make = function
       | "broken" -> Ok (Broken.generate ())
-      | name -> make_app name ~fpgas ~iters ~dataset ~n ~d ~cols
+      | name -> Catalog.build { spec with app = name }
     in
-    let targets = match app with Some a -> [ a ] | None -> app_names in
+    let targets = match app with Some a -> [ a ] | None -> Catalog.apps in
+    let fpgas = spec.Catalog.fpgas in
     let cluster = Cluster.make ~topology ~board:Board.u55c fpgas in
     let warnings = ref 0 in
     let lint_one status name =
-      match make name with
-      | Error e ->
-        prerr_endline e;
-        1
-      | Ok a ->
-        let all = Tapa_cs_analysis.Lint.run_all ~threshold ~cluster a.App.graph in
-        let ds =
-          match only with
-          | None -> all
-          | Some sev ->
-            List.filter (fun d -> d.Tapa_cs_analysis.Diagnostic.severity = sev) all
-        in
-        let nerr = List.length (Tapa_cs_analysis.Diagnostic.errors ds) in
-        warnings :=
-          !warnings
-          + List.length
-              (List.filter
-                 (fun d -> d.Tapa_cs_analysis.Diagnostic.severity = Tapa_cs_analysis.Diagnostic.Warning)
-                 ds);
-        (* Exit code comes from the same filtered list in both modes; only
-           the rendering differs. *)
-        if json then begin
-          if ds <> [] then
-            print_endline (Tapa_cs_analysis.Diagnostic.render ~json:true ds)
-        end
-        else begin
-          Format.printf "== %s (%s) on %d x %s ==@." a.App.name a.App.variant fpgas
-            (Cluster.board cluster 0).Board.name;
-          print_string (Tapa_cs_analysis.Diagnostic.render ds)
-        end;
-        if nerr > 0 then 1 else status
+      checked (make name) @@ fun a ->
+      let all = Tapa_cs_analysis.Lint.run_all ~threshold ~cluster a.App.graph in
+      let ds =
+        match only with
+        | None -> all
+        | Some sev -> List.filter (fun d -> d.Tapa_cs_analysis.Diagnostic.severity = sev) all
+      in
+      let nerr = List.length (Tapa_cs_analysis.Diagnostic.errors ds) in
+      warnings :=
+        !warnings
+        + List.length
+            (List.filter
+               (fun d -> d.Tapa_cs_analysis.Diagnostic.severity = Tapa_cs_analysis.Diagnostic.Warning)
+               ds);
+      (* Exit code comes from the same filtered list in both modes; only
+         the rendering differs. *)
+      if json then begin
+        if ds <> [] then print_endline (Tapa_cs_analysis.Diagnostic.render ~json:true ds)
+      end
+      else begin
+        Format.printf "== %s (%s) on %d x %s ==@." a.App.name a.App.variant fpgas
+          (Cluster.board cluster 0).Board.name;
+        print_string (Tapa_cs_analysis.Diagnostic.render ds)
+      end;
+      if nerr > 0 then 1 else status
     in
     let status = List.fold_left lint_one 0 targets in
     if max_warnings >= 0 && !warnings > max_warnings then begin
@@ -770,8 +744,9 @@ let lint_cmd =
     else status
   in
   let term =
-    Term.(const run $ lint_app_arg $ fpgas_arg $ iters_arg $ dataset_arg $ n_arg $ d_arg
-          $ cols_arg $ topology_arg $ threshold_arg $ json_arg $ only_arg $ max_warnings_arg)
+    (* The design flags, for each design the optional --app names. *)
+    Term.(const run $ lint_app_arg $ design (const "") $ topology_arg $ threshold_arg $ json_arg
+          $ only_arg $ max_warnings_arg)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -788,59 +763,40 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run app fpgas cluster_fpgas iters dataset n d cols topology board threshold jobs seed
-      loss_rate fail_fpgas fail_links json verify_static =
-    match make_app app ~fpgas ~iters ~dataset ~n ~d ~cols with
-    | Error e ->
-      prerr_endline e;
+  let run target json =
+    checked target @@ fun t ->
+    compiled ~flow:`Tapa_cs t @@ fun des ->
+    match des.Flow.compiled with
+    | None ->
+      Format.printf "flow %s has no compile step to analyze@." des.Flow.label;
       1
-    | Ok a -> (
-      match make_fault_plan ~fpgas ~cluster_fpgas ~seed ~loss_rate ~fail_fpgas ~fail_links with
-      | Error e ->
-        prerr_endline e;
-        1
-      | Ok fault_plan -> (
-        match
-          compile_design ~verify_static a ~flow:`Tapa_cs ~fpgas ~cluster_fpgas ~topology ~board
-            ~threshold ~jobs ~seed ~fault_plan
-        with
-        | Error e ->
-          Format.printf "compilation failed: %s@." e;
-          1
-        | Ok des -> (
-          match des.Flow.compiled with
-          | None ->
-            Format.printf "flow %s has no compile step to analyze@." des.Flow.label;
-            1
-          | Some c ->
-            let module Static_perf = Tapa_cs_analysis.Static_perf in
-            let module Diagnostic = Tapa_cs_analysis.Diagnostic in
-            let s = c.Compiler.static in
-            let ds =
-              Diagnostic.sort
-                (Static_perf.depth_diagnostics ~graph:c.Compiler.graph s
-                @ Emit.verify_roundtrip c)
-            in
-            if json then begin
-              Format.printf
-                "{\"latency_lower_s\":%.9e,\"latency_upper_s\":%.9e,\"steady_ii_s\":%.9e,\"throughput_chunks_per_s\":%.9e}@."
-                s.Static_perf.latency_lower_s s.Static_perf.latency_upper_s
-                s.Static_perf.steady_ii_s s.Static_perf.throughput_chunks_per_s;
-              if ds <> [] then print_endline (Diagnostic.render ~json:true ds)
-            end
-            else begin
-              Format.printf "== %s (%s) on %d FPGA(s) ==@." a.App.name a.App.variant fpgas;
-              Format.printf "%a@." Static_perf.pp s;
-              if verify_static then
-                Format.printf "static verification: simulated latency inside the interval@.";
-              print_string (Diagnostic.render ds)
-            end;
-            if Diagnostic.errors ds <> [] then 1 else 0)))
+    | Some c ->
+      let module Static_perf = Tapa_cs_analysis.Static_perf in
+      let module Diagnostic = Tapa_cs_analysis.Diagnostic in
+      let s = c.Compiler.static in
+      let ds =
+        Diagnostic.sort
+          (Static_perf.depth_diagnostics ~graph:c.Compiler.graph s @ Emit.verify_roundtrip c)
+      in
+      if json then begin
+        Format.printf
+          "{\"latency_lower_s\":%.9e,\"latency_upper_s\":%.9e,\"steady_ii_s\":%.9e,\"throughput_chunks_per_s\":%.9e}@."
+          s.Static_perf.latency_lower_s s.Static_perf.latency_upper_s
+          s.Static_perf.steady_ii_s s.Static_perf.throughput_chunks_per_s;
+        if ds <> [] then print_endline (Diagnostic.render ~json:true ds)
+      end
+      else begin
+        Format.printf "== %s (%s) on %d FPGA(s) ==@." t.app.App.name t.app.App.variant
+          t.app.App.fpgas;
+        Format.printf "%a@." Static_perf.pp s;
+        if t.options.Compiler.verify_static then
+          Format.printf "static verification: simulated latency inside the interval@.";
+        print_string (Diagnostic.render ds)
+      end;
+      if Diagnostic.errors ds <> [] then 1 else 0
   in
   let term =
-    Term.(const run $ app_arg $ fpgas_arg $ cluster_fpgas_arg $ iters_arg $ dataset_arg $ n_arg
-          $ d_arg $ cols_arg $ topology_arg $ board_arg $ threshold_arg $ jobs_arg $ seed_arg
-          $ loss_rate_arg $ fail_fpga_arg $ fail_link_arg $ json_arg $ verify_static_arg)
+    Term.(const run $ target verify_static_arg $ json_arg)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -882,11 +838,11 @@ let farm_cmd =
   in
   let strict_every_arg =
     let doc = "Every Nth tenant gets the strict SLO (0 = all best-effort)." in
-    Arg.(value & opt int 3 & info [ "strict-every" ] ~doc)
+    Arg.(value & opt non_negative_int 3 & info [ "strict-every" ] ~doc)
   in
   let max_retries_arg =
     let doc = "Consecutive failed placement attempts before a tenant is reported down." in
-    Arg.(value & opt int 3 & info [ "max-retries" ] ~doc)
+    Arg.(value & opt non_negative_int 3 & info [ "max-retries" ] ~doc)
   in
   let backoff_arg =
     let doc = "Base retry backoff in farm-clock seconds (doubles per failure)." in
@@ -937,39 +893,30 @@ let farm_cmd =
   in
   let run boards boards_per_node mix tenants topology threshold seed horizon mean_gap
       strict_every max_retries backoff timeline_file events stats_json_file jobs =
-    match
-      Result.bind (parse_timeline ~file:timeline_file ~events) (fun entries ->
-          Result.map
-            (fun write -> (entries, write))
-            (stats_json_writer ~what:"stats timeline" stats_json_file))
-    with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok (entries, write_stats) ->
-      let timeline = Tapa_cs_network.Fault.timeline entries in
-      let cluster =
-        Cluster.heterogeneous ~topology ~boards_per_node (List.map board_of_name mix) boards
-      in
-      let workload = Tenant.workload ~strict_every ~mean_gap_s:mean_gap ~seed ~tenants () in
-      let config = { Farm.threshold; seed; max_retries; backoff_s = backoff; horizon_s = horizon } in
-      let jobs = effective_jobs jobs in
-      let pool =
-        if jobs > 1 then Some (Tapa_cs_util.Pool.create ~domains:(jobs - 1) ()) else None
-      in
-      Fun.protect ~finally:(fun () -> Option.iter Tapa_cs_util.Pool.shutdown pool)
-      @@ fun () ->
-      Format.printf "%a@." Tapa_cs_network.Fault.pp_timeline timeline;
-      let stats = Farm.run ?pool ~config ~cluster ~timeline workload in
-      Format.printf "%a" Farm.pp_summary stats;
-      write_stats (Farm.stats_json stats);
-      0
+    checked
+      (Result.bind (parse_timeline ~file:timeline_file ~events) (fun entries ->
+           Result.map
+             (fun write -> (entries, write))
+             (stats_json_writer ~what:"stats timeline" stats_json_file)))
+    @@ fun (entries, write_stats) ->
+    let timeline = Tapa_cs_network.Fault.timeline entries in
+    let cluster =
+      Cluster.heterogeneous ~topology ~boards_per_node (List.map board_of_name mix) boards
+    in
+    let workload = Tenant.workload ~strict_every ~mean_gap_s:mean_gap ~seed ~tenants () in
+    let config = { Farm.threshold; seed; max_retries; backoff_s = backoff; horizon_s = horizon } in
+    with_pool (effective_jobs jobs) @@ fun pool ->
+    Format.printf "%a@." Tapa_cs_network.Fault.pp_timeline timeline;
+    let stats = Farm.run ?pool ~config ~cluster ~timeline workload in
+    Format.printf "%a" Farm.pp_summary stats;
+    write_stats (Farm.stats_json stats);
+    0
   in
   let term =
     Term.(const run $ boards_arg $ boards_per_node_arg $ mix_arg $ tenants_arg $ topology_arg
           $ threshold_arg $ seed_arg $ horizon_arg $ mean_gap_arg $ strict_every_arg
           $ max_retries_arg $ backoff_arg $ timeline_arg $ event_arg $ stats_json_file_arg
-          $ jobs_arg)
+          $ compile_jobs_arg)
   in
   Cmd.v
     (Cmd.info "farm"
@@ -1006,7 +953,7 @@ let serve_cmd =
   in
   let rpc_arg =
     let doc = "Requests each scripted client issues." in
-    Arg.(value & opt int 8 & info [ "requests-per-client" ] ~doc)
+    Arg.(value & opt non_negative_int 8 & info [ "requests-per-client" ] ~doc)
   in
   let distinct_arg =
     let doc = "Size of the request universe the scripted clients draw from." in
@@ -1027,7 +974,7 @@ let serve_cmd =
   let best_effort_depth_arg =
     let doc = "Earlier shedding bound for best-effort requests (clamped to --max-depth)." in
     Arg.(value
-         & opt int Service.default_config.Service.best_effort_depth
+         & opt positive_int Service.default_config.Service.best_effort_depth
          & info [ "best-effort-depth" ] ~doc)
   in
   let max_requests_arg =
@@ -1040,62 +987,51 @@ let serve_cmd =
   in
   let run script socket clients rpc distinct seed warm think_ms max_depth best_effort_depth
       max_requests stats_json_file jobs =
-    match stats_json_writer ~what:"service stats" stats_json_file with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok emit_stats ->
-      let jobs = effective_jobs jobs in
-      let pool =
-        if jobs > 1 then Some (Tapa_cs_util.Pool.create ~domains:(jobs - 1) ()) else None
+    checked (stats_json_writer ~what:"service stats" stats_json_file) @@ fun emit_stats ->
+    let jobs = effective_jobs jobs in
+    with_pool jobs @@ fun pool ->
+    let service_config = { Service.max_depth; best_effort_depth; cache_entries = 8192 } in
+    if script then begin
+      let cfg =
+        {
+          Script.clients;
+          requests_per_client = rpc;
+          distinct;
+          seed;
+          warm;
+          think_s = think_ms /. 1000.0;
+          service_config;
+        }
       in
-      Fun.protect ~finally:(fun () -> Option.iter Tapa_cs_util.Pool.shutdown pool) @@ fun () ->
-      let service_config = { Service.max_depth; best_effort_depth; cache_entries = 8192 } in
-      if script then begin
-        let cfg =
-          {
-            Script.default_config with
-            Script.clients;
-            requests_per_client = rpc;
-            distinct;
-            seed;
-            warm;
-            think_s = think_ms /. 1000.0;
-            service_config;
-          }
-        in
-        let report = Script.run ?pool cfg in
-        let c = report.Script.counters in
-        Format.printf
-          "script: %d clients x %d requests, universe %d, %s@." cfg.Script.clients
-          cfg.Script.requests_per_client cfg.Script.distinct
-          (if warm then "warm" else "cold");
-        Format.printf
-          "  received %d  completed %d  hits %d  misses %d  coalesced %d  rejected %d@."
-          c.Service.received c.Service.completed c.Service.hits c.Service.misses
-          c.Service.coalesced
-          (c.Service.rejected_strict + c.Service.shed_best_effort);
-        Format.printf "  virtual makespan %.6f s  throughput %.1f req/s@."
-          report.Script.virtual_makespan_s report.Script.virtual_requests_per_s;
-        emit_stats (Script.report_json report);
-        0
-      end
-      else begin
-        let svc = Service.create ?pool ~config:service_config () in
-        let server = Server.create ~socket_path:socket svc in
-        Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
-        Format.printf "listening on %s (max-depth %d, best-effort %d, jobs %d)@." socket max_depth
-          best_effort_depth jobs;
-        let served = Server.serve ~max_requests server in
-        Format.printf "served %d request(s)@." served;
-        emit_stats (Service.metrics_json svc);
-        0
-      end
+      let report = Script.run ?pool cfg in
+      let c = report.Script.counters in
+      Format.printf "script: %d clients x %d requests, universe %d, %s@." cfg.Script.clients
+        cfg.Script.requests_per_client cfg.Script.distinct
+        (if warm then "warm" else "cold");
+      Format.printf "  received %d  completed %d  hits %d  misses %d  coalesced %d  rejected %d@."
+        c.Service.received c.Service.completed c.Service.hits c.Service.misses c.Service.coalesced
+        (c.Service.rejected_strict + c.Service.shed_best_effort);
+      Format.printf "  virtual makespan %.6f s  throughput %.1f req/s@."
+        report.Script.virtual_makespan_s report.Script.virtual_requests_per_s;
+      emit_stats (Script.report_json report);
+      0
+    end
+    else begin
+      let svc = Service.create ?pool ~config:service_config () in
+      let server = Server.create ~socket_path:socket svc in
+      Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
+      Format.printf "listening on %s (max-depth %d, best-effort %d, jobs %d)@." socket max_depth
+        best_effort_depth jobs;
+      let served = Server.serve ~max_requests server in
+      Format.printf "served %d request(s)@." served;
+      emit_stats (Service.metrics_json svc);
+      0
+    end
   in
   let term =
     Term.(const run $ script_arg $ socket_arg $ clients_arg $ rpc_arg $ distinct_arg $ seed_arg
           $ warm_arg $ think_ms_arg $ max_depth_arg $ best_effort_depth_arg $ max_requests_arg
-          $ stats_json_arg $ jobs_arg)
+          $ stats_json_arg $ compile_jobs_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1124,9 +1060,9 @@ let request_cmd =
          & info [ "kind" ] ~doc)
   in
   let app_opt_arg =
-    let doc = "Benchmark application: " ^ String.concat ", " app_names ^ "." in
+    let doc = "Benchmark application: " ^ String.concat ", " Catalog.apps ^ "." in
     Arg.(value
-         & opt (enum (List.map (fun a -> (a, a)) app_names)) "stencil"
+         & opt (enum (List.map (fun a -> (a, a)) Catalog.apps)) "stencil"
          & info [ "app" ] ~doc)
   in
   let id_arg =
@@ -1151,7 +1087,8 @@ let request_cmd =
     let doc = "Shortcut for --kind metrics." in
     Arg.(value & flag & info [ "metrics" ] ~doc)
   in
-  let run socket json metrics kind app fpgas iters dataset n d cols seed klass id =
+  let run socket json metrics kind { Catalog.app; fpgas; iters; dataset; n; d; cols } seed klass
+      id =
     let line =
       match json with
       | Some j -> j
@@ -1160,17 +1097,13 @@ let request_cmd =
         Request.to_line
           (Request.make ~id ~fpgas ~iters ~dataset ~n ~d ~cols ~seed ~klass ~kind ~app ())
     in
-    match Server.request_once ~socket_path:socket line with
-    | Ok response ->
-      print_endline response;
-      0
-    | Error e ->
-      prerr_endline e;
-      1
+    checked (Server.request_once ~socket_path:socket line) @@ fun response ->
+    print_endline response;
+    0
   in
   let term =
-    Term.(const run $ socket_arg $ json_arg $ metrics_arg $ kind_arg $ app_opt_arg $ fpgas_arg
-          $ iters_arg $ dataset_arg $ n_arg $ d_arg $ cols_arg $ seed_arg $ class_arg $ id_arg)
+    Term.(const run $ socket_arg $ json_arg $ metrics_arg $ kind_arg $ design app_opt_arg
+          $ seed_arg $ class_arg $ id_arg)
   in
   Cmd.v
     (Cmd.info "request"

@@ -27,11 +27,11 @@ type report = {
 let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 let after p s = String.sub s (String.length p) (String.length s - String.length p)
 
-(* Index of [sub] in [s] at or after [from]; -1 when absent. *)
-let find_sub s sub from =
+(* Index of the first [sub] in [s]; -1 when absent. *)
+let find_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = if i + m > n then -1 else if String.sub s i m = sub then i else go (i + 1) in
-  if m = 0 then from else go (Stdlib.max 0 from)
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Parsers — exactly the emitter's grammar, unrelated lines ignored    *)
@@ -62,7 +62,7 @@ let parse_floorplan_tcl s =
       else if has_prefix "# fifo " line then begin
         (* "# fifo SRC->DST: N pipeline stage(s) inserted at slot crossings" *)
         let body = after "# fifo " line in
-        match find_sub body "->" 0 with
+        match find_sub body "->" with
         | -1 -> ()
         | arrow -> (
           let src = String.sub body 0 arrow in
@@ -107,79 +107,51 @@ let parse_connectivity_cfg s =
     (String.split_on_char '\n' s);
   { bindings = List.rev !bindings; streams = List.rev !streams }
 
-exception Bad_report of string
-
+(* The report is read as JSON, so task names survive any bytes the
+   emitter's quoting allows (commas, quotes, UTF-8). *)
 let parse_design_report s =
-  let scan_from pos fmt conv what =
-    try Scanf.sscanf (String.sub s pos (String.length s - pos)) fmt conv
-    with Scanf.Scan_failure _ | End_of_file | Failure _ ->
-      raise (Bad_report (Printf.sprintf "unreadable %s" what))
+  let module Json = Tapa_cs_util.Json in
+  let ( let* ) = Result.bind in
+  let wants what key = Error (Printf.sprintf "field %S wants %s" key what) in
+  let int key = function Json.Int i -> Ok i | _ -> wants "an integer" key in
+  let number key = function
+    | Json.Int i -> Ok (float_of_int i)
+    | Json.Float f -> Ok f
+    | _ -> wants "a number" key
   in
-  let int_field ?(from = 0) ?limit key =
-    let pos = find_sub s (Printf.sprintf "\"%s\":" key) from in
-    let ok = pos >= 0 && match limit with None -> true | Some l -> pos < l in
-    if not ok then raise (Bad_report (Printf.sprintf "missing field %S" key));
-    scan_from (pos + String.length key + 3) " %d" (fun v -> v) key
+  let list key = function Json.List l -> Ok l | _ -> wants "a list" key in
+  let string key = function Json.String s -> Ok s | _ -> wants "a string" key in
+  let get key read = function
+    | Json.Obj fields when List.mem_assoc key fields -> read key (List.assoc key fields)
+    | _ -> Error (Printf.sprintf "missing field %S" key)
   in
-  let float_field ?(from = 0) ?limit key =
-    let pos = find_sub s (Printf.sprintf "\"%s\":" key) from in
-    let ok = pos >= 0 && match limit with None -> true | Some l -> pos < l in
-    if not ok then raise (Bad_report (Printf.sprintf "missing field %S" key));
-    scan_from (pos + String.length key + 3) " %f" (fun v -> v) key
+  let each read l =
+    List.fold_right
+      (fun v acc ->
+        let* acc = acc in
+        let* x = read v in
+        Ok (x :: acc))
+      l (Ok [])
   in
-  let bracket_body ?(from = 0) key =
-    let pos = find_sub s (Printf.sprintf "\"%s\": [" key) from in
-    if pos < 0 then raise (Bad_report (Printf.sprintf "missing list %S" key));
-    let open_ = find_sub s "[" pos in
-    let close = find_sub s "]" open_ in
-    if close < 0 then raise (Bad_report (Printf.sprintf "unterminated list %S" key));
-    (String.sub s (open_ + 1) (close - open_ - 1), close)
+  let device d =
+    let* index = get "index" int d in
+    let* clock = get "clock_mhz" number d in
+    let* names = Result.bind (get "tasks" list d) (each (string "tasks")) in
+    Ok ((index, clock), (index, names))
   in
-  try
-    let devices_at = find_sub s "\"devices\":" 0 in
-    if devices_at < 0 then raise (Bad_report "missing field \"devices\"");
-    let fpgas = int_field ~limit:devices_at "fpgas" in
-    let clock_mhz = float_field ~limit:devices_at "clock_mhz" in
-    let cut_body, _ = bracket_body "cut_fifos" in
-    let cut_fifo_ids =
-      String.split_on_char ',' cut_body
-      |> List.filter_map (fun x ->
-             let x = String.trim x in
-             if x = "" then None else Some (int_of_string x))
-    in
-    let device_clock_mhz = ref [] and device_tasks = ref [] in
-    let pos = ref devices_at in
-    (try
-       while true do
-         let at = find_sub s "\"index\":" !pos in
-         if at < 0 then raise Exit;
-         let index = int_field ~from:at "index" in
-         let clk = float_field ~from:at "clock_mhz" in
-         let tasks_body, close = bracket_body ~from:at "tasks" in
-         let names =
-           String.split_on_char ',' tasks_body
-           |> List.filter_map (fun x ->
-                  let x = String.trim x in
-                  if String.length x >= 2 && x.[0] = '"' then
-                    Some (String.sub x 1 (String.length x - 2))
-                  else None)
-         in
-         device_clock_mhz := (index, clk) :: !device_clock_mhz;
-         device_tasks := (index, names) :: !device_tasks;
-         pos := close
-       done
-     with Exit -> ());
-    Ok
-      {
-        fpgas;
-        clock_mhz;
-        cut_fifo_ids;
-        device_clock_mhz = List.rev !device_clock_mhz;
-        device_tasks = List.rev !device_tasks;
-      }
-  with
-  | Bad_report m -> Error m
-  | Failure m -> Error m
+  let* doc = Json.of_string s in
+  let* devices = Result.bind (get "devices" list doc) (each device) in
+  let* fpgas = get "fpgas" int doc in
+  let* clock_mhz = get "clock_mhz" number doc in
+  let* cut_fifo_ids = Result.bind (get "cut_fifos" list doc) (each (int "cut_fifos")) in
+  Ok
+    {
+      fpgas;
+      clock_mhz;
+      cut_fifo_ids;
+      device_clock_mhz = List.map fst devices;
+      device_tasks = List.map snd devices;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Checkers                                                            *)

@@ -10,8 +10,9 @@
 
     This module is deliberately independent of the compiler: callers
     (see [Emit.verify_roundtrip]) pass the expected facts explicitly, so
-    tests can tamper with either side.  Parsers accept exactly the
-    emitter's grammar and ignore unrelated lines. *)
+    tests can tamper with either side.  The Tcl and config parsers
+    accept exactly the emitter's grammar and ignore unrelated lines; the
+    report is read as JSON. *)
 
 open Tapa_cs_graph
 
@@ -39,8 +40,9 @@ type report = {
 }
 
 val parse_design_report : string -> (report, string) result
-(** Minimal scanner for the emitter's fixed JSON shape; [Error] explains
-    the first field it could not recover. *)
+(** Decode the report with {!Tapa_cs_util.Json.of_string} and read the
+    fields above from it (other fields are ignored); [Error] is the
+    decoder's message or names the first missing or mistyped field. *)
 
 val check_floorplan :
   fpga:int -> expected_slots:(string * string) list -> floorplan -> Diagnostic.t list

@@ -146,8 +146,6 @@ let registry =
    never disagree about whether a code exists. *)
 let find code = List.find_opt (fun (c, _, _, _) -> c = code) registry
 
-let is_known code = find code <> None
-
 let default_severity code =
   match find code with
   | Some (_, s, _, _) -> s

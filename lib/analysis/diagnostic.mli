@@ -31,9 +31,6 @@ val default_severity : string -> severity
 (** Registry severity of a code; [Error] for unknown codes (fail safe: an
     unregistered code must never slip through as ignorable). *)
 
-val is_known : string -> bool
-(** Whether a code is in the {!registry}. *)
-
 val describe : string -> string
 (** One-line meaning of a code from the registry, or ["?"] if unknown. *)
 

@@ -19,18 +19,10 @@ let transfer_volume_bytes c =
   0.5355 *. 1024.0 *. 1024.0 *. float_of_int c.cols *. float_of_int c.batch
 
 (* Table 8 calibration: utilization % = base + cols * slope for each
-   resource; inverted into per-module budgets below. *)
-let utilization_table8 ~cols =
-  let f = float_of_int cols in
-  [
-    ("LUT", 2.5 +. (4.475 *. f));
-    ("FF", 0.7 +. (2.85 *. f));
-    ("BRAM", 4.7 +. (2.375 *. f));
-    ("DSP", 0.7 +. (6.125 *. f));
-    ("URAM", 0.0);
-  ]
+   resource (LUT 2.5 + 4.475c, FF 0.7 + 2.85c, BRAM 4.7 + 2.375c,
+   DSP 0.7 + 6.125c, URAM 0), inverted into the per-module budgets below.
 
-(* Per-column cost on the U55C (Table 2 totals): LUT 51294, FF 65336,
+   Per-column cost on the U55C (Table 2 totals): LUT 51294, FF 65336,
    BRAM 42, DSP 513 — split across the 13 PEs, a weight feeder and a
    drainer of that column.  The base (13 activation feeders + collector)
    carries the remainder. *)

@@ -30,7 +30,3 @@ val macs_per_input : float
 val module_count : config -> int
 val transfer_volume_bytes : config -> float
 (** Table 7: per-input bytes crossing a column cut, times the batch. *)
-
-val utilization_table8 : cols:int -> (string * float) list
-(** The published single-device utilization percentages for a grid size
-    (LUT/FF/BRAM/DSP/URAM), used as the calibration reference. *)

@@ -300,21 +300,6 @@ let solver_stats t =
     (add Tapa_cs_ilp.Counters.zero t.inter.Inter_fpga.stats)
     t.intra
 
-(* Process-wide fragment-cache counters, re-exported for the CLI and the
-   serving layer.  These are deliberately NOT folded into [solver_stats]:
-   like the solution-cache hit/miss counts they depend on what ran
-   earlier in the process, while [solver_stats] must stay bit-identical
-   across cache states. *)
-type fragment_stats = Partition.fragment_stats = {
-  frag_hits : int;
-  frag_misses : int;
-  groups_resolved : int;
-  frag_entries : int;
-  frag_evictions : int;
-}
-
-let fragment_stats = Partition.fragment_stats
-
 let fpga_of t tid = t.inter.Inter_fpga.assignment.(tid)
 
 let slot_of t tid =

@@ -113,23 +113,7 @@ val solver_stats : t -> solver_stats
     floorplan-cache hit replays the stored stats of the solve that
     produced it.  Process-wide cache hit/miss counts (which {e do}
     depend on what ran earlier) are reported separately by
-    {!Partition.cache_stats} and {!fragment_stats}. *)
-
-type fragment_stats = Partition.fragment_stats = {
-  frag_hits : int;
-      (** per-group floorplan subproblems replayed from the fragment cache *)
-  frag_misses : int;  (** subproblem lookups that had to solve *)
-  groups_resolved : int;
-      (** subproblems actually (re-)solved — the cumulative dirty set *)
-  frag_entries : int;  (** fragments currently cached *)
-  frag_evictions : int;  (** fragments dropped by generation rotation *)
-}
-
-val fragment_stats : unit -> fragment_stats
-(** Process-wide counters of {!Partition}'s second-level subproblem
-    fragment cache (see [partition.mli]).  Like the solution-cache
-    counts, these depend on process history and are therefore kept out
-    of {!solver_stats}. *)
+    {!Partition.cache_stats} and {!Partition.fragment_stats}. *)
 
 val slot_of : t -> int -> int option
 (** Final slot of a task on its FPGA. *)

@@ -25,7 +25,6 @@ let slot_index t ~row ~col =
   if row < 0 || row >= t.rows || col < 0 || col >= t.cols then invalid_arg "Board.slot_index";
   (row * t.cols) + col
 
-let slot_at t ~row ~col = t.slots.(slot_index t ~row ~col)
 let num_slots t = Array.length t.slots
 
 let manhattan t a b =

@@ -28,7 +28,6 @@ type t = {
   num_qsfp : int;
 }
 
-val slot_at : t -> row:int -> col:int -> slot
 val slot_index : t -> row:int -> col:int -> int
 val num_slots : t -> int
 

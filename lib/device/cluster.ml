@@ -69,9 +69,6 @@ let link_rtt_us t i j =
     | Pcie_gen3x16 -> Constants.pcie_rtt_ns /. 1000.0
   end
 
-let total_resources t =
-  Array.fold_left (fun acc b -> Resource.add acc b.Board.total) Resource.zero t.boards
-
 type view = { cluster : t; down : bool array }
 
 let full_view cluster = { cluster; down = Array.make (size cluster) false }

@@ -54,7 +54,6 @@ val link_bandwidth_gbytes : t -> int -> int -> float
 
 val link_rtt_us : t -> int -> int -> float
 
-val total_resources : t -> Resource.t
 val pp : Format.formatter -> t -> unit
 
 (** {1 Survivor views}

@@ -1,4 +1,3 @@
-let sram_bandwidth_gbps = 35_000.0
 let hbm_bandwidth_gbps = 460.0
 let hbm_channels = 32
 let hbm_channel_bandwidth_gbps = hbm_bandwidth_gbps /. float_of_int hbm_channels

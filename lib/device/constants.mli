@@ -1,9 +1,6 @@
 (** Calibration constants taken from the paper and public spec sheets.
     Everything numeric that anchors the models lives here (DESIGN.md §5). *)
 
-val sram_bandwidth_gbps : float
-(** On-chip SRAM bandwidth, 35 TB/s (Table 9). *)
-
 val hbm_bandwidth_gbps : float
 (** Aggregate HBM bandwidth of the U55C, 460 GB/s (Table 9). *)
 

@@ -4,10 +4,11 @@ let zero = { lut = 0; ff = 0; bram = 0; dsp = 0; uram = 0 }
 
 let make ?(lut = 0) ?(ff = 0) ?(bram = 0) ?(dsp = 0) ?(uram = 0) () = { lut; ff; bram; dsp; uram }
 
-let map2 f a b = { lut = f a.lut b.lut; ff = f a.ff b.ff; bram = f a.bram b.bram; dsp = f a.dsp b.dsp; uram = f a.uram b.uram }
+let add a b =
+  { lut = a.lut + b.lut; ff = a.ff + b.ff; bram = a.bram + b.bram; dsp = a.dsp + b.dsp; uram = a.uram + b.uram }
 
-let add = map2 ( + )
-let sub = map2 ( - )
+let sub a b =
+  { lut = a.lut - b.lut; ff = a.ff - b.ff; bram = a.bram - b.bram; dsp = a.dsp - b.dsp; uram = a.uram - b.uram }
 let sum = List.fold_left add zero
 
 let scale k r =
@@ -39,5 +40,3 @@ let equal (a : t) b = a = b
 
 let pp fmt r =
   Format.fprintf fmt "{LUT %d; FF %d; BRAM %d; DSP %d; URAM %d}" r.lut r.ff r.bram r.dsp r.uram
-
-let to_string r = Format.asprintf "%a" pp r

@@ -34,4 +34,3 @@ val max_component_name : t -> total:t -> string
 val is_zero : t -> bool
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -319,11 +319,6 @@ let run_degraded ?(strategy = Partition.Auto) ?(threshold = Constants.utilizatio
              ~threshold_used g r)
     end
 
-let fifos_between g t ~src_fpga ~dst_fpga =
-  Array.to_list (Taskgraph.fifos g)
-  |> List.filter (fun (f : Fifo.t) ->
-         t.assignment.(f.src) = src_fpga && t.assignment.(f.dst) = dst_fpga)
-
 let devices_used t =
   let k = Array.length t.per_fpga_usage in
   let used = Array.make k false in

@@ -157,5 +157,3 @@ val replace :
     [Ok prev] without solving — the farm's cache-reuse fast path for
     unaffected tenants.  Otherwise {!run_degraded} warm-started from
     [prev.assignment]. *)
-
-val fifos_between : Taskgraph.t -> t -> src_fpga:int -> dst_fpga:int -> Fifo.t list

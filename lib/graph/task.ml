@@ -35,8 +35,6 @@ let mem_port ?channel ~dir ~width_bits ~bytes () =
   if bytes < 0.0 then invalid_arg "Task.mem_port: negative traffic";
   { dir; width_bits; bytes; channel }
 
-let total_mem_bytes t = List.fold_left (fun acc p -> acc +. p.bytes) 0.0 t.mem_ports
-let total_ops t = t.compute.elems *. t.compute.ops_per_elem
 
 let pp fmt t =
   Format.fprintf fmt "task %d %s (%s): %.0f elems, ii %.2f, %d lanes, %d mem ports" t.id t.name

@@ -49,6 +49,4 @@ val make_compute :
 
 val mem_port : ?channel:int -> dir:mem_dir -> width_bits:int -> bytes:float -> unit -> mem_port
 
-val total_mem_bytes : t -> float
-val total_ops : t -> float
 val pp : Format.formatter -> t -> unit

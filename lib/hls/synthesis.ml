@@ -104,7 +104,3 @@ let run ?board ?pool g =
   }
 
 let profile_of r id = r.profiles.(id)
-
-let pp_report fmt r =
-  Format.fprintf fmt "synthesized %d tasks (%d distinct kinds, %d cache hits), total %a"
-    r.sequential_runs r.distinct_kinds r.cache_hits Resource.pp r.total_resources

@@ -39,4 +39,3 @@ val run : ?board:Board.t -> ?pool:Tapa_cs_util.Pool.t -> Taskgraph.t -> report
     not a pool is supplied. *)
 
 val profile_of : report -> int -> profile
-val pp_report : Format.formatter -> report -> unit

@@ -36,7 +36,6 @@ let sub a b = add a (scale Rat.minus_one b)
 let of_terms ?(const = Rat.zero) l =
   List.fold_left (fun acc (v, c) -> add_term acc v c) { terms = Imap.empty; const } l
 
-let sum = List.fold_left add zero
 
 let coeff e v = Option.value (Imap.find_opt v e.terms) ~default:Rat.zero
 let const e = e.const

@@ -20,7 +20,6 @@ val add_term : t -> int -> Rat.t -> t
 (** [add_term e v c] is [e + c * x_v]. *)
 
 val of_terms : ?const:Rat.t -> (int * Rat.t) list -> t
-val sum : t list -> t
 
 val coeff : t -> int -> Rat.t
 val const : t -> Rat.t

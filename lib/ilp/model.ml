@@ -55,7 +55,6 @@ let set_objective t sense expr =
   t.obj <- (sense, expr)
 
 let num_vars t = t.nvars
-let num_constraints t = t.nconstrs
 
 let var_info t v =
   if v < 0 || v >= t.nvars then invalid_arg "Model: variable out of range";

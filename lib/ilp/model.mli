@@ -28,7 +28,6 @@ val add_constraint : t -> ?name:string -> Linear.t -> relation -> Rat.t -> unit
 val set_objective : t -> sense -> Linear.t -> unit
 
 val num_vars : t -> int
-val num_constraints : t -> int
 val var_name : t -> int -> string
 val var_kind : t -> int -> kind
 val var_lb : t -> int -> Rat.t

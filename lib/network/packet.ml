@@ -25,8 +25,3 @@ let effective_gbps ?(line_rate_gbps = 100.0) ~payload () = line_rate_gbps *. eff
 let packets_for ~payload ~bytes =
   if payload <= 0 then invalid_arg "Packet.packets_for: payload must be positive";
   ceil (bytes /. float_of_int payload)
-
-let pp_breakdown fmt () =
-  Format.fprintf fmt "RoCE v2 framing per packet:@.";
-  List.iter (fun l -> Format.fprintf fmt "  %-26s %3d B@." l.name l.bytes) layers;
-  Format.fprintf fmt "  %-26s %3d B@." "total" header_bytes

@@ -25,6 +25,3 @@ val effective_gbps : ?line_rate_gbps:float -> payload:int -> unit -> float
 
 val packets_for : payload:int -> bytes:float -> float
 (** Packet count to move [bytes] at the given MTU payload. *)
-
-val pp_breakdown : Format.formatter -> unit -> unit
-(** Human-readable table of the framing layers. *)

@@ -51,7 +51,11 @@ val to_line : t -> string
 (** One-line JSON encoding (no trailing newline). *)
 
 val of_line : string -> (t, string) result
-(** Parse one request line.  Strict: unknown fields, malformed JSON or a
+(** Parse one request line, decoded by {!Tapa_cs_util.Json.of_string}.
+    Strict: unknown fields, a value of the wrong type (a count must be an
+    integer, or a float with an integral value), malformed JSON or a
     missing [kind] are errors (returned, never raised), so the transport
-    can always answer with an explicit error response. *)
+    can always answer with an explicit error response.  Counts are not
+    range-checked here: {!Tapa_cs_apps.Catalog.build} refuses them when
+    the request is served. *)
 

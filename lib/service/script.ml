@@ -26,15 +26,12 @@ type config = {
   distinct : int;  (** size of the request universe the clients draw from *)
   seed : int;
   warm : bool;  (** pre-warm the response cache with the whole universe *)
-  keep_caches : bool;
-      (** skip the process-wide cache reset at entry, so the run reuses
-          floorplan/sim state left by earlier runs.  Benchmark-only: with
-          it set the report is no longer a pure function of (config,
-          seed) — it also depends on process history. *)
   think_s : float;  (** virtual pause between a response and the next request *)
-  model_workers : int;  (** virtual parallelism of the cost model *)
   service_config : Service.config;
 }
+
+(* Virtual parallelism of the cost model. *)
+let model_workers = 4
 
 let default_config =
   {
@@ -43,9 +40,7 @@ let default_config =
     distinct = 6;
     seed = 1;
     warm = false;
-    keep_caches = false;
     think_s = 0.0;
-    model_workers = 4;
     service_config = Service.default_config;
   }
 
@@ -82,11 +77,10 @@ let run ?pool (cfg : config) : report =
       clients = max 1 cfg.clients;
       requests_per_client = max 0 cfg.requests_per_client;
       distinct = max 1 cfg.distinct;
-      model_workers = max 1 cfg.model_workers;
     }
   in
   (* Repeat runs must not see each other's process-wide caches. *)
-  if not cfg.keep_caches then Service.reset_process_caches ();
+  Service.reset_process_caches ();
   let svc = Service.create ?pool ~config:cfg.service_config () in
   if cfg.warm then begin
     (* Pre-warm outside the measured stream: one round over the whole
@@ -134,7 +128,7 @@ let run ?pool (cfg : config) : report =
       (* Virtual execution: greedy assignment of this round's leader
          computations onto [model_workers] virtual workers, in
          computation order.  Followers finish with their leader. *)
-      let worker_free = Array.make cfg.model_workers !clock in
+      let worker_free = Array.make model_workers !clock in
       let comp_finish = Hashtbl.create 16 in
       Array.iteri
         (fun i v ->
@@ -146,7 +140,7 @@ let run ?pool (cfg : config) : report =
               | Request.Compile | Request.Metrics -> cost_compile_miss
             in
             let w = ref 0 in
-            for j = 1 to cfg.model_workers - 1 do
+            for j = 1 to model_workers - 1 do
               if worker_free.(j) < worker_free.(!w) then w := j
             done;
             let finish = worker_free.(!w) +. cost in
@@ -197,7 +191,7 @@ let report_json (r : report) =
            ("distinct", Int r.config.distinct);
            ("seed", Int r.config.seed);
            ("warm", Bool r.config.warm);
-           ("model_workers", Int r.config.model_workers);
+           ("model_workers", Int model_workers);
            ("virtual_makespan_s", Float r.virtual_makespan_s);
            ("virtual_requests_per_s", Float r.virtual_requests_per_s);
            ("service", r.metrics);

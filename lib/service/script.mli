@@ -6,9 +6,9 @@
     stencil variants (both kinds, both cluster sizes, both admission
     classes) with its own split PRNG, waits for its response, thinks for
     [think_s] virtual seconds and issues the next.  Leader computations
-    are charged fixed virtual costs and packed onto [model_workers]
-    virtual workers — real [--jobs] only changes how fast the run
-    finishes, never what it reports. *)
+    are charged fixed virtual costs and packed onto 4 virtual workers
+    (the report's [model_workers]) — real [--jobs] only changes how fast
+    the run finishes, never what it reports. *)
 
 type config = {
   clients : int;
@@ -16,19 +16,13 @@ type config = {
   distinct : int;
   seed : int;
   warm : bool;  (** pre-fill the response cache with the whole universe first *)
-  keep_caches : bool;
-      (** skip the entry reset of the process-wide floorplan/sim caches.
-          Benchmark-only: lets a warm-stream measurement pre-warm once
-          outside the timed region, at the cost of the report depending
-          on process history (default [false]). *)
   think_s : float;
-  model_workers : int;
   service_config : Service.config;
 }
 
 val default_config : config
 (** 4 clients × 8 requests over a 6-variant universe, cold, no think
-    time, 4 virtual workers, [keep_caches = false]. *)
+    time. *)
 
 type report = {
   config : config;
@@ -41,8 +35,8 @@ type report = {
 }
 
 val run : ?pool:Tapa_cs_util.Pool.t -> config -> report
-(** Resets the process-wide floorplan/sim caches first (unless
-    [keep_caches]), so repeat runs are independent and byte-identical. *)
+(** Resets the process-wide floorplan/sim caches first, so repeat runs
+    are independent and byte-identical. *)
 
 val report_json : report -> string
 (** One-line JSON: script parameters, virtual makespan/throughput and

@@ -168,44 +168,19 @@ let counters t =
 (* Request evaluation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let make_graph (r : Request.t) =
-  let module Apps = Tapa_cs_apps in
-  match r.Request.app with
-  | "stencil" ->
-    let app =
-      Apps.Stencil.generate
-        (Apps.Stencil.make_config ~iterations:r.Request.iters ~fpgas:r.Request.fpgas ())
-    in
-    Ok app.Apps.App.graph
-  | "pagerank" -> (
-    match Apps.Dataset.find r.Request.dataset with
-    | Some ds ->
-      let app =
-        Apps.Pagerank.generate (Apps.Pagerank.make_config ~dataset:ds ~fpgas:r.Request.fpgas ())
-      in
-      Ok app.Apps.App.graph
-    | None -> Error (Printf.sprintf "unknown dataset %S" r.Request.dataset))
-  | "knn" ->
-    let app =
-      Apps.Knn.generate
-        (Apps.Knn.make_config ~n_points:r.Request.n ~dims:r.Request.d ~fpgas:r.Request.fpgas ())
-    in
-    Ok app.Apps.App.graph
-  | "cnn" ->
-    let app =
-      Apps.Cnn.generate (Apps.Cnn.make_config ~cols:r.Request.cols ~fpgas:r.Request.fpgas ())
-    in
-    Ok app.Apps.App.graph
-  | other -> Error (Printf.sprintf "unknown app %S" other)
-
 (* Run one request to a reply.  Everything deterministic: the compiler
-   and simulator are bit-identical across jobs and cache states, and
-   exceptions are folded into [Failed] so one poisoned request can never
-   take the server down. *)
+   and simulator are bit-identical across jobs and cache states.  The
+   catalog refuses a bad app, dataset or count before any generator
+   runs, and a simulation's exceptions are folded into [Failed], so one
+   poisoned request can never take the server down. *)
 let compute t (r : Request.t) : reply =
-  match make_graph r with
+  let spec =
+    { Tapa_cs_apps.Catalog.app = r.app; fpgas = r.fpgas; iters = r.iters; dataset = r.dataset;
+      n = r.n; d = r.d; cols = r.cols }
+  in
+  match Tapa_cs_apps.Catalog.build spec with
   | Error reason -> Failed { reason }
-  | Ok graph -> (
+  | Ok { Tapa_cs_apps.App.graph; _ } -> (
     let cluster = Cluster.make ~board:Board.u55c r.Request.fpgas in
     let options = { Compiler.default_options with Compiler.seed = r.Request.seed; jobs = 1 } in
     match Flow.tapa_cs ~options ?pool:t.pool ~cluster graph with

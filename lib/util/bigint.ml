@@ -75,7 +75,6 @@ let compare x y =
   else cmp_mag y.mag x.mag
 
 let equal x y = compare x y = 0
-let hash x = x.sign + (Array.fold_left (fun acc d -> (acc * 1000003) lxor d) 0 x.mag * 3)
 
 let neg x = if x.sign = 0 then x else { x with sign = -x.sign }
 let abs x = if x.sign < 0 then neg x else x

@@ -33,7 +33,6 @@ val sign : t -> int
 val is_zero : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val neg : t -> t
 val abs : t -> t

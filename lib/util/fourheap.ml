@@ -69,11 +69,3 @@ let pop h =
   end
 
 let pop_exn h = match pop h with Some x -> x | None -> raise Not_found
-
-let clear h =
-  h.data <- [||];
-  h.size <- 0
-
-let to_list h =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (h.data.(i) :: acc) in
-  go (h.size - 1) []

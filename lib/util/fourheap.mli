@@ -21,7 +21,3 @@ val pop : 'a t -> 'a option
 
 val pop_exn : 'a t -> 'a
 (** @raise Not_found when empty. *)
-
-val clear : 'a t -> unit
-val to_list : 'a t -> 'a list
-(** Unsorted snapshot of the heap contents. *)

@@ -92,8 +92,6 @@ let ceil x = B.neg (floor (neg x))
 
 let fractional x = sub x (of_bigint (floor x))
 
-let mul_int x i = mul x (of_int i)
-
 let to_float x = B.to_float x.n /. B.to_float x.d
 
 let of_float_approx ?(max_den = 1_000_000) f =

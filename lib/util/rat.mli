@@ -54,8 +54,6 @@ val ceil : t -> Bigint.t
 val fractional : t -> t
 (** [fractional x = x - floor x], always in [0, 1). *)
 
-val mul_int : t -> int -> t
-
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 val ( * ) : t -> t -> t

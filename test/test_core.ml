@@ -443,6 +443,29 @@ let test_roundtrip_clean () =
     Alcotest.failf "emit -> parse -> verify must be clean, got:\n%s"
       (Tapa_cs_analysis.Diagnostic.render ds)
 
+(* The report is re-read as JSON, so every task name the emitter can
+   quote survives the round trip: a comma, double quotes, UTF-8. *)
+let test_roundtrip_quoted_names () =
+  List.iter
+    (fun name ->
+      let p = Frontend.program () in
+      let data = Frontend.stream p ~name:"data" ~width_bits:512 ~elems:1e5 () in
+      Frontend.task p ~name ~writes:[ data ]
+        ~reads_hbm:[ Frontend.hbm ~width_bits:512 ~bytes:6.4e6 () ]
+        ~compute:(Task.make_compute ~elems:1e5 ~ii:1.0 ())
+        ();
+      Frontend.task p ~name:"sink" ~reads:[ data ] ();
+      let cluster = Cluster.make ~board:Board.u55c 1 in
+      match Compiler.compile ~options:fast_options ~cluster (Frontend.build p) with
+      | Error e -> Alcotest.failf "task %S: compile: %s" name e
+      | Ok c -> (
+        match Emit.verify_roundtrip c with
+        | [] -> ()
+        | ds ->
+          Alcotest.failf "task %S: emit -> parse -> verify must be clean, got:\n%s" name
+            (Tapa_cs_analysis.Diagnostic.render ds)))
+    [ "load,0"; "load \"q\""; "l\xc3\xa9" ]
+
 (* Replace the first occurrence of [old_] in [s] with [new_]; [s]
    unchanged when absent. *)
 let replace_first ~old_ ~new_ s =
@@ -666,6 +689,7 @@ let () =
       ( "artifacts",
         [
           Alcotest.test_case "emit -> parse -> verify is clean" `Quick test_roundtrip_clean;
+          Alcotest.test_case "quoted task names round-trip" `Quick test_roundtrip_quoted_names;
           Alcotest.test_case "round-trip catches tampering" `Quick test_roundtrip_catches_tampering;
           Alcotest.test_case "emitters match golden files" `Quick test_emit_golden;
         ] );

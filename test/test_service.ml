@@ -107,6 +107,34 @@ let test_rejection_explicit () =
   let line = Service.response_json ~id:9 verdicts.(1) in
   check bool "response carries the code" true (contains line "TCS701")
 
+(* A count the app cannot use is refused by the catalog as a failed
+   reply naming the field, not an exception out of a generator, and the
+   service keeps answering. *)
+let test_bad_counts_fail () =
+  Service.reset_process_caches ();
+  let svc = Service.create () in
+  let cases =
+    [
+      ("iters", Request.make ~iters:0 ~kind:Request.Compile ~app:"stencil" ());
+      ("n", Request.make ~n:0 ~kind:Request.Compile ~app:"knn" ());
+      ("d", Request.make ~d:(-3) ~kind:Request.Simulate ~app:"knn" ());
+      ("cols", Request.make ~cols:0 ~kind:Request.Compile ~app:"cnn" ());
+    ]
+  in
+  let verdicts = Service.schedule svc (Array.of_list (List.map snd cases)) in
+  List.iteri
+    (fun i (field, _) ->
+      match verdicts.(i) with
+      | Service.Done { reply = Service.Failed { reason }; _ } as v ->
+        check bool (field ^ " named") true (contains reason (field ^ " must be a positive"));
+        check bool "failed response" true
+          (contains (Service.response_json ~id:i v) {|"status":"failed"|})
+      | _ -> Alcotest.failf "%s: expected a failed reply" field)
+    cases;
+  match Service.handle svc (Request.make ~iters:8 ~kind:Request.Compile ~app:"stencil" ()) with
+  | Service.Done { reply = Service.Compiled _; _ } -> ()
+  | _ -> Alcotest.fail "a good request after the bad ones must compile"
+
 (* ------------------------------------------------------------------ *)
 (* Scripted replay determinism                                         *)
 (* ------------------------------------------------------------------ *)
@@ -189,6 +217,7 @@ let () =
         [
           Alcotest.test_case "coalesced equals uncoalesced" `Quick test_coalesced_equals_uncoalesced;
           Alcotest.test_case "explicit TCS701 rejection" `Quick test_rejection_explicit;
+          Alcotest.test_case "bad counts fail, service answers on" `Quick test_bad_counts_fail;
         ] );
       ( "script",
         [

@@ -429,6 +429,88 @@ let test_json_rules () =
   check s "compact nesting" {|{"a":[1,true,null],"b":{},"c":"x"}|}
     Json.(to_string (Obj [ ("a", List [ Int 1; Bool true; Null ]); ("b", Obj []); ("c", String "x") ]))
 
+(* Floats whose [%.9g] rendering is integral below 1e15 re-read as an
+   integral Float, which prints with one decimal (json.mli documents the
+   exception); the round-trip property covers every other finite float. *)
+let exponent_band f =
+  (not (Float.is_integer f))
+  &&
+  let r = Float.abs (float_of_string (Printf.sprintf "%.9g" f)) in
+  r >= 1e9 && r < 1e15
+
+let gen_json =
+  let open QCheck.Gen in
+  let finite =
+    map
+      (fun f -> if Float.is_finite f && not (exponent_band f) then f else 0.5)
+      (oneof [ float; map float_of_int int; map Int64.float_of_bits ui64 ])
+  in
+  let bytes = string_size ~gen:char (int_bound 8) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) finite;
+               map (fun s -> Json.String s) bytes;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 5) (self (n / 3))));
+               (1, map (fun l -> Json.Obj l) (list_size (int_bound 5) (pair bytes (self (n / 3)))));
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json decode then encode is the identity on encoder output" ~count:500
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v ->
+      let s = Json.to_string v in
+      match Json.of_string s with
+      | Ok v' -> Json.to_string v' = s
+      | Error e -> QCheck.Test.fail_reportf "%s" e)
+
+let test_json_decode () =
+  let decodes what input want =
+    match Json.of_string input with
+    | Ok v -> check bool what true (v = want)
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  decodes "pretty-printed, newlines included"
+    "{\n  \"a\": [1, -2.5e1,\n    \"x\"],\r\n\t\"b\": {\"c\": null, \"d\": true}\n}\n"
+    Json.(Obj [ ("a", List [ Int 1; Float (-25.0); String "x" ]); ("b", Obj [ ("c", Null); ("d", Bool true) ]) ]);
+  decodes "integers and floats" "[3,3.0,-0,1e3]" Json.(List [ Int 3; Float 3.0; Int 0; Float 1000.0 ]);
+  decodes "escapes to UTF-8" {|"\u00e9\/\t\u0001"|} (Json.String "\xc3\xa9/\t\001");
+  decodes "the exponent band re-reads as an integral float"
+    (Json.to_string (Json.Float 1234567890.5)) (Json.Float 1234567890.0);
+  let names_offset e =
+    let tag = " at byte " in
+    let k = String.length tag in
+    let rec go i = i + k <= String.length e && (String.sub e i k = tag || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (what, input) ->
+      match Json.of_string input with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error e -> check bool (what ^ " names a byte offset") true (names_offset e))
+    [
+      ("trailing bytes", "{} x");
+      ("unterminated string", {|{"a":"b|});
+      ("bad escape", {|"a\qb"|});
+      ("a surrogate escape", {|"\ud83d\ude00"|});
+      ("bare nan", "nan");
+      ("empty input", "");
+      ("a leading zero", "01");
+      ("deep nesting", String.make 600 '[');
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Memo: content-addressed memoization                                  *)
 (* ------------------------------------------------------------------ *)
@@ -564,7 +646,7 @@ let test_memo_concurrent () =
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_add_matches_int; prop_mul_matches_int; prop_divmod_identity; prop_compare_total_order;
     prop_rat_field_laws; prop_rat_compare_antisym; prop_rat_floor_bound;
-    prop_fourheap_matches_model ]
+    prop_fourheap_matches_model; prop_json_roundtrip ]
 
 let () =
   Alcotest.run "util"
@@ -620,7 +702,11 @@ let () =
           Alcotest.test_case "snapshot observability" `Quick test_pool_snapshot;
           Alcotest.test_case "small arrays" `Quick test_pool_small_arrays;
         ] );
-      ("json", [ Alcotest.test_case "escaping and float rule" `Quick test_json_rules ]);
+      ( "json",
+        [
+          Alcotest.test_case "escaping and float rule" `Quick test_json_rules;
+          Alcotest.test_case "decoder" `Quick test_json_decode;
+        ] );
       ( "memo",
         [
           Alcotest.test_case "basics" `Quick test_memo_basics;
