@@ -15,7 +15,12 @@
       O(n*k*E) objective recomputation sneaking back into the hot
       path); perfbench's compile_cold workload measures the real cost.
       This absolute ceiling is the one wall-clock verdict among the CI
-      gates. *)
+      gates.
+
+   3. Capacity proof (count): an exact solve of a split whose items
+      cannot be packed must answer [None] from the packing search,
+      before any LP, so it allocates fewer words than one heuristic
+      solve of the same problem. *)
 
 open Tapa_cs_util
 open Tapa_cs_device
@@ -52,6 +57,35 @@ let synthetic ~fpgas ~tasks () =
     groups )
 
 let wall_clock_ceiling_s = 30.0
+
+(* 21 items of 3 LUT fill 63 of the 64 LUT of two parts, but a 32-LUT
+   part holds ten of them. *)
+let check_capacity_proof () =
+  let p =
+    {
+      Partition.areas = Array.make 21 (Resource.make ~lut:3 ());
+      edges = List.init 20 (fun i -> (i, i + 1, 1.0));
+      pulls = [];
+      k = 2;
+      capacities = Array.make 2 (Resource.make ~lut:32 ());
+      dist = (fun a b -> abs (a - b));
+      fixed = [];
+    }
+  in
+  let words strategy =
+    Partition.reset_cache ();
+    let w0 = Gc.minor_words () in
+    let r = Sys.opaque_identity (Partition.solve ~strategy p) in
+    (r, Gc.minor_words () -. w0)
+  in
+  let exact, w_exact = words Partition.Exact in
+  let _, w_heuristic = words Partition.Heuristic in
+  if exact <> None then Gate.fail "exact solve packed the 21-item split";
+  if w_exact >= w_heuristic then
+    Gate.fail "capacity proof not cheap enough: %.0f words for the exact solve vs %.0f for a \
+               heuristic solve" w_exact w_heuristic;
+  Printf.printf "  capacity proof: exact None in %.0f words vs %.0f for a heuristic solve\n"
+    w_exact w_heuristic
 
 let run () =
   Exp_common.section "ILP gate: hierarchical floorplan determinism + scale (CI)";
@@ -94,4 +128,5 @@ let run () =
   if races = 0 then Gate.fail "race instance ran no exact-vs-anneal races";
   Printf.printf "  12-FPGA race instance: %d races (%d exact / %d anneal), cost %.0f\n" races
     cq.Ilp.Counters.races_exact cq.Ilp.Counters.races_anneal q1.Partition.cost;
+  check_capacity_proof ();
   Printf.printf "  PASS determinism, %.0fs ceiling\n" wall_clock_ceiling_s

@@ -111,6 +111,21 @@ let topology_arg =
            Topology.Ring
        & info [ "topology" ] ~doc)
 
+(* --topology, checked against every cluster size [sizes] the subcommand
+   wires with it: a hypercube of 3 boards is a usage error (exit 124)
+   before any work, not an exception at the floorplanner's first hop. *)
+let topology_for sizes =
+  let rec check topology = function
+    | [] -> Ok topology
+    | k :: rest -> (
+      match Topology.check_size topology k with
+      | Ok () -> check topology rest
+      | Error e -> Error (`Msg ("--topology: " ^ e)))
+  in
+  Term.(term_result ~usage:true (const check $ topology_arg $ sizes))
+
+let topology_of size = topology_for Term.(const (fun k -> [ k ]) $ size)
+
 (* Float flags parse through one converter: a value outside its range,
    NaN or an infinity is a usage error (exit 124) rather than a late
    routing failure, a NaN report or a farm event loop that never
@@ -249,15 +264,15 @@ type target = {
 }
 
 (* The target flags as one term, checked before any work: the app
-   through the catalog, the fault flags against the cluster.
+   through the catalog, --topology and the fault flags against the
+   cluster of [k] devices (--cluster-fpgas, else --fpgas).
    [verify_static] is the flag, or a constant where a subcommand has
    none. *)
 let target verify_static =
-  let check spec cluster_fpgas topology board threshold jobs seed loss_rate fail_fpgas fail_links
+  let check spec k topology board threshold jobs seed loss_rate fail_fpgas fail_links
       verify_static =
     let ( let* ) = Result.bind in
     let* app = Catalog.build spec in
-    let k = if cluster_fpgas = 0 then spec.Catalog.fpgas else cluster_fpgas in
     let* fault_plan = make_fault_plan ~k ~seed ~loss_rate ~fail_fpgas ~fail_links in
     let board = board_of_name board in
     let options =
@@ -266,7 +281,8 @@ let target verify_static =
     in
     Ok { app; board; cluster = Cluster.make ~topology ~board k; options }
   in
-  Term.(const check $ design app_arg $ cluster_fpgas_arg $ topology_arg $ board_arg $ threshold_arg
+  let k = Term.(const (fun f c -> if c = 0 then f else c) $ fpgas_arg $ cluster_fpgas_arg) in
+  Term.(const check $ design app_arg $ k $ topology_of k $ board_arg $ threshold_arg
         $ compile_jobs_arg $ seed_arg $ loss_rate_arg $ fail_fpga_arg $ fail_link_arg
         $ verify_static)
 
@@ -527,7 +543,8 @@ let sweep_cmd =
     0
   in
   let term =
-    Term.(const run $ design ~fpgas:(const 1) app_arg $ max_fpgas_arg $ topology_arg $ board_arg
+    let topology = topology_for Term.(const (fun m -> List.init m succ) $ max_fpgas_arg) in
+    Term.(const run $ design ~fpgas:(const 1) app_arg $ max_fpgas_arg $ topology $ board_arg
           $ threshold_arg $ sweep_jobs_arg $ seed_arg $ stats_arg)
   in
   Cmd.v
@@ -566,7 +583,8 @@ let emit_cmd =
       0
   in
   let term =
-    Term.(const run $ design app_arg $ topology_arg $ threshold_arg $ compile_jobs_arg $ out_arg)
+    Term.(const run $ design app_arg $ topology_of fpgas_arg $ threshold_arg $ compile_jobs_arg
+          $ out_arg)
   in
   Cmd.v
     (Cmd.info "emit" ~doc:"Compile and write the Vitis-style CAD constraints (step 7 of §4.2).")
@@ -745,8 +763,8 @@ let lint_cmd =
   in
   let term =
     (* The design flags, for each design the optional --app names. *)
-    Term.(const run $ lint_app_arg $ design (const "") $ topology_arg $ threshold_arg $ json_arg
-          $ only_arg $ max_warnings_arg)
+    Term.(const run $ lint_app_arg $ design (const "") $ topology_of fpgas_arg $ threshold_arg
+          $ json_arg $ only_arg $ max_warnings_arg)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -913,10 +931,10 @@ let farm_cmd =
     0
   in
   let term =
-    Term.(const run $ boards_arg $ boards_per_node_arg $ mix_arg $ tenants_arg $ topology_arg
-          $ threshold_arg $ seed_arg $ horizon_arg $ mean_gap_arg $ strict_every_arg
-          $ max_retries_arg $ backoff_arg $ timeline_arg $ event_arg $ stats_json_file_arg
-          $ compile_jobs_arg)
+    Term.(const run $ boards_arg $ boards_per_node_arg $ mix_arg $ tenants_arg
+          $ topology_of boards_arg $ threshold_arg $ seed_arg $ horizon_arg $ mean_gap_arg
+          $ strict_every_arg $ max_retries_arg $ backoff_arg $ timeline_arg $ event_arg
+          $ stats_json_file_arg $ compile_jobs_arg)
   in
   Cmd.v
     (Cmd.info "farm"

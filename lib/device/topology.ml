@@ -6,6 +6,12 @@ let check ~total i j =
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
+let check_size topo total =
+  match topo with
+  | Hypercube when not (is_power_of_two total) ->
+    Error (Printf.sprintf "a hypercube needs a power-of-two number of devices, got %d" total)
+  | _ -> Ok ()
+
 let popcount n =
   let rec go acc n = if n = 0 then acc else go (acc + (n land 1)) (n lsr 1) in
   go 0 n

@@ -16,6 +16,11 @@ val dist : t -> total:int -> int -> int -> int
     @raise Invalid_argument on out-of-range devices or a non-power-of-two
     hypercube. *)
 
+val check_size : t -> int -> (unit, string) result
+(** [Error] naming the size when the topology cannot wire that many
+    devices: a hypercube needs a power of two.  Check a cluster size
+    here before the first {!dist} raises. *)
+
 val neighbors : t -> total:int -> int -> int list
 (** Devices exactly one hop away. *)
 

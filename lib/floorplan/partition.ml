@@ -607,7 +607,129 @@ let build_ilp ~incumbent p =
     (m, incumbent_values, decode)
   end
 
+(* ------------------------------------------------------------------ *)
+(* Capacity proof.  Once every item is placed the ILP's cut variables
+   are free, so an instance has a feasible answer exactly when its items
+   pack into the parts under every capacity and pin.  The threshold
+   ladders hand the exact backend splits that cannot be packed, and
+   branch-and-bound without an incumbent spends its whole node budget
+   failing to find what a packing search rules out in microseconds.    *)
+(* ------------------------------------------------------------------ *)
+
+exception Packed
+
+(* Nodes the packing search may visit before it answers "not proven". *)
+let proof_budget = 100_000
+
+(* [true] only when a depth-first search over areas, capacities and pins
+   is exhausted without a packing.  Pinned items are placed first; the
+   free ones go largest first, and two symmetries are cut, both sound
+   because every item left to place is free:
+   - identical items take non-decreasing parts (permuting them among
+     their parts keeps every usage);
+   - an item skips a part whose capacity and usage equal those of an
+     earlier part it may take (swapping the two parts' later contents
+     turns any packing through the skipped part into one through the
+     earlier part).
+   A branch stops when some resource's remaining area exceeds the room
+   of the parts that could still take a remaining item. *)
+let capacity_infeasible p =
+  let n = num_items p and k = p.k in
+  let vec (r : Resource.t) = [| r.lut; r.ff; r.bram; r.dsp; r.uram |] in
+  let area = Array.map vec p.areas and cap = Array.map vec p.capacities in
+  let pin = Array.make n (-1) and clash = ref false in
+  List.iter
+    (fun (i, part) ->
+      if pin.(i) >= 0 && pin.(i) <> part then clash := true;
+      pin.(i) <- part)
+    p.fixed;
+  let used = Array.make_matrix k 5 0 in
+  let place sign i part =
+    for r = 0 to 4 do
+      used.(part).(r) <- used.(part).(r) + (sign * area.(i).(r))
+    done
+  in
+  let fits part a =
+    let ok = ref true in
+    for r = 0 to 4 do
+      if used.(part).(r) + a.(r) > cap.(part).(r) then ok := false
+    done;
+    !ok
+  in
+  Array.iteri (fun i part -> if part >= 0 then place 1 i part) pin;
+  if !clash then true
+  else if Array.exists (Array.exists (fun a -> a < 0)) area then false
+  else if Array.exists2 (Array.exists2 ( > )) used cap then true
+  else begin
+    let total = Array.fold_left Resource.add Resource.zero p.capacities in
+    let size = Array.map (fun a -> Resource.utilization a ~total) p.areas in
+    let free = Array.of_list (List.filter (fun i -> pin.(i) < 0) (List.init n Fun.id)) in
+    Array.stable_sort
+      (fun a b ->
+        match Float.compare size.(b) size.(a) with 0 -> compare area.(b) area.(a) | c -> c)
+      free;
+    let same (a : int array) b =
+      let s = ref true in
+      for r = 0 to 4 do
+        if a.(r) <> b.(r) then s := false
+      done;
+      !s
+    in
+    let m = Array.length free in
+    let twin_item = Array.init m (fun d -> d > 0 && same area.(free.(d)) area.(free.(d - 1))) in
+    (* Area of the items from depth [d] on, and its smallest component. *)
+    let rem = Array.make_matrix (m + 1) 5 0 and low = Array.make_matrix (m + 1) 5 max_int in
+    for d = m - 1 downto 0 do
+      for r = 0 to 4 do
+        rem.(d).(r) <- rem.(d + 1).(r) + area.(free.(d)).(r);
+        low.(d).(r) <- Stdlib.min low.(d + 1).(r) area.(free.(d)).(r)
+      done
+    done;
+    let twin_part lo q =
+      let t = ref false in
+      for q' = lo to q - 1 do
+        if same cap.(q') cap.(q) && same used.(q') used.(q) then t := true
+      done;
+      !t
+    in
+    let room = Array.make 5 0 in
+    let room_suffices d =
+      Array.fill room 0 5 0;
+      for q = 0 to k - 1 do
+        if fits q low.(d) then
+          for r = 0 to 4 do
+            room.(r) <- room.(r) + cap.(q).(r) - used.(q).(r)
+          done
+      done;
+      let ok = ref true in
+      for r = 0 to 4 do
+        if rem.(d).(r) > room.(r) then ok := false
+      done;
+      !ok
+    in
+    let nodes = ref 0 and part_of = Array.make m 0 in
+    let rec go d =
+      if d = m then raise Packed;
+      incr nodes;
+      if !nodes > proof_budget then raise Exit;
+      if room_suffices d then begin
+        let i = free.(d) and lo = if twin_item.(d) then part_of.(d - 1) else 0 in
+        for q = lo to k - 1 do
+          if fits q area.(i) && not (twin_part lo q) then begin
+            place 1 i q;
+            part_of.(d) <- q;
+            go (d + 1);
+            place (-1) i q
+          end
+        done
+      end
+    in
+    match go 0 with () -> true | exception (Packed | Exit) -> false
+  end
+
 let exact ~incumbent p =
+  if incumbent = None && capacity_infeasible p then None
+  else
   let m, incumbent_values, decode = build_ilp ~incumbent p in
   match
     Ilp.Branch_bound.solve ~max_nodes:800 ~max_pivots:300_000 ~stall_nodes:80
@@ -753,6 +875,8 @@ let race_iters p = Stdlib.min 200_000 (2_000 * num_items p)
 
 let exact_race ?pool ~seed ix =
   let p = ix.p in
+  if capacity_infeasible p then None
+  else
   let m, _, decode = build_ilp ~incumbent:None p in
   let lp_bound =
     match (Ilp.Simplex.solve_float_first (Ilp.Simplex.prepare m)).ff_result with

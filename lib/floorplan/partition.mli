@@ -45,6 +45,14 @@ val cost_of : problem -> int array -> float
 val feasible_assignment : problem -> int array -> bool
 (** Capacity (Eq. 1) and fixed-placement compliance. *)
 
+val capacity_infeasible : problem -> bool
+(** [true] only when no assignment passes {!feasible_assignment}: a
+    deterministic depth-first packing search over areas, capacities and
+    pins ran to exhaustion.  [false] when it found a packing or spent
+    its fixed node budget.  The exact backend asks it before every
+    search that starts without an incumbent and answers [None] at once
+    when it holds, which is what branch-and-bound would have answered. *)
+
 val solve :
   ?strategy:strategy ->
   ?seed:int ->

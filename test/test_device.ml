@@ -117,7 +117,13 @@ let test_topology_mesh_hypercube () =
   check int "hypercube" 3 (Topology.dist Topology.Hypercube ~total:8 0 7);
   check int "hypercube 1 bit" 1 (Topology.dist Topology.Hypercube ~total:8 2 3);
   Alcotest.check_raises "hypercube size" (Invalid_argument "Topology.Hypercube: size must be a power of two")
-    (fun () -> ignore (Topology.dist Topology.Hypercube ~total:6 0 1))
+    (fun () -> ignore (Topology.dist Topology.Hypercube ~total:6 0 1));
+  let size_check = Alcotest.(result unit string) in
+  check size_check "hypercube of 8" (Ok ()) (Topology.check_size Topology.Hypercube 8);
+  check size_check "hypercube of 6"
+    (Error "a hypercube needs a power-of-two number of devices, got 6")
+    (Topology.check_size Topology.Hypercube 6);
+  check size_check "ring of 3" (Ok ()) (Topology.check_size Topology.Ring 3)
 
 let test_topology_neighbors_diameter () =
   check (Alcotest.list int) "ring neighbors" [ 1; 3 ] (Topology.neighbors Topology.Ring ~total:4 0);

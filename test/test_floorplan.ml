@@ -879,6 +879,85 @@ let prop_digest_mutation_sensitive =
       in
       Partition.fragment_digest mutated <> d)
 
+(* ------------------------------------------------------------------ *)
+(* Capacity proof                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* 0-8 items over 2-4 parts with k^n <= 20,000, so every assignment can
+   be enumerated.  Items and parts draw from a few five-resource shapes,
+   so both symmetry rules fire; the capacities sum to 0.7-1.1x the
+   summed area; up to three pinned items, and a sixth of the pinned
+   instances pin the first of them to a second part as well. *)
+let random_packing_problem rng =
+  let k = 2 + Prng.int rng 3 in
+  let n = Prng.int rng (if k = 4 then 8 else 9) in
+  let shape () =
+    Resource.make ~lut:(Prng.int rng 40) ~ff:(Prng.int rng 40) ~bram:(Prng.int rng 5)
+      ~dsp:(Prng.int rng 5) ~uram:(Prng.int rng 2) ()
+  in
+  let item_shapes = Array.init (1 + Prng.int rng 3) (fun _ -> shape ()) in
+  let areas = Array.init n (fun _ -> item_shapes.(Prng.int rng (Array.length item_shapes))) in
+  let part_weights = Array.init (1 + Prng.int rng 2) (fun _ -> 1.0 +. Prng.float rng 1.0) in
+  let weights = Array.init k (fun _ -> part_weights.(Prng.int rng (Array.length part_weights))) in
+  let fill = [| 0.7; 0.9; 1.0; 1.05; 1.1 |].(Prng.int rng 5) in
+  let share = fill /. Array.fold_left ( +. ) 0.0 weights in
+  let total = Resource.sum (Array.to_list areas) in
+  let items = Array.init n Fun.id in
+  Prng.shuffle rng items;
+  let pins = List.init (Stdlib.min n (Prng.int rng 4)) (fun j -> (items.(j), Prng.int rng k)) in
+  let fixed =
+    match pins with
+    | (i, part) :: _ when Prng.int rng 6 = 0 -> (i, (part + 1) mod k) :: pins
+    | _ -> pins
+  in
+  let edges =
+    if n < 2 then []
+    else List.init (Prng.int rng n) (fun i -> (i, (i + 1) mod n, float_of_int (1 + Prng.int rng 9)))
+  in
+  {
+    Partition.areas;
+    edges;
+    pulls = [];
+    k;
+    capacities = Array.map (fun w -> Resource.scale (share *. w) total) weights;
+    dist = (fun a b -> abs (a - b));
+    fixed;
+  }
+
+(* Does any of the k^n assignments meet every capacity and pin? *)
+let packs p =
+  let n = Partition.num_items p and k = p.Partition.k in
+  let a = Array.make n 0 in
+  let rec go i = if i = n then Partition.feasible_assignment p a else try_parts i 0
+  and try_parts i part =
+    part < k
+    && ((a.(i) <- part;
+         go (i + 1))
+       || try_parts i (part + 1))
+  in
+  go 0
+
+let prop_capacity_proof_exact =
+  QCheck.Test.make ~name:"capacity proof agrees with exhaustive packing" ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = random_packing_problem (Prng.create seed) in
+      let infeasible = not (packs p) in
+      Partition.capacity_infeasible p = infeasible
+      && (Partition.solve ~strategy:Partition.Exact p = None) = infeasible)
+
+(* 21 items of 3 LUT fill 63 of 64 LUT, but a 32-LUT part holds ten. *)
+let test_capacity_proof () =
+  let edges = List.init 20 (fun i -> (i, i + 1, 1.0)) in
+  let p = simple_problem ~cap:32 ~edges (List.init 21 (fun _ -> 3)) in
+  check bool "proven infeasible" true (Partition.capacity_infeasible p);
+  List.iter
+    (fun (name, strategy) ->
+      check bool (name ^ " returns None") true (Partition.solve ~strategy p = None))
+    [ ("Auto", Partition.Auto); ("Exact", Partition.Exact); ("Heuristic", Partition.Heuristic) ];
+  let roomier = { p with Partition.capacities = [| res 33; res 32 |] } in
+  check bool "33 + 32 LUT packs" false (Partition.capacity_infeasible roomier)
+
 let test_fragment_cache () =
   (* A 12-part / 3-group instance through the grouped path twice under
      different caller seeds: the second solve must replay every fragment
@@ -971,9 +1050,13 @@ let () =
           Alcotest.test_case "grouped decomposition" `Quick test_partition_grouped_decomposition;
           Alcotest.test_case "fragment cache" `Quick test_fragment_cache;
           Alcotest.test_case "non-finite weights rejected" `Quick test_partition_non_finite_weights;
+          Alcotest.test_case "capacity proof" `Quick test_capacity_proof;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ prop_digest_renaming_invariant; prop_digest_mutation_sensitive ] );
+            [
+              prop_digest_renaming_invariant; prop_digest_mutation_sensitive;
+              prop_capacity_proof_exact;
+            ] );
       ( "inter_fpga",
         [
           Alcotest.test_case "spreads big designs" `Quick test_inter_fpga_spreads_when_needed;
