@@ -3,11 +3,13 @@
    Two properties:
 
    1. Determinism (hard): the grouped decomposition — cluster-level
-      assignment, per-node portfolio races, parallel branch-and-bound,
-      stitch and polish — must return the byte-identical assignment,
-      cost and stats under jobs = 1 and jobs = N.  The pool is a
-      wall-clock lever only; any divergence means a worker-count
-      dependence leaked into an answer and fails the run outright.
+      assignment, one portfolio per node (anneal, then the carved
+      branch-and-bound search unless the anneal is certified), stitch
+      and polish — must return the byte-identical assignment, cost and
+      stats under jobs = 1 and jobs = N.  The pool only maps the
+      independent per-node subproblems; any divergence means a
+      worker-count dependence leaked into an answer and fails the run
+      outright.
 
    2. Scale (threshold): the 100-FPGA / 1000-task synthetic must
       floorplan within a generous wall-clock ceiling.  The gate only
@@ -98,7 +100,7 @@ let run () =
   let times = ref [] in
   let big = synthetic ~fpgas:100 ~tasks:1000 () in
   let r1 =
-    Gate.jobs_invariant ~label:"100-FPGA grouped solve" ~same:Gate.same_solve (fun pool ->
+    Gate.jobs_invariant ~label:"100-FPGA grouped solve" (fun pool ->
         let r, t = Gate.timed (fun () -> solve ~label:"grouped solve" big pool) in
         times := t :: !times;
         r)
@@ -117,10 +119,10 @@ let run () =
   if t_best > wall_clock_ceiling_s then
     Gate.fail "100-FPGA floorplan took %.1fs (> %.0fs ceiling)" t_best wall_clock_ceiling_s;
   (* Smaller instance whose per-node subproblems fit the exact budget:
-     the portfolio race actually runs both arms, so the race counters
-     must light up — and stay worker-count independent. *)
+     every one goes through the portfolio, so its outcome counters must
+     light up — and stay worker-count independent. *)
   let q1 =
-    Gate.jobs_invariant ~label:"race instance" ~same:Gate.same_solve
+    Gate.jobs_invariant ~label:"race instance"
       (solve ~label:"race instance" (synthetic ~fpgas:12 ~tasks:30 ()))
   in
   let cq = q1.Partition.stats.Partition.counters in

@@ -53,11 +53,6 @@ let jobs_invariant ~label ?(same = ( = )) f =
     fail "%s: jobs=1 and jobs=N differ" label;
   seq
 
-(* Partition results agree on everything but the wall-clock runtime. *)
-let same_solve (a : Partition.result) (b : Partition.result) =
-  let strip (r : Partition.result) = { r with stats = { r.stats with runtime_s = 0.0 } } in
-  strip a = strip b
-
 let same_farm a b = Farm.stats_json a = Farm.stats_json b
 
 (* The farm's books: per-tenant accounting closes, boards are owned

@@ -120,7 +120,7 @@ let partition_heuristic =
 
 (* The tentpole scale target: a cluster-sized instance through the
    hierarchical decomposition (cluster-level assignment, one portfolio
-   race per node group, stitch + polish).  The cache is reset inside the
+   per node group, stitch + polish).  The cache is reset inside the
    staged closure so every run times a genuine solve, not a replay. *)
 let partition_hierarchical =
   let problem, groups = Exp_ilpgate.synthetic ~fpgas:100 ~tasks:1000 () in

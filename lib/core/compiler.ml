@@ -73,18 +73,23 @@ let port_bandwidth_gbps' ~cluster ~graph ~freq_mhz ~hbm ~assignment tid port_ind
 let extra_stage_cycles' ~pipeline fid =
   Array.fold_left (fun acc p -> acc + Pipelining.stages_of p fid) 0 pipeline
 
+(* Wall time of one floorplanner call, for the §5.6 runtime columns. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
 let compile ?(options = default_options) ?pool ~cluster graph =
   (* One worker pool for every parallel stage of this compile.  A caller
      running many compiles (sweeps, the farm controller) passes its own
      [?pool] to amortize domain spawning; otherwise one is created for
-     this compile and torn down after.  [jobs = 1] (or a single-core
-     host) keeps the whole pipeline on the calling domain; either way the
+     this compile and torn down after.  [jobs = 1] makes it a zero-worker
+     pool, which keeps the whole pipeline on the calling domain (no pool
+     at all would let each parallel_map spawn its own); either way the
      output is bit-identical because every parallel_map assembles its
      results in index order. *)
   let own_pool =
-    match pool with
-    | Some _ -> None
-    | None -> if options.jobs > 1 then Some (Pool.create ~domains:(options.jobs - 1) ()) else None
+    match pool with Some _ -> None | None -> Some (Pool.create ~domains:(options.jobs - 1) ())
   in
   let pool = match pool with Some _ -> pool | None -> own_pool in
   Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown own_pool) @@ fun () ->
@@ -112,13 +117,14 @@ let compile ?(options = default_options) ?pool ~cluster graph =
     | Some p -> (p.Fault.failed_devices, p.Fault.failed_links)
     | None -> ([], [])
   in
-  let inter_result =
-    if failed_devices = [] && failed_links = [] then
-      Inter_fpga.run ~strategy:options.strategy ~threshold:options.threshold ~seed:options.seed
-        ?pool ~cluster ~synthesis graph
-    else
-      Inter_fpga.run_degraded ~strategy:options.strategy ~threshold:options.threshold
-        ~seed:options.seed ?pool ~failed_devices ~failed_links ~cluster ~synthesis graph
+  let inter_result, l1_runtime_s =
+    timed (fun () ->
+        if failed_devices = [] && failed_links = [] then
+          Inter_fpga.run ~strategy:options.strategy ~threshold:options.threshold
+            ~seed:options.seed ?pool ~cluster ~synthesis graph
+        else
+          Inter_fpga.run_degraded ~strategy:options.strategy ~threshold:options.threshold
+            ~seed:options.seed ?pool ~failed_devices ~failed_links ~cluster ~synthesis graph)
   in
   let* inter =
     Result.map_error
@@ -162,12 +168,14 @@ let compile ?(options = default_options) ?pool ~cluster graph =
             (fun tid -> inter.Inter_fpga.assignment.(tid) = fpga)
             (List.init (Taskgraph.num_tasks graph) Fun.id)
         in
-        let* placement =
-          Intra_fpga.run ~strategy:options.strategy ~threshold:intra_threshold
-            ~seed:options.seed ~board ~synthesis ~graph ~tasks
-            ~io_pull:(fun tid -> cut_width.(tid))
-            ()
+        let placement, l2_s =
+          timed (fun () ->
+              Intra_fpga.run ~strategy:options.strategy ~threshold:intra_threshold
+                ~seed:options.seed ~board ~synthesis ~graph ~tasks
+                ~io_pull:(fun tid -> cut_width.(tid))
+                ())
         in
+        let* placement = placement in
         let hbm =
           Hbm_binding.run ~explore:options.explore_hbm ~board ~graph
             ~slot_of:placement.Intra_fpga.slot_of ()
@@ -181,7 +189,7 @@ let compile ?(options = default_options) ?pool ~cluster graph =
           Freq_model.of_placement ~board ~synthesis ~graph
             ~slot_of:placement.Intra_fpga.slot_of ~pipelined:options.pipeline_interconnect ()
         in
-        Ok (placement, hbm, pipeline, freq))
+        Ok (placement, hbm, pipeline, freq, l2_s))
       (Array.init k Fun.id)
   in
   let* staged =
@@ -193,15 +201,15 @@ let compile ?(options = default_options) ?pool ~cluster graph =
       per_fpga (Ok [])
   in
   let staged = Array.of_list staged in
-  let intra = Array.map (fun (p, _, _, _) -> p) staged in
-  let hbm = Array.map (fun (_, h, _, _) -> h) staged in
-  let pipeline = Array.map (fun (_, _, p, _) -> p) staged in
-  let freq = Array.map (fun (_, _, _, f) -> f) staged in
+  let intra = Array.map (fun (p, _, _, _, _) -> p) staged in
+  let hbm = Array.map (fun (_, h, _, _, _) -> h) staged in
+  let pipeline = Array.map (fun (_, _, p, _, _) -> p) staged in
+  let freq = Array.map (fun (_, _, _, f, _) -> f) staged in
   let unrouted = Array.exists (fun (e : Freq_model.estimate) -> not e.routed) freq in
   if unrouted then Error "a device placement exceeds physical slot capacity (routing failure)"
   else begin
     let freq_mhz = Array.fold_left (fun acc (e : Freq_model.estimate) -> Float.min acc e.freq_mhz) infinity freq in
-    let l2_runtime_s = Array.fold_left (fun acc p -> acc +. Intra_fpga.runtime_s p) 0.0 intra in
+    let l2_runtime_s = Array.fold_left (fun acc (_, _, _, _, s) -> acc +. s) 0.0 staged in
     (* Static performance bounds, at the same simulator configuration
        [Flow.sim_config] would build for this compile (design clock on
        every device, bound HBM bandwidth, pipelining stage latency). *)
@@ -264,7 +272,7 @@ let compile ?(options = default_options) ?pool ~cluster graph =
         pipeline;
         freq;
         freq_mhz;
-        l1_runtime_s = inter.Inter_fpga.stats.runtime_s;
+        l1_runtime_s;
         l2_runtime_s;
         degraded;
         fallbacks;

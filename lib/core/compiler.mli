@@ -31,8 +31,12 @@ type t = {
   pipeline : Pipelining.t array;
   freq : Freq_model.estimate array;
   freq_mhz : float;  (** design clock: the minimum across devices *)
-  l1_runtime_s : float;  (** inter-FPGA floorplanner time (§5.6) *)
-  l2_runtime_s : float;  (** intra-FPGA floorplanner time (§5.6) *)
+  l1_runtime_s : float;
+      (** inter-FPGA floorplanner wall time (§5.6), this compile's own:
+          a solution-cache hit costs what the lookup cost *)
+  l2_runtime_s : float;
+      (** intra-FPGA floorplanner wall time (§5.6): the per-FPGA
+          {!Intra_fpga.run} times summed *)
   degraded : bool;
       (** some recovery path fired: a floorplan fallback rung or a
           refloorplan onto a pruned topology *)

@@ -73,11 +73,12 @@ val run :
     whole fallback chain is exhausted.
 
     Multi-node clusters route large [Auto] instances through
-    {!Partition}'s hierarchical decomposition, grouped by server node —
-    the per-node subproblems race exact branch-and-bound against
-    simulated annealing concurrently on [pool].  [pool] is a wall-clock
-    lever only: the mapping, cost and stats are identical with and
-    without it. *)
+    {!Partition}'s hierarchical decomposition, grouped by server node:
+    the per-node subproblems are independent and are solved
+    concurrently on [pool], each by simulated annealing and then, unless
+    the anneal provably meets the LP bound, exact branch-and-bound.
+    [pool] is a wall-clock lever only: the mapping, cost and stats are
+    identical with and without it. *)
 
 val run_degraded :
   ?strategy:Partition.strategy ->

@@ -215,5 +215,3 @@ let run ?(strategy = Partition.Auto) ?(threshold = Constants.utilization_thresho
         cost = !cost;
         levels = List.rev !levels;
       }
-
-let runtime_s t = List.fold_left (fun acc (s : Partition.stats) -> acc +. s.runtime_s) 0.0 t.levels

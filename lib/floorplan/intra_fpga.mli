@@ -32,7 +32,3 @@ val run :
     inter-FPGA traffic weight of a task (bit width of its cut FIFOs),
     pulling it toward the QSFP slots; tasks with memory ports are always
     pulled toward the HBM row with their port width. *)
-
-val runtime_s : t -> float
-(** Total partitioner runtime across all bisection levels (the L2 column
-    of the §5.6 overhead table). *)

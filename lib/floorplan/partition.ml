@@ -16,7 +16,6 @@ type strategy = Exact | Heuristic | Auto
 
 type stats = {
   backend : [ `Exact | `Heuristic | `Greedy ];
-  runtime_s : float;
   counters : Ilp.Counters.t;
   proven_optimal : bool;
 }
@@ -254,8 +253,8 @@ let refine_moves ?rng ix ~max_passes assignment =
 (* Deterministic simulated annealing from [init] (pinned items never
    move): single-item relocations drawn from a Prng seeded with [seed],
    geometric cooling over [iters] proposals, Metropolis acceptance.  The
-   answer is a pure function of the inputs, which keeps the portfolio
-   race's arbitration deterministic.  Returns the cheapest feasible
+   answer is a pure function of the inputs, which keeps the portfolio's
+   arbitration deterministic.  Returns the cheapest feasible
    assignment observed with the number of accepted moves, or [None] when
    the walk never reached feasibility. *)
 let anneal ix ~seed ~iters init =
@@ -409,7 +408,6 @@ let greedy_assignment ix =
 
 let greedy p =
   validate p;
-  let t0 = Sys.time () in
   if num_items p = 0 then None
   else begin
     let assignment = greedy_assignment (index p) in
@@ -418,13 +416,7 @@ let greedy p =
         assignment;
         cost = cost_of p assignment;
         feasible = feasible_assignment p assignment;
-        stats =
-          {
-            backend = `Greedy;
-            runtime_s = Sys.time () -. t0;
-            counters = Counters.zero;
-            proven_optimal = false;
-          };
+        stats = { backend = `Greedy; counters = Counters.zero; proven_optimal = false };
       }
   end
 
@@ -440,7 +432,7 @@ let rat_of_weight w = Rat.of_float_approx ~max_den:10_000 w
 (* Exact rational objective of an assignment — the same arithmetic the
    ILP objective uses (edge weights through [rat_of_weight], integer
    distances), so equality with the root LP bound is a proof of
-   optimality for the portfolio racer's annealing arm. *)
+   optimality for the portfolio's anneal answer. *)
 let cost_rat p assignment =
   let d a b = Rat.of_int (p.dist a b) in
   let edge =
@@ -455,9 +447,9 @@ let cost_rat p assignment =
 
 (* Lower a problem to its 0-1 ILP.  Returns the model, the encoded warm
    incumbent (when given) and the decoder from ILP variable values back
-   to an assignment.  Shared by the flat exact backend and the portfolio
-   racer, which additionally needs the model itself for the root LP
-   bound and the parallel subtree search. *)
+   to an assignment.  Shared by the flat exact backend and the
+   portfolio, which additionally needs the model itself for the root LP
+   bound and the carved search. *)
 let build_ilp ~incumbent p =
   let n = num_items p in
   let m = Ilp.Model.create () in
@@ -735,11 +727,9 @@ let exact ~incumbent p =
     Ilp.Branch_bound.solve ~max_nodes:800 ~max_pivots:300_000 ~stall_nodes:80
       ?incumbent:incumbent_values m
   with
-  | (Ilp.Branch_bound.Optimal sol | Ilp.Branch_bound.Feasible sol | Ilp.Branch_bound.Timeout (Some sol))
-    as result ->
-    let proven = match result with Ilp.Branch_bound.Optimal _ -> true | _ -> false in
-    Some (decode sol.values, sol.counters, proven)
-  | Ilp.Branch_bound.Infeasible | Ilp.Branch_bound.Unbounded | Ilp.Branch_bound.Timeout None -> None
+  | Ilp.Branch_bound.Optimal sol -> Some (decode sol.values, sol.counters, true)
+  | Ilp.Branch_bound.Feasible sol -> Some (decode sol.values, sol.counters, false)
+  | Ilp.Branch_bound.Infeasible | Ilp.Branch_bound.Unbounded -> None
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical backend for k > 2: recursive two-way bisection over
@@ -754,7 +744,7 @@ let avg_dist p parts target =
 
 (* Binary-variable budget up to which [Auto] still tries the exact
    backend on a two-way split; joint k-way ILPs get half of it and the
-   grouped decomposition's race arm twice it. *)
+   grouped decomposition's portfolio twice it. *)
 let exact_var_limit = 28
 
 (* One two-way level: the heuristic, then the exact backend seeded with
@@ -858,22 +848,18 @@ let hierarchical ~seed ix =
 let binary_var_count p = if p.k = 2 then num_items p else num_items p * p.k
 
 (* ------------------------------------------------------------------ *)
-(* Portfolio race: deterministic simulated annealing vs parallel exact
-   branch-and-bound on the same subproblem.
+(* Portfolio: deterministic simulated annealing, then the carved exact
+   search, on the same subproblem.
 
-   Both arms are deterministic, so the race only affects wall-clock: the
-   anneal arm "wins" exactly when its feasible answer's exact rational
-   cost equals the root LP bound (a proof of optimality), in which case
-   the exact arm is cancelled via a shared token and its (now
-   wall-clock-dependent) partial counters are discarded.  Otherwise the
-   token is never raised, the exact arm runs to its full budget, and the
-   arbitration below is a pure function of two deterministic results —
-   identical under jobs = 1 and jobs = N.                               *)
+   The anneal answer is certified when its exact rational cost equals
+   the root LP bound, a proof of optimality: it is returned and the
+   search is never built.  Otherwise the search runs and the answer is
+   a pure function of the two deterministic results.                    *)
 (* ------------------------------------------------------------------ *)
 
-let race_iters p = Stdlib.min 200_000 (2_000 * num_items p)
+let anneal_iters p = Stdlib.min 200_000 (2_000 * num_items p)
 
-let exact_race ?pool ~seed ix =
+let portfolio ~seed ix =
   let p = ix.p in
   if capacity_infeasible p then None
   else
@@ -884,58 +870,28 @@ let exact_race ?pool ~seed ix =
     | Ilp.Simplex.Infeasible | Ilp.Simplex.Unbounded -> None
     | exception Ilp.Simplex.Pivot_limit -> None
   in
-  let token = Pool.cancel_token () in
-  let run_anneal () =
-    let o = anneal ix ~seed ~iters:(race_iters p) (greedy_assignment ix) in
-    let certified =
-      match (o, lp_bound) with
-      | Some (a, _), Some b -> Rat.equal (cost_rat p a) b
-      | _ -> false
-    in
-    if certified then Pool.cancel token;
-    `Anneal (o, certified)
-  in
-  let run_bb () =
-    `Bb
-      (Ilp.Branch_bound.solve_parallel ~max_nodes:800 ~max_pivots:300_000 ~stall_nodes:80 ?pool
-         ~should_stop:(fun () -> Pool.cancelled token)
-         m)
-  in
-  (* The anneal arm is listed first so the sequential fallback (jobs = 1,
-     or a nested call inside a pool worker) runs it before the exact arm:
-     cancellation then has the same observable effect in both modes — a
-     certified anneal means the exact arm's answer is discarded. *)
-  let outs = Pool.parallel_map ?pool (fun f -> f ()) [| run_anneal; run_bb |] in
-  let anneal_o, anneal_certified =
-    match outs.(0) with `Anneal (o, c) -> (o, c) | _ -> assert false
-  in
-  let bb_result = match outs.(1) with `Bb r -> r | _ -> assert false in
-  (* Only the deterministic root LP solve is accounted for an anneal
-     answer the exact arm did not produce. *)
+  let annealed = anneal ix ~seed ~iters:(anneal_iters p) (greedy_assignment ix) in
+  (* An anneal answer the search did not produce accounts only for the
+     root LP solve. *)
   let anneal_won moves = { (moves_only moves) with lp_solves = 1; races_anneal = 1 } in
-  match anneal_o with
-  | Some (a, moves) when anneal_certified ->
-    (* Provably optimal: the anneal cost equals the exact root LP bound.
-       Only the deterministic root LP solve is accounted — the cancelled
-       exact arm's partial counters depend on how fast it was stopped. *)
-    Some (a, anneal_won moves, true)
+  match (annealed, lp_bound) with
+  | Some (a, moves), Some b when Rat.equal (cost_rat p a) b -> Some (a, anneal_won moves, true)
   | _ -> (
-    match bb_result with
-    | (Ilp.Branch_bound.Optimal sol | Ilp.Branch_bound.Feasible sol
-      | Ilp.Branch_bound.Timeout (Some sol)) as result -> (
+    match Ilp.Branch_bound.solve_carved ~max_nodes:800 ~max_pivots:300_000 ~stall_nodes:80 m with
+    | (Ilp.Branch_bound.Optimal sol | Ilp.Branch_bound.Feasible sol) as result -> (
       let proven = match result with Ilp.Branch_bound.Optimal _ -> true | _ -> false in
       let a = decode sol.values in
       (* An uncertified but feasible anneal answer can still beat a
-         budget-limited exact incumbent; the exact arm wins ties. *)
-      match anneal_o with
+         budget-limited exact incumbent; the search wins ties. *)
+      match annealed with
       | Some (anneal_a, moves)
         when (not proven) && Rat.compare (cost_rat p anneal_a) (cost_rat p a) < 0 ->
         Some (anneal_a, { sol.counters with races_anneal = 1; refinement_moves = moves }, false)
       | _ -> Some (a, { sol.counters with races_exact = 1 }, proven))
-    | Ilp.Branch_bound.Infeasible | Ilp.Branch_bound.Unbounded | Ilp.Branch_bound.Timeout None ->
-      (* The exact arm's budget-limited "Infeasible" is a conflation (no
-         incumbent found in budget); a feasible anneal answer refutes it. *)
-      Option.map (fun (a, moves) -> (a, anneal_won moves, false)) anneal_o)
+    | Ilp.Branch_bound.Infeasible | Ilp.Branch_bound.Unbounded ->
+      (* A budget-limited "Infeasible" only means no incumbent was found
+         in budget; a feasible anneal answer refutes it. *)
+      Option.map (fun (a, moves) -> (a, anneal_won moves, false)) annealed)
 
 (* ------------------------------------------------------------------ *)
 (* Subproblem fragments: renaming-invariant canonicalization and the
@@ -1204,19 +1160,18 @@ let frag_seed bytes =
   land 0x3FFFFFFF
 
 (* One per-group subproblem, solved directly (no cache): the portfolio
-   race when the exact arm can afford it — its B&B arm is the parallel
-   subtree search, and a certified anneal cancels it early on the easy
-   instances — otherwise anneal from the heuristic start with greedy as
-   the last rung. *)
-let solve_sub_core ?pool ~seed sub =
+   when the exact search can afford it — a certified anneal answers the
+   easy instances without building the search — otherwise anneal from
+   the heuristic start with greedy as the last rung. *)
+let solve_sub_core ~seed sub =
   let ix = index sub in
   let one c = { c with Counters.subproblems = 1 } in
   if binary_var_count sub <= 2 * exact_var_limit then
-    Option.map (fun (a, cnt, _proven) -> (a, one cnt)) (exact_race ?pool ~seed ix)
+    Option.map (fun (a, cnt, _proven) -> (a, one cnt)) (portfolio ~seed ix)
   else begin
     let h, _, h_feasible, h_moves = heuristic ~seed ix in
-    match anneal ix ~seed ~iters:(race_iters sub) h with
-    (* no exact arm ran, so this is not a race win — only [subproblems] *)
+    match anneal ix ~seed ~iters:(anneal_iters sub) h with
+    (* no exact search ran, so this is not a portfolio win — only [subproblems] *)
     | Some (a, moves) -> Some (a, one (moves_only moves))
     | None when h_feasible -> Some (h, one (moves_only h_moves))
     | None ->
@@ -1231,13 +1186,13 @@ let solve_sub_core ?pool ~seed sub =
    serialization: a digest collision or an automorphism tie broken
    differently can only cause a miss, never a wrong replay.  The cached array is shared; it
    is read (never mutated) while mapping back into a fresh array. *)
-let solve_fragment ?pool sub =
+let solve_fragment sub =
   let c = canonicalize sub in
   let key = c.c_digest ^ "/" ^ Digest.to_hex (Digest.string c.c_bytes) in
   let solved, _hit =
     Memo.find_or_compute frag_cache ~key (fun () ->
         Atomic.incr frag_resolved;
-        solve_sub_core ?pool ~seed:(frag_seed c.c_bytes) c.c_problem)
+        solve_sub_core ~seed:(frag_seed c.c_bytes) c.c_problem)
   in
   Option.map
     (fun (a, cnt) ->
@@ -1305,7 +1260,7 @@ let cluster_chunk gix =
 (* Grouped decomposition (hierarchical floorplanning across server
    nodes): a cluster-level assignment of items to part *groups* (the
    FPGAs of one server node), then one independent subproblem per group
-   — each a portfolio race — solved concurrently on the pool, stitched
+   — each through the portfolio — solved concurrently on the pool, stitched
    into a global assignment and polished across the cut.  Feasibility of
    the stitched result is by construction (each subproblem respects its
    own parts' capacities); the final anneal polish only ever replaces it
@@ -1448,7 +1403,7 @@ let solve_grouped ~seed ?pool ~groups ix =
          tenants and renamings). *)
       let solve_sub sub =
         if num_items sub = 0 then Some (Array.make 0 0, Counters.zero)
-        else solve_fragment ?pool sub
+        else solve_fragment sub
       in
       let subs = Array.init g_count make_sub in
       let solved = Pool.parallel_map ?pool solve_sub subs in
@@ -1510,22 +1465,13 @@ let solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p =
     | Some a when feasible_assignment p a -> Some (Array.copy a)
     | _ -> None
   in
-  let t0 = Sys.time () in
   let finish backend ?(counters = Counters.zero) ~proven assignment =
-    let cost = cost_of p assignment in
-    let feasible = feasible_assignment p assignment in
     Some
       {
         assignment;
-        cost;
-        feasible;
-        stats =
-          {
-            backend;
-            runtime_s = Sys.time () -. t0;
-            counters;
-            proven_optimal = proven;
-          };
+        cost = cost_of p assignment;
+        feasible = feasible_assignment p assignment;
+        stats = { backend; counters; proven_optimal = proven };
       }
   in
   if p.k = 1 then begin
@@ -1620,10 +1566,9 @@ let solve_uncached ~strategy ~seed ?warm_incumbent ?pool ?groups p =
    canonical digest of every input that influences the answer.
 
    Determinism contract: the cache must never change *what* is returned,
-   only how fast.  So [runtime_s] is part of the stored record and is
-   returned verbatim on a hit, and cache-cold and cache-warm compiles
-   emit bit-identical reports.  Hit/miss observability lives in
-   [cache_stats] only. *)
+   only how fast.  The result record carries no clock, so cache-cold
+   and cache-warm compiles emit bit-identical reports.  Hit/miss
+   observability lives in [cache_stats] only. *)
 
 let cache : result option Memo.t = Memo.create ()
 

@@ -29,11 +29,10 @@ type strategy = Exact | Heuristic | Auto
 
 type stats = {
   backend : [ `Exact | `Heuristic | `Greedy ];
-  runtime_s : float;
   counters : Tapa_cs_ilp.Counters.t;
       (** solver counters of this solve: the LP and node counts of every
           exact search it ran, heuristic refinement moves, grouped
-          subproblems and portfolio race wins; all 0 for [`Greedy] *)
+          subproblems and portfolio outcomes; all 0 for [`Greedy] *)
   proven_optimal : bool;
 }
 
@@ -74,13 +73,16 @@ val solve :
     instances ([k > 8], at least two non-trivial groups): a
     cluster-level assignment of items to groups (deterministic
     weight-independent BFS chunking, greedy + anneal as fallback), then
-    one independent subproblem per group — each racing exact parallel
-    branch-and-bound against deterministic simulated annealing — solved
-    concurrently on [pool], stitched and polished across the group
-    boundary.  Without [groups] (or outside those conditions) the flat
-    paths run exactly as before.  [pool] only ever changes wall-clock
-    time, never the answer: both race arms are deterministic and the
-    arbitration is a pure function of their results.
+    one independent subproblem per group, stitched and polished across
+    the group boundary.  Each subproblem is a portfolio, one ordered
+    check: deterministic simulated annealing first, accepted outright
+    when its exact cost meets the root LP bound, and otherwise the
+    carved branch-and-bound search ({!Tapa_cs_ilp.Branch_bound.solve_carved}),
+    whose answer wins unless the anneal's is strictly cheaper than a
+    search that ran out of budget.  Without [groups] (or outside those
+    conditions) the flat paths run exactly as before.  [pool] maps the
+    per-group subproblems onto worker domains; it only ever changes
+    wall-clock time, never the answer.
 
     Each per-group subproblem additionally goes through a second-level
     {e fragment cache}: the subproblem is canonicalized under a
@@ -101,9 +103,9 @@ val solve :
     capacities, the [k x k] distance table, fixed placements and
     [groups]; [pool] is deliberately excluded — it cannot change the
     answer).  The
-    cache is transparent: hits return the stored record — including its
-    original [runtime_s] — so compile output is bit-identical whether the
-    cache is cold or warm, and it is safe under domain-parallel compile.
+    cache is transparent: hits return the stored record, which carries
+    no clock, so compile output is bit-identical whether the cache is
+    cold or warm, and it is safe under domain-parallel compile.
     Observe it via {!cache_stats} / {!reset_cache}.
     @raise Invalid_argument on a malformed problem: [k <= 0], a
     capacity count other than [k], an edge, pull or fixed placement out

@@ -7,7 +7,6 @@ type result =
   | Feasible of solution
   | Infeasible
   | Unbounded
-  | Timeout of solution option
 
 let is_feasible model values =
   let nv = Model.num_vars model in
@@ -48,26 +47,24 @@ type node = {
          phase instead of solving from scratch *)
 }
 
-(* Outcome of one best-first run, rich enough for the parallel driver:
+(* Outcome of one best-first run, rich enough for the carved driver:
    the plain [result] plus the raw counters and, when the run was asked
    to carve, the drained frontier in deterministic pop order. *)
 type core = {
   c_result : result;
   c_best : solution option; (* finalized best incumbent, if any *)
   c_limit : bool;
-  c_stopped : bool; (* cooperative [should_stop] fired *)
   c_carved : node list;
   c_counters : Counters.t;
 }
 
 (* The best-first search engine shared by {!solve} (single run over the
-   whole model) and {!solve_parallel} (one run per carved subtree).
+   whole model) and {!solve_carved} (one run per carved subtree).
    [root] seeds the search inside a subtree's bound box; [carve = Some k]
    stops the loop once the frontier holds [k] nodes and hands them back
    instead of finishing; [template] is the prepared simplex shared across
-   runs (read-only, so safe to share between domains). *)
-let solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop ~incumbent
-    ~template ~root ~carve model =
+   runs. *)
+let solve_core ~max_nodes ~max_pivots ~stall_nodes ~incumbent ~template ~root ~carve model =
   let nv = Model.num_vars model in
   let sense, obj_expr = Model.objective model in
   (* Internally minimize: flip the comparison for maximization. *)
@@ -96,22 +93,6 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop ~incumbent
             counters = Counters.zero;
           }
       | _ -> None)
-  in
-  (* Cooperative cancellation, polled once per node.
-     Purely a wall-clock lever: every caller either discards a stopped
-     run's answer outright (portfolio loser) or deterministically
-     recomputes it (parallel merge). *)
-  let stop_hit = ref false in
-  let stop_requested =
-    match should_stop with
-    | None -> fun () -> false
-    | Some f ->
-      fun () ->
-        if f () then begin
-          stop_hit := true;
-          true
-        end
-        else false
   in
   let nodes = ref 0 and pivots = ref 0 and lp_solves = ref 0 in
   let certified = ref 0 and fallbacks = ref 0 in
@@ -213,7 +194,6 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop ~incumbent
       c_result = result;
       c_best = best;
       c_limit = (not verdict) && !limit_hit;
-      c_stopped = (not verdict) && !stop_hit;
       c_carved = !carved;
       c_counters = counters ();
     }
@@ -247,13 +227,13 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop ~incumbent
      let carve_cap = match carve with Some c -> Stdlib.max 2 c | None -> max_int in
      while (not (Fourheap.is_empty frontier)) && (not !limit_hit) && !nodes < max_nodes
            && Fourheap.length frontier < carve_cap
-           && (not (stalled ())) && not (stop_requested ()) do
+           && not (stalled ()) do
        incr nodes;
        expand (Fourheap.pop_exn frontier)
      done;
      if (not (Fourheap.is_empty frontier)) && (!nodes >= max_nodes || stalled ()) then
        limit_hit := true;
-     if carve <> None && (not !limit_hit) && (not !stop_hit)
+     if carve <> None && (not !limit_hit)
         && Fourheap.length frontier >= Stdlib.min carve_cap 2 && not (Fourheap.is_empty frontier)
      then begin
        (* Drain in pop order (total thanks to [seq]), so the subtree list
@@ -271,60 +251,49 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop ~incumbent
        returned one is stamped with the final tallies. *)
     let fbest = Option.map (fun sol -> { sol with counters = counters () }) !best in
     let result =
-      if !stop_hit then Timeout fbest
-      else
-        match fbest with
-        | Some sol -> if !limit_hit then Feasible sol else Optimal sol
-        | None ->
-          (* Hitting a search limit with no incumbent yields no feasibility
-             certificate either way; the result type has no "unknown" arm and
-             every caller (e.g. Partition) treats [Infeasible] as "no ILP
-             answer, fall back to the heuristic", which is the right reaction
-             to both outcomes — so the limit-hit case is also [Infeasible]. *)
-          Infeasible
+      match fbest with
+      | Some sol -> if !limit_hit then Feasible sol else Optimal sol
+      | None ->
+        (* Hitting a search limit with no incumbent yields no feasibility
+           certificate either way; the result type has no "unknown" arm and
+           every caller (e.g. Partition) treats [Infeasible] as "no ILP
+           answer, fall back to the heuristic", which is the right reaction
+           to both outcomes — so the limit-hit case is also [Infeasible]. *)
+        Infeasible
     in
     conclude result fbest
 
 let solve ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes = max_int) ?incumbent
-    ?should_stop model =
+    model =
   match Validate.check model with
   | Validate.Infeasible_constraint _ :: _ -> Infeasible
   | Validate.Unbounded_direction _ :: _ -> Unbounded
   | [] ->
     (* Lower the model to its standard-form template once at the root;
        every node then only re-applies its branching bounds. *)
-    (solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop ~incumbent
-       ~template:(Simplex.prepare model) ~root:None ~carve:None model)
+    (solve_core ~max_nodes ~max_pivots ~stall_nodes ~incumbent ~template:(Simplex.prepare model)
+       ~root:None ~carve:None model)
       .c_result
 
 (* ------------------------------------------------------------------ *)
-(* Parallel search: speculative execution with sequential replay        *)
-(* semantics.                                                           *)
+(* Carved search.                                                       *)
 (*                                                                      *)
 (* Phase A carves the root's best-first frontier into a FIXED list of    *)
-(* subtrees (a pure function of the model — never of the worker count).  *)
-(* Phase B solves every subtree with FIXED inputs: the phase-A incumbent *)
-(* and the full node budget, so each subtree's answer is deterministic.  *)
-(* The shared atomic incumbent is used ONLY to abort a subtree whose     *)
-(* root bound is already dominated — any solution inside such a subtree  *)
-(* loses (or ties, which the merge also discards) against the published  *)
-(* one, so the abort can never change which answer wins.  Phase C merges *)
-(* sequentially in subtree index order: a subtree is pruned iff the      *)
-(* merge-best so far dominates its bound (exactly the sequential          *)
-(* incumbent-pruning rule); an aborted subtree the merge still needs is  *)
-(* recomputed on the spot with the same fixed inputs.  Published results *)
-(* and counters therefore depend only on the phase-A carve and the pure  *)
-(* per-subtree solves — jobs=N is byte-identical to jobs=1.              *)
+(* subtrees (a pure function of the model).  Phase B searches them one   *)
+(* by one in pop order, each with FIXED inputs: the phase-A incumbent    *)
+(* and the full node budget.  A subtree whose root bound the merged      *)
+(* answer already matches or beats is skipped unsolved: any solution     *)
+(* inside it loses or ties, and ties keep the earlier answer.            *)
 (* ------------------------------------------------------------------ *)
 
 let subtrees = 8 (* width of the phase-A carve *)
 
-let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes = max_int)
-    ?incumbent ?pool ?should_stop model =
+let solve_carved ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes = max_int)
+    ?incumbent model =
   match Validate.check model with
   | Validate.Infeasible_constraint _ :: _ -> Infeasible
   | Validate.Unbounded_direction _ :: _ -> Unbounded
-  | [] ->
+  | [] -> (
     let sense, _ = Model.objective model in
     let better a b =
       match sense with
@@ -333,70 +302,31 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
     in
     let template = Simplex.prepare model in
     let a =
-      solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop ~incumbent
-        ~template ~root:None ~carve:(Some subtrees) model
+      solve_core ~max_nodes ~max_pivots ~stall_nodes ~incumbent ~template ~root:None
+        ~carve:(Some subtrees) model
     in
-    (match a.c_carved with
+    match a.c_carved with
     | [] -> a.c_result
-    | boxes_list ->
-      let boxes = Array.of_list boxes_list in
-      (* Fixed seed for every subtree: the phase-A incumbent (already the
+    | boxes ->
+      (* Every subtree starts from the phase-A incumbent (already the
          better of the caller's seed and any integral node phase A hit). *)
       let seed_values = Option.map (fun s -> s.values) a.c_best in
-      let shared = Atomic.make (Option.map (fun s -> s.objective) a.c_best) in
-      let publish obj =
-        let rec go () =
-          let cur = Atomic.get shared in
-          let improved = match cur with None -> true | Some b -> better obj b in
-          if improved && not (Atomic.compare_and_set shared cur (Some obj)) then go ()
-        in
-        go ()
-      in
-      let external_stop () = match should_stop with Some f -> f () | None -> false in
-      let pure_solve ~stop box =
-        solve_core ~max_nodes ~max_pivots ~stall_nodes ~should_stop:stop
-          ~incumbent:seed_values ~template ~root:(Some box) ~carve:None model
-      in
-      let run_box box =
-        let stop () =
-          external_stop ()
-          ||
-          match Atomic.get shared with
-          | Some b -> not (better box.bound b) (* dominated: the box cannot win *)
-          | None -> false
-        in
-        let c = pure_solve ~stop:(Some stop) box in
-        (match c.c_best with Some s -> publish s.objective | None -> ());
-        c
-      in
-      let results = Pool.parallel_map ?pool run_box boxes in
-      (* Phase C: deterministic sequential replay merge. *)
       let merged = ref a.c_best in
       let broadcasts = ref 0 in
       let total = ref a.c_counters in
-      let any_limit = ref a.c_limit
-      and any_stop = ref false
-      and any_unbounded = ref false in
-      Array.iteri
-        (fun i box ->
-          let prune =
-            match !merged with
-            | Some s -> not (better box.bound s.objective)
-            | None -> false
+      let any_limit = ref a.c_limit and any_unbounded = ref false in
+      List.iter
+        (fun box ->
+          let dominated =
+            match !merged with Some s -> not (better box.bound s.objective) | None -> false
           in
-          if not prune then begin
+          if not dominated then begin
             let c =
-              let c0 = results.(i) in
-              if c0.c_stopped then
-                (* Speculation (or a late external cancel) stopped a
-                   subtree the deterministic merge still needs: re-solve
-                   it with the same fixed inputs, minus the shared flag. *)
-                pure_solve ~stop:(match should_stop with None -> None | Some _ -> Some external_stop) box
-              else c0
+              solve_core ~max_nodes ~max_pivots ~stall_nodes ~incumbent:seed_values ~template
+                ~root:(Some box) ~carve:None model
             in
             (match c.c_result with Unbounded -> any_unbounded := true | _ -> ());
             if c.c_limit then any_limit := true;
-            if c.c_stopped then any_stop := true;
             total := Counters.add !total c.c_counters;
             match c.c_best with
             | Some s
@@ -411,9 +341,6 @@ let solve_parallel ?(max_nodes = 20_000) ?(max_pivots = 1_500_000) ?(stall_nodes
       let counters = { !total with incumbent_broadcasts = !broadcasts } in
       if !any_unbounded then Unbounded
       else
-        let best = Option.map (fun s -> { s with counters }) !merged in
-        if !any_stop then Timeout best
-        else (
-          match best with
-          | Some sol -> if !any_limit then Feasible sol else Optimal sol
-          | None -> Infeasible))
+        match Option.map (fun s -> { s with counters }) !merged with
+        | Some sol -> if !any_limit then Feasible sol else Optimal sol
+        | None -> Infeasible)

@@ -12,7 +12,7 @@ type solution = {
   values : Rat.t array;
   counters : Counters.t;
       (** the search's LP and node counters ([lp_*], [bb_nodes], and
-          [incumbent_broadcasts] for {!solve_parallel}); the
+          [incumbent_broadcasts] for {!solve_carved}); the
           partition-level fields stay 0 *)
 }
 
@@ -21,16 +21,12 @@ type result =
   | Feasible of solution  (** best incumbent when a search limit was hit *)
   | Infeasible
   | Unbounded
-  | Timeout of solution option
-      (** [should_stop] fired mid-search; carries the best incumbent
-          found so far, if any *)
 
 val solve :
   ?max_nodes:int ->
   ?max_pivots:int ->
   ?stall_nodes:int ->
   ?incumbent:Rat.t array ->
-  ?should_stop:(unit -> bool) ->
   Model.t ->
   result
 (** [incumbent] seeds the search with a known feasible assignment (e.g.
@@ -48,48 +44,31 @@ val solve :
     dual-feasible, the child's float solve warm-restarts with a dual
     simplex phase instead of a from-scratch two-phase run.
 
-    [should_stop] is polled once per node.  When it fires the search
-    stops and returns [Timeout] with the best incumbent so far — the
-    cooperative-cancellation hook of the portfolio racer.  It is a
-    wall-clock lever only: callers must either discard a stopped run's
-    answer or deterministically recompute it.
-
     Models are screened through {!Validate.check} first: trivially
     infeasible or unbounded instances return [Infeasible] / [Unbounded]
     immediately, without spending the node or pivot budget. *)
 
-val solve_parallel :
+val solve_carved :
   ?max_nodes:int ->
   ?max_pivots:int ->
   ?stall_nodes:int ->
   ?incumbent:Rat.t array ->
-  ?pool:Pool.t ->
-  ?should_stop:(unit -> bool) ->
   Model.t ->
   result
-(** Parallel best-first search with sequential replay semantics.
+(** Best-first search split into subtrees.
 
     Phase A carves the root's best-first frontier into a fixed list of
-    8 bound boxes — a pure function of the model,
-    never of the worker count (the frontier order is total: LP bound,
-    then insertion sequence).  Phase B solves every box concurrently on
-    [pool] with {e fixed} inputs (the phase-A incumbent and the full node
-    budget), so each box's answer is deterministic; a shared atomic
-    incumbent is consulted only to {e abort} boxes whose root bound is
-    already dominated — any solution inside such a box loses (or ties,
-    which the merge also discards), so aborting cannot change the
-    outcome.  Phase C merges box results sequentially in index order,
-    pruning exactly as the sequential incumbent rule would and
-    recomputing any speculatively aborted box it still needs.
+    8 bound boxes, a pure function of the model (the frontier order is
+    total: LP bound, then insertion sequence).  Phase B then searches
+    the boxes one after another in that pop order, each with {e fixed}
+    inputs (the phase-A incumbent and the full node budget), and merges
+    as it goes: a box whose root bound the merged answer already
+    matches or beats is skipped without being solved, since anything
+    inside it loses or ties, and a tie keeps the earlier answer.
 
-    Consequently the returned result, solution values and every counter
-    (including [incumbent_broadcasts], the merge's incumbent
-    improvements) are byte-identical for [jobs = 1] and [jobs = N].  Each box receives the full [max_nodes]/[max_pivots]
-    budget, so the aggregate node budget scales with the carve width.
-
-    [should_stop] retains its wall-clock, non-deterministic semantics
-    from {!solve}: when it fires the merge surfaces [Timeout] with the
-    best merged incumbent. *)
+    [incumbent_broadcasts] counts the merge's incumbent improvements.
+    Each box receives the full [max_nodes]/[max_pivots] budget, so the
+    aggregate node budget scales with the carve width. *)
 
 val is_feasible : Model.t -> Rat.t array -> bool
 (** Exact feasibility check of an assignment against all constraints,

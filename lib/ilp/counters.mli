@@ -2,7 +2,7 @@
     and every stats surface prints.
 
     {!Branch_bound} fills the LP and search fields, [Partition] adds the
-    heuristic, decomposition and race fields, the compiler folds one
+    heuristic, decomposition and portfolio fields, the compiler folds one
     record per floorplan solve with {!add}, and the CLI prints the total
     by walking {!fields}.  Every field is a pure function of the solve's
     inputs: no wall-clock value and no process-wide cache count lives
@@ -26,13 +26,12 @@ type t = {
       (** node-level subproblems spawned by the hierarchical floorplan
           decomposition (cluster-level problem included); 0 on the flat
           paths *)
-  races_exact : int;  (** portfolio races won by the exact B&B arm *)
+  races_exact : int;  (** portfolios answered by the carved B&B search *)
   races_anneal : int;
-      (** portfolio races won by simulated annealing (its cost matched
+      (** portfolios answered by simulated annealing (its cost matched
           the exact root LP bound, or it beat a budget-limited search) *)
   incumbent_broadcasts : int;
-      (** incumbent improvements during the parallel B&B replay merges —
-          deterministic, independent of worker count *)
+      (** incumbent improvements during the carved B&B searches' merges *)
 }
 
 val zero : t

@@ -7,13 +7,22 @@
    a burst of identical requests land in the same round and coalesce to
    a single computation, and the admission bound applies to the whole
    burst, not per connection.  Metrics requests and malformed lines are
-   answered inline without touching the scheduler. *)
+   answered inline without touching the scheduler, and so is a line
+   longer than [max_line_bytes], after which its connection is closed. *)
 
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (* bytes received, not yet terminated by '\n' *)
   mutable closed : bool;
 }
+
+(* A request line is a few hundred bytes; a connection whose line grows
+   past this, complete or not, is answered with an error and closed, so
+   one client cannot grow the server's buffer without bound. *)
+let max_line_bytes = 65_536
+
+let line_too_long =
+  Printf.sprintf "request line longer than %d bytes; closing the connection" max_line_bytes
 
 type t = {
   service : Service.t;
@@ -47,38 +56,41 @@ let write_line fd line =
     true
   with Unix.Unix_error _ -> false
 
-(* Pull complete lines out of a connection buffer, leaving the partial
-   tail in place. *)
-let take_lines c =
-  let s = Buffer.contents c.buf in
-  Buffer.clear c.buf;
-  let lines = ref [] in
-  let start = ref 0 in
-  String.iteri
-    (fun i ch ->
-      if ch = '\n' then begin
-        lines := String.sub s !start (i - !start) :: !lines;
-        start := i + 1
-      end)
-    s;
-  Buffer.add_string c.buf (String.sub s !start (String.length s - !start));
-  List.rev !lines
+let close_conn c =
+  c.closed <- true;
+  try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 let read_chunk = Bytes.create 65536
+
+(* Split the [n] bytes just read into complete lines, keeping the
+   partial tail in [c.buf]; only the new bytes are scanned.  [None]
+   stands for a line past [max_line_bytes] and ends the list. *)
+let take_lines c n =
+  let rec newline i = if i >= n || Bytes.get read_chunk i = '\n' then i else newline (i + 1) in
+  let rec go start acc =
+    let stop = newline start in
+    if Buffer.length c.buf + (stop - start) > max_line_bytes then List.rev (None :: acc)
+    else begin
+      Buffer.add_subbytes c.buf read_chunk start (stop - start);
+      if stop = n then List.rev acc
+      else begin
+        let line = Buffer.contents c.buf in
+        Buffer.clear c.buf;
+        go (stop + 1) (Some line :: acc)
+      end
+    end
+  in
+  go 0 []
 
 let drain c =
   match Unix.read c.fd read_chunk 0 (Bytes.length read_chunk) with
   | 0 ->
-    c.closed <- true;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    close_conn c;
     []
-  | n ->
-    Buffer.add_subbytes c.buf read_chunk 0 n;
-    List.map (fun line -> (c, line)) (take_lines c)
+  | n -> List.map (fun line -> (c, line)) (take_lines c n)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> []
   | exception Unix.Unix_error _ ->
-    c.closed <- true;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    close_conn c;
     []
 
 (* Serve until [max_requests] requests have been answered (0 = forever).
@@ -109,20 +121,26 @@ let serve ?(max_requests = 0) t =
         (fun c -> if c.closed || not (List.memq c.fd readable) then [] else drain c)
         t.conns
     in
-    t.conns <- List.filter (fun c -> not c.closed) t.conns;
-    (* Answer metrics and malformed lines inline; batch the rest. *)
-    let batch = ref [] in
+    (* Answer metrics, malformed and overlong lines inline; batch the
+       rest.  An overlong line's connection closes once this round's
+       replies are written. *)
+    let batch = ref [] and overlong = ref [] in
+    let reply c line =
+      ignore (write_line c.fd line);
+      t.served <- t.served + 1
+    in
     List.iter
       (fun (c, line) ->
-        if String.trim line <> "" then
+        match line with
+        | None ->
+          reply c (Service.error_json ~id:0 line_too_long);
+          overlong := c :: !overlong
+        | Some line when String.trim line = "" -> ()
+        | Some line -> (
           match Request.of_line line with
-          | Error reason ->
-            ignore (write_line c.fd (Service.error_json ~id:0 reason));
-            t.served <- t.served + 1
-          | Ok r when r.Request.kind = Request.Metrics ->
-            ignore (write_line c.fd (Service.metrics_json t.service));
-            t.served <- t.served + 1
-          | Ok r -> batch := (c, r) :: !batch)
+          | Error reason -> reply c (Service.error_json ~id:0 reason)
+          | Ok r when r.Request.kind = Request.Metrics -> reply c (Service.metrics_json t.service)
+          | Ok r -> batch := (c, r) :: !batch))
       pending;
     let batch = Array.of_list (List.rev !batch) in
     Service.note_transport t.service (Unix.gettimeofday () -. transport0);
@@ -140,6 +158,8 @@ let serve ?(max_requests = 0) t =
         verdicts;
       Service.note_transport t.service (Unix.gettimeofday () -. write0)
     end;
+    List.iter close_conn !overlong;
+    t.conns <- List.filter (fun c -> not c.closed) t.conns;
     if max_requests > 0 && t.served >= max_requests then stop := true
   done;
   t.served

@@ -4,7 +4,9 @@
     lines collected in one wake-up form one {!Service.schedule} round,
     so concurrent bursts of identical requests coalesce and the
     admission bound applies across connections.  Metrics requests and
-    malformed lines are answered inline without scheduling. *)
+    malformed lines are answered inline without scheduling.  A line
+    longer than 64 KiB, complete or not, is answered inline with an
+    error naming the cap, and its connection is closed. *)
 
 type t
 

@@ -130,16 +130,6 @@ let run_batch pool f a =
   (match Atomic.get failure with Some e -> raise e | None -> ());
   Array.map (function Some v -> v | None -> assert false) results
 
-(* Cooperative cancellation: a token is a plain atomic flag shared by the
-   racing parties.  Workers poll [cancelled] at their own safe points; the
-   pool never preempts a running closure. *)
-
-type cancel = bool Atomic.t
-
-let cancel_token () = Atomic.make false
-let cancel t = Atomic.set t true
-let cancelled t = Atomic.get t
-
 let parallel_map ?pool f a =
   if Array.length a <= 1 || Domain.DLS.get in_worker then Array.map f a
   else

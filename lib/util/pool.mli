@@ -64,23 +64,6 @@ val parallel_map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
     elements are still evaluated; [f] is expected to be cheap to run and
     pure, so no cancellation is attempted). *)
 
-type cancel
-(** Cooperative cancellation token shared between racing computations
-    (e.g. the exact/heuristic floorplan portfolio).  Purely advisory: a
-    long-running closure polls {!cancelled} at its own safe points and
-    winds down early.  Cancellation is a wall-clock optimisation only —
-    it must never change {e which} answer a deterministic arbitration
-    picks, merely how soon the loser stops burning cycles. *)
-
-val cancel_token : unit -> cancel
-(** Fresh, uncancelled token. *)
-
-val cancel : cancel -> unit
-(** Raise the flag.  Idempotent, safe from any domain. *)
-
-val cancelled : cancel -> bool
-(** Poll the flag.  Safe from any domain; a lock-free atomic read. *)
-
 val shutdown : t -> unit
 (** Joins all workers.  Idempotent.  Using the pool after [shutdown]
     runs batches sequentially on the caller. *)

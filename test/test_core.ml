@@ -57,7 +57,7 @@ let test_jobs_determinism () =
      change wall-clock, never the design.  Compare every deterministic
      output field between the sequential path and a 4-domain pool on the
      three example apps.  (The [l1_runtime_s]/[l2_runtime_s] timers are
-     measured with [Sys.time] and so are the one legitimately
+     wall-clock measurements and so are the one legitimately
      nondeterministic part of the result.) *)
   let apps =
     [
@@ -124,11 +124,10 @@ let test_external_pool_equivalence () =
 
 let test_cache_cold_warm_identity () =
   (* The floorplan solution cache's contract: a warm compile replays the
-     stored solver records verbatim, so every output field — including
-     the Sys.time-derived runtime inside the replayed stats and the
-     solver counters — is bit-identical to the cold compile.  Only the
-     process-wide hit/miss counters may differ, and they live outside
-     the compile result. *)
+     stored solver records verbatim, so every output field but the
+     wall-clock floorplanner timers — the solver counters included — is
+     bit-identical to the cold compile.  Only the process-wide hit/miss
+     counters may differ, and they live outside the compile result. *)
   let g = (Stencil.generate (Stencil.make_config ~iterations:8 ~fpgas:2 ())).App.graph in
   let cluster = Cluster.make ~board:Board.u55c 2 in
   let run () =
@@ -147,8 +146,6 @@ let test_cache_cold_warm_identity () =
     (cold.Compiler.inter.Inter_fpga.assignment = warm.Compiler.inter.Inter_fpga.assignment);
   check bool "inter stats replayed verbatim" true
     (cold.Compiler.inter.Inter_fpga.stats = warm.Compiler.inter.Inter_fpga.stats);
-  check (Alcotest.float 0.0) "L1 runtime replayed verbatim" cold.Compiler.l1_runtime_s
-    warm.Compiler.l1_runtime_s;
   check bool "slot maps identical" true
     (Array.for_all2
        (fun (a : Intra_fpga.t) (b : Intra_fpga.t) -> a.Intra_fpga.slot_of = b.Intra_fpga.slot_of)
@@ -163,6 +160,23 @@ let test_cache_cold_warm_identity () =
   check Alcotest.int "flat path: no hierarchical subproblems" 0 s.Compiler.subproblems;
   check Alcotest.int "flat path: no portfolio races" 0
     (s.Compiler.races_exact + s.Compiler.races_anneal)
+
+let test_floorplan_runtimes_within_wall () =
+  (* The §5.6 runtime columns time this compile's own floorplanner
+     calls.  Cold caches, one domain: a bisection level the solution
+     cache answers costs its lookup, not the solve that stored it, so
+     L1 + L2 fits inside the wall time of the whole compile. *)
+  let g = (Stencil.generate (Stencil.make_config ~iterations:256 ~fpgas:4 ())).App.graph in
+  let cluster = Cluster.make ~board:Board.u55c 4 in
+  Partition.reset_cache ();
+  let t0 = Unix.gettimeofday () in
+  match Compiler.compile ~options:{ Compiler.default_options with jobs = 1 } ~cluster g with
+  | Error e -> Alcotest.failf "compile: %s" e
+  | Ok c ->
+    let wall = Unix.gettimeofday () -. t0 in
+    let l1 = c.Compiler.l1_runtime_s and l2 = c.Compiler.l2_runtime_s in
+    if l1 +. l2 > wall then
+      Alcotest.failf "L1 %.4fs + L2 %.4fs exceeds the compile's wall time %.4fs" l1 l2 wall
 
 let test_flows_on_small_design () =
   let g = small_chain ~tasks:4 ~lut:20_000 in
@@ -656,6 +670,8 @@ let () =
           Alcotest.test_case "port bandwidth wire cap" `Quick test_port_bandwidth_capped_by_wire;
           Alcotest.test_case "board generality (U250, Stratix-10)" `Quick test_board_generality;
           Alcotest.test_case "jobs=1 and jobs=4 outputs identical" `Quick test_jobs_determinism;
+          Alcotest.test_case "floorplanner runtimes within compile wall time" `Quick
+            test_floorplan_runtimes_within_wall;
           Alcotest.test_case "caller-owned pool equivalent and survives" `Quick
             test_external_pool_equivalence;
           Alcotest.test_case "cache-cold and cache-warm outputs identical" `Quick

@@ -216,7 +216,7 @@ let decision_problem rng =
   { Partition.areas; edges; pulls; k; capacities; dist; fixed }
 
 (* A chain across 12 parts in 3 groups of 4 (server nodes): the grouped
-   decomposition's cluster chunking, raced subproblems and boundary
+   decomposition's cluster chunking, portfolio subproblems and boundary
    polish.  Dense random grouped instances take minutes; chains do
    not. *)
 let decision_chain rng =
@@ -673,7 +673,7 @@ let test_partition_deterministic () =
 
 let test_partition_cache () =
   (* The solution cache must be transparent: a warm solve returns the
-     stored record — runtime_s and all — and handing out a copy of the
+     stored record, stats and all, and handing out a copy of the
      assignment keeps caller mutations from poisoning later hits. *)
   Partition.reset_cache ();
   let mk () =
@@ -692,7 +692,7 @@ let test_partition_cache () =
   | Some a, Some b ->
     check bool "identical assignment" true (a.Partition.assignment = b.Partition.assignment);
     check bool "identical cost" true (a.Partition.cost = b.Partition.cost);
-    check bool "identical stats (runtime replayed verbatim)" true
+    check bool "identical stats" true
       (a.Partition.stats = b.Partition.stats);
     (* Mutate the first result; a later hit must be unaffected. *)
     a.Partition.assignment.(0) <- 99;
@@ -718,10 +718,10 @@ let test_partition_distance_metric_matters () =
 
 let test_partition_grouped_decomposition () =
   (* 12 parts in 3 server-node groups: [Auto] routes through the
-     hierarchical decomposition — cluster-level assignment, one raced
-     subproblem per group, stitch — and the answer is a pure function of
-     the inputs: a worker pool changes wall clock only, and the cache
-     replays the grouped stats verbatim.  The same problem without
+     hierarchical decomposition — cluster-level assignment, one
+     portfolio subproblem per group, stitch — and the answer is a pure
+     function of the inputs: a worker pool changes wall clock only, and
+     the cache replays the grouped stats verbatim.  The same problem without
      [groups] takes the flat path (distinct cache entry, no
      subproblems). *)
   Partition.reset_cache ();
@@ -749,9 +749,7 @@ let test_partition_grouped_decomposition () =
     | Some rp ->
       check bool "pool: identical assignment" true
         (r.Partition.assignment = rp.Partition.assignment);
-      check bool "pool: identical stats" true
-        ({ r.Partition.stats with Partition.runtime_s = 0.0 }
-        = { rp.Partition.stats with Partition.runtime_s = 0.0 })
+      check bool "pool: identical stats" true (r.Partition.stats = rp.Partition.stats)
     | None -> Alcotest.fail "expected a pooled solution");
     Partition.reset_cache ();
     (match Partition.solve p with
@@ -761,6 +759,38 @@ let test_partition_grouped_decomposition () =
       check int "flat path runs no races" 0
         (c.Tapa_cs_ilp.Counters.races_exact + c.Tapa_cs_ilp.Counters.races_anneal)
     | None -> Alcotest.fail "expected a flat solution")
+
+let test_portfolio_certified_anneal () =
+  (* 24 chained tasks on 12 parts in 3 server-node groups of 4: every
+     per-group anneal meets its subproblem's root LP bound, so each
+     portfolio returns the anneal answer after that one LP solve and
+     never builds the branch-and-bound search. *)
+  Partition.reset_cache ();
+  let rng = Prng.create 41 in
+  let tasks = 24 in
+  let groups = Array.init 12 (fun q -> q / 4) in
+  let areas = Array.init tasks (fun _ -> Resource.make ~lut:(30_000 + Prng.int rng 20_000) ()) in
+  let chain = List.init (tasks - 1) (fun i -> (i, i + 1, float_of_int (32 * (1 + Prng.int rng 8)))) in
+  let p =
+    {
+      Partition.areas;
+      edges = (0, 10, 64.0) :: (10, 20, 64.0) :: chain;
+      pulls = [];
+      k = 12;
+      capacities = Array.make 12 (Resource.make ~lut:600_000 ());
+      dist = (fun a b -> if a = b then 0 else if groups.(a) = groups.(b) then 1 else 2);
+      fixed = [];
+    }
+  in
+  match Partition.solve ~groups p with
+  | None -> Alcotest.fail "expected a grouped solution"
+  | Some r ->
+    let c = r.Partition.stats.Partition.counters in
+    check int "cluster level plus three groups" 4 c.Tapa_cs_ilp.Counters.subproblems;
+    check int "every portfolio certified its anneal" 3 c.Tapa_cs_ilp.Counters.races_anneal;
+    check int "no search answered" 0 c.Tapa_cs_ilp.Counters.races_exact;
+    check int "one root LP per portfolio" 3 c.Tapa_cs_ilp.Counters.lp_solves;
+    check int "no branch-and-bound node" 0 c.Tapa_cs_ilp.Counters.bb_nodes
 
 (* ------------------------------------------------------------------ *)
 (* Fragment digest + cache                                             *)
@@ -1005,14 +1035,6 @@ let test_fragment_cache () =
   check int "reset clears misses" 0 reset.Partition.frag_misses;
   check int "reset clears resolved" 0 reset.Partition.groups_resolved
 
-let test_intra_runtime_positive () =
-  let g = big_task_graph ~tasks:10 ~lut:30_000 in
-  let board = Board.u55c () in
-  let synthesis = Synthesis.run ~board g in
-  match Intra_fpga.run ~board ~synthesis ~graph:g ~tasks:(List.init 10 Fun.id) () with
-  | Ok p -> check bool "L2 runtime accounted" true (Intra_fpga.runtime_s p >= 0.0)
-  | Error e -> Alcotest.failf "unexpected: %s" e
-
 let test_intra_crossings_consistent_with_cost () =
   let g = big_task_graph ~tasks:10 ~lut:60_000 in
   let board = Board.u55c () in
@@ -1048,6 +1070,8 @@ let () =
           Alcotest.test_case "min-cut lower bound (oracle)" `Quick test_partition_cost_bounded_by_global_mincut;
           Alcotest.test_case "distance metrics" `Quick test_partition_distance_metric_matters;
           Alcotest.test_case "grouped decomposition" `Quick test_partition_grouped_decomposition;
+          Alcotest.test_case "portfolio: certified anneal skips the search" `Quick
+            test_portfolio_certified_anneal;
           Alcotest.test_case "fragment cache" `Quick test_fragment_cache;
           Alcotest.test_case "non-finite weights rejected" `Quick test_partition_non_finite_weights;
           Alcotest.test_case "capacity proof" `Quick test_capacity_proof;
@@ -1078,7 +1102,6 @@ let () =
           Alcotest.test_case "places all tasks" `Quick test_intra_fpga_places_all;
           Alcotest.test_case "HBM pull (§4.5)" `Quick test_intra_fpga_mem_tasks_near_hbm;
           Alcotest.test_case "overflow fails" `Quick test_intra_fpga_overflow_fails;
-          Alcotest.test_case "L2 runtime" `Quick test_intra_runtime_positive;
           Alcotest.test_case "cost = crossing sum (Eq. 4)" `Quick test_intra_crossings_consistent_with_cost;
         ] );
       ( "hbm_binding",

@@ -558,57 +558,63 @@ let prop_bb_limited_incumbents_certified =
       in
       match Branch_bound.solve ~max_nodes m with
       | Branch_bound.Optimal s | Branch_bound.Feasible s -> certified s
-      | Branch_bound.Timeout (Some s) -> certified s
-      | Branch_bound.Timeout None | Branch_bound.Infeasible | Branch_bound.Unbounded -> true)
+      | Branch_bound.Infeasible | Branch_bound.Unbounded -> true)
 
-(* The parallel search is a wall-clock lever only: under a fixed node
-   budget — i.e. when the search may stop mid-tree with a best-so-far —
-   running on a worker pool must reproduce the poolless run byte for
-   byte, counters included, and every returned incumbent is feasible. *)
-let prop_bb_parallel_deterministic_best_so_far =
-  let same_solution (a : Branch_bound.solution) (b : Branch_bound.solution) =
-    Rat.equal a.objective b.objective
-    && Array.length a.values = Array.length b.values
-    && Array.for_all2 Rat.equal a.values b.values
-    && a.counters = b.counters
-  in
-  let same_result a b =
-    match (a, b) with
-    | Branch_bound.Optimal x, Branch_bound.Optimal y
-    | Branch_bound.Feasible x, Branch_bound.Feasible y
-    | Branch_bound.Timeout (Some x), Branch_bound.Timeout (Some y) -> same_solution x y
-    | Branch_bound.Infeasible, Branch_bound.Infeasible
-    | Branch_bound.Unbounded, Branch_bound.Unbounded
-    | Branch_bound.Timeout None, Branch_bound.Timeout None -> true
-    | _ -> false
-  in
-  QCheck.Test.make ~name:"parallel B&B: deterministic best-so-far under a node budget" ~count:25
-    (QCheck.int_range 0 1_000_000)
+(* Seeded 0-1 maximization model: [n] binaries under 1-4 random [Le]
+   rows (coefficients in [-5, 5]), objective weights in [-9, 9]. *)
+let seeded_binary_model rng n =
+  let ncon = Prng.int_in rng 1 4 in
+  let m = Model.create () in
+  let vars = List.init n (fun _ -> Model.add_var m Model.Binary) in
+  for _ = 1 to ncon do
+    let coeffs = List.map (fun v -> (v, r (Prng.int_in rng (-5) 5))) vars in
+    Model.add_constraint m (Linear.of_terms coeffs) Model.Le (r (Prng.int_in rng 0 8))
+  done;
+  Model.set_objective m Model.Maximize
+    (Linear.of_terms (List.map (fun v -> (v, r (Prng.int_in rng (-9) 9))) vars));
+  m
+
+(* The carved search under a node budget — so it may stop mid-tree
+   with a best-so-far — returns only feasible incumbents, and when it
+   claims optimality it agrees with the plain search run to the end.
+   Without the budget it reaches the plain search's verdict. *)
+let prop_bb_carved_agrees_with_plain =
+  QCheck.Test.make ~name:"carved B&B: feasible incumbents, optimum agrees with plain B&B"
+    ~count:25 (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let rng = Prng.create seed in
-      let n = Prng.int_in rng 4 9 in
-      let ncon = Prng.int_in rng 1 4 in
-      let m = Model.create () in
-      let vars = List.init n (fun _ -> Model.add_var m Model.Binary) in
-      for _ = 1 to ncon do
-        let coeffs = List.map (fun v -> (v, r (Prng.int_in rng (-5) 5))) vars in
-        Model.add_constraint m (Linear.of_terms coeffs) Model.Le (r (Prng.int_in rng 0 8))
-      done;
-      Model.set_objective m Model.Maximize
-        (Linear.of_terms (List.map (fun v -> (v, r (Prng.int_in rng (-9) 9))) vars));
+      let m = seeded_binary_model rng (Prng.int_in rng 4 9) in
       let max_nodes = Prng.int_in rng 2 14 in
-      let r_seq = Branch_bound.solve_parallel ~max_nodes m in
-      let pool = Pool.create ~domains:2 () in
-      let r_par =
-        Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-        Branch_bound.solve_parallel ~max_nodes ~pool m
+      let carved = Branch_bound.solve_carved ~max_nodes m in
+      let feasible_incumbent =
+        match carved with
+        | Branch_bound.Optimal s | Branch_bound.Feasible s -> Branch_bound.is_feasible m s.values
+        | Branch_bound.Infeasible | Branch_bound.Unbounded -> true
       in
-      let feasible_incumbent = function
-        | Branch_bound.Optimal s | Branch_bound.Feasible s | Branch_bound.Timeout (Some s) ->
-          Branch_bound.is_feasible m s.values
-        | Branch_bound.Infeasible | Branch_bound.Unbounded | Branch_bound.Timeout None -> true
+      let plain = Branch_bound.solve m in
+      let optimum_agrees = function
+        | Branch_bound.Optimal c -> (
+          match plain with Branch_bound.Optimal p -> Rat.equal c.objective p.objective | _ -> false)
+        | _ -> true
       in
-      same_result r_seq r_par && feasible_incumbent r_seq)
+      feasible_incumbent && optimum_agrees carved
+      &&
+      match (Branch_bound.solve_carved m, plain) with
+      | (Branch_bound.Optimal _ as full), _ -> optimum_agrees full
+      | Branch_bound.Infeasible, Branch_bound.Infeasible -> true
+      | _ -> false)
+
+let test_bb_carved_merges_boxes () =
+  (* A 13-binary model whose phase-A incumbent is not optimal: the
+     optimum comes out of the carved boxes, through two merge
+     improvements. *)
+  let rng = Prng.create 21 in
+  let m = seeded_binary_model rng (Prng.int_in rng 8 14) in
+  match (Branch_bound.solve_carved m, Branch_bound.solve m) with
+  | Branch_bound.Optimal c, Branch_bound.Optimal p ->
+    check rat "carved optimum = plain optimum" p.objective c.objective;
+    check Alcotest.int "merge improvements" 2 c.counters.Counters.incumbent_broadcasts
+  | _ -> Alcotest.fail "expected both searches to prove optimality"
 
 let test_simplex_pivot_limit () =
   (* A model that needs pivots must raise when given none. *)
@@ -647,41 +653,6 @@ let test_bb_stall_returns_incumbent () =
   | Branch_bound.Optimal _ -> Alcotest.fail "cannot prove optimality with zero nodes"
   | _ -> Alcotest.fail "expected the incumbent back"
 
-let test_bb_stop_timeout () =
-  (* A stop request raised before the search starts fires at the first
-     node poll: with an incumbent the solver hands it back under
-     Timeout (Some _) instead of claiming optimality; without one it
-     reports Timeout None.  The parallel search stops the same way. *)
-  let build () =
-    let m = Model.create () in
-    let vars = List.init 6 (fun _ -> Model.add_var m Model.Binary) in
-    Model.add_constraint m (Linear.of_terms (List.map (fun v -> (v, r 3)) vars)) Model.Le (r 8);
-    Model.set_objective m Model.Maximize (Linear.of_terms (List.map (fun v -> (v, r 5)) vars));
-    (m, vars)
-  in
-  let stop () = true in
-  let m, vars = build () in
-  let incumbent = Array.of_list (List.mapi (fun i _ -> if i = 0 then Rat.one else Rat.zero) vars) in
-  (match Branch_bound.solve ~should_stop:stop ~incumbent m with
-  | Branch_bound.Timeout (Some s) ->
-    check rat "best incumbent returned" (r 5) s.objective;
-    check bool "incumbent is feasible" true (Branch_bound.is_feasible m s.values)
-  | Branch_bound.Optimal _ -> Alcotest.fail "cannot prove optimality once stopped"
-  | _ -> Alcotest.fail "expected Timeout (Some incumbent)");
-  (match Branch_bound.solve_parallel ~should_stop:stop ~incumbent m with
-  | Branch_bound.Timeout (Some s) -> check rat "parallel: best incumbent returned" (r 5) s.objective
-  | _ -> Alcotest.fail "parallel: expected Timeout (Some incumbent)");
-  let m2, _ = build () in
-  (match Branch_bound.solve ~should_stop:stop m2 with
-  | Branch_bound.Timeout None -> ()
-  | Branch_bound.Timeout (Some _) -> Alcotest.fail "no incumbent was seeded"
-  | _ -> Alcotest.fail "expected Timeout None");
-  (* A stop that never fires changes nothing. *)
-  let m3, _ = build () in
-  match Branch_bound.solve ~should_stop:(fun () -> false) m3 with
-  | Branch_bound.Optimal s -> check rat "optimum when never stopped" (r 10) s.objective
-  | _ -> Alcotest.fail "expected optimal"
-
 let test_model_validation () =
   let m = Model.create () in
   Alcotest.check_raises "negative lb rejected"
@@ -702,7 +673,7 @@ let qsuite =
       prop_float_first_matches_reference;
       prop_bb_matches_brute_force;
       prop_bb_limited_incumbents_certified;
-      prop_bb_parallel_deterministic_best_so_far;
+      prop_bb_carved_agrees_with_plain;
     ]
 
 let () =
@@ -743,7 +714,7 @@ let () =
           Alcotest.test_case "minimization" `Quick test_bb_minimization;
           Alcotest.test_case "is_feasible" `Quick test_is_feasible_rejects;
           Alcotest.test_case "stall returns incumbent" `Quick test_bb_stall_returns_incumbent;
-          Alcotest.test_case "should_stop timeout" `Quick test_bb_stop_timeout;
+          Alcotest.test_case "carved search merges its boxes" `Quick test_bb_carved_merges_boxes;
           Alcotest.test_case "model validation" `Quick test_model_validation;
         ] );
       ("properties", qsuite);

@@ -205,6 +205,39 @@ let test_socket_roundtrip () =
       | Ok line -> check bool "metrics reports the hit" true (contains line {|"cache_hits":1|})
       | Error e -> Alcotest.failf "metrics request failed: %s" e)
 
+(* A line past the 64 KiB cap gets an error reply naming the cap and
+   loses its connection; the server goes on serving others.  Both
+   replies are collected before any check, so a server that answers
+   the long line some other way still serves two requests and stops. *)
+let test_socket_line_cap () =
+  Service.reset_process_caches ();
+  let socket_path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tcs-test-cap-%d.sock" (Unix.getpid ()))
+  in
+  let server = Server.create ~socket_path (Service.create ()) in
+  let server_domain = Domain.spawn (fun () -> Server.serve ~max_requests:2 server) in
+  let long_reply, next_reply =
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Domain.join server_domain);
+        Server.close server)
+      (fun () ->
+        let long = {|{"kind":"compile","app":"stencil","pad":"|} ^ String.make 70_000 'x' ^ {|"}|} in
+        let r = Request.make ~id:2 ~iters:8 ~kind:Request.Compile ~app:"stencil" () in
+        let long_reply = Server.request_once ~socket_path long in
+        (long_reply, Server.request_once ~socket_path (Request.to_line r)))
+  in
+  (match long_reply with
+  | Ok line ->
+    check bool "error reply" true (contains line {|"status":"error"|});
+    check bool "reply names the cap" true (contains line "65536 bytes")
+  | Error e -> Alcotest.failf "overlong request got no reply: %s" e);
+  match next_reply with
+  | Ok line ->
+    check bool "next connection gets a compile answer" true (contains line {|"served":"computed"|})
+  | Error e -> Alcotest.failf "request after the overlong line failed: %s" e
+
 let () =
   Alcotest.run "service"
     [
@@ -225,5 +258,9 @@ let () =
           Alcotest.test_case "books close" `Quick test_script_books_close;
           Alcotest.test_case "warm beats cold" `Quick test_script_warm_faster;
         ] );
-      ("socket", [ Alcotest.test_case "round trip" `Quick test_socket_roundtrip ]);
+      ( "socket",
+        [
+          Alcotest.test_case "round trip" `Quick test_socket_roundtrip;
+          Alcotest.test_case "line cap" `Quick test_socket_line_cap;
+        ] );
     ]
