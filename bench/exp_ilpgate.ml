@@ -1,6 +1,6 @@
 (* CI gate for the hierarchical + portfolio floorplan solver.
 
-   Two properties:
+   Four checks:
 
    1. Determinism (hard): the grouped decomposition — cluster-level
       assignment, one portfolio per node (anneal, then the carved
@@ -22,7 +22,12 @@
    3. Capacity proof (count): an exact solve of a split whose items
       cannot be packed must answer [None] from the packing search,
       before any LP, so it allocates fewer words than one heuristic
-      solve of the same problem. *)
+      solve of the same problem.
+
+   4. Annealer work (count): a step of [Partition.anneal] on a fixed
+      40-item, 4-part instance must allocate fewer than 8 minor words;
+      scoring a move reads the flat index and builds no resource
+      vector. *)
 
 open Tapa_cs_util
 open Tapa_cs_device
@@ -89,6 +94,39 @@ let check_capacity_proof () =
   Printf.printf "  capacity proof: exact None in %.0f words vs %.0f for a heuristic solve\n"
     w_exact w_heuristic
 
+let anneal_words_bound = 8.0
+
+(* 40 items in 4 parts at 1.1x an even share: a chain with skip links,
+   started round-robin, so the walk scores both feasible and
+   overflowing moves. *)
+let check_anneal_words () =
+  let rng = Prng.create 5 in
+  let n = 40 and k = 4 in
+  let areas = Array.init n (fun _ -> Resource.make ~lut:(1_000 + Prng.int rng 4_000) ~ff:500 ()) in
+  let share = Resource.scale (1.1 /. float_of_int k) (Resource.sum (Array.to_list areas)) in
+  let p =
+    {
+      Partition.areas;
+      edges =
+        List.init (n - 1) (fun i -> (i, i + 1, 512.0))
+        @ List.init (n - 5) (fun i -> (i, i + 5, 64.0 *. float_of_int (1 + Prng.int rng 4)));
+      pulls = [ (0, 0, 32.5); (n - 1, k - 1, 32.5) ];
+      k;
+      capacities = Array.make k share;
+      dist = (fun a b -> abs (a - b));
+      fixed = [];
+    }
+  in
+  let iters = 200_000 in
+  let w0 = Gc.minor_words () in
+  let r = Sys.opaque_identity (Partition.anneal p ~seed:3 ~iters (Array.init n (fun i -> i mod k))) in
+  let per_step = (Gc.minor_words () -. w0) /. float_of_int iters in
+  if r = None then Gate.fail "the 40-item anneal found no feasible assignment";
+  if per_step >= anneal_words_bound then
+    Gate.fail "annealer allocates %.1f words a step (bound %.0f)" per_step anneal_words_bound;
+  Printf.printf "  annealer: %.2f words a step over %d steps (bound %.0f)\n" per_step iters
+    anneal_words_bound
+
 let run () =
   Exp_common.section "ILP gate: hierarchical floorplan determinism + scale (CI)";
   let solve ~label (problem, groups) pool =
@@ -131,4 +169,5 @@ let run () =
   Printf.printf "  12-FPGA race instance: %d races (%d exact / %d anneal), cost %.0f\n" races
     cq.Ilp.Counters.races_exact cq.Ilp.Counters.races_anneal q1.Partition.cost;
   check_capacity_proof ();
+  check_anneal_words ();
   Printf.printf "  PASS determinism, %.0fs ceiling\n" wall_clock_ceiling_s

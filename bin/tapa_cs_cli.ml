@@ -162,10 +162,12 @@ let compile_jobs_arg =
 let effective_jobs jobs = if jobs <= 0 then Tapa_cs_util.Pool.default_jobs () else jobs
 
 (* Run [f] with a pool for [jobs] domains in all (the caller is one of
-   them), shut down afterwards. *)
+   them), shut down afterwards.  At [jobs = 1] the pool has no workers,
+   so every map under [f] stays on the calling domain instead of
+   spawning an ephemeral default-sized pool. *)
 let with_pool jobs f =
-  let pool = if jobs > 1 then Some (Tapa_cs_util.Pool.create ~domains:(jobs - 1) ()) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Tapa_cs_util.Pool.shutdown pool) (fun () -> f pool)
+  let pool = Tapa_cs_util.Pool.create ~domains:(jobs - 1) () in
+  Fun.protect ~finally:(fun () -> Tapa_cs_util.Pool.shutdown pool) (fun () -> f pool)
 
 (* The OS reason of a [Sys_error] about [path], which reads
    "<path>: <reason>". *)
@@ -925,7 +927,7 @@ let farm_cmd =
     let config = { Farm.threshold; seed; max_retries; backoff_s = backoff; horizon_s = horizon } in
     with_pool (effective_jobs jobs) @@ fun pool ->
     Format.printf "%a@." Tapa_cs_network.Fault.pp_timeline timeline;
-    let stats = Farm.run ?pool ~config ~cluster ~timeline workload in
+    let stats = Farm.run ~pool ~config ~cluster ~timeline workload in
     Format.printf "%a" Farm.pp_summary stats;
     write_stats (Farm.stats_json stats);
     0
@@ -1021,7 +1023,7 @@ let serve_cmd =
           service_config;
         }
       in
-      let report = Script.run ?pool cfg in
+      let report = Script.run ~pool cfg in
       let c = report.Script.counters in
       Format.printf "script: %d clients x %d requests, universe %d, %s@." cfg.Script.clients
         cfg.Script.requests_per_client cfg.Script.distinct
@@ -1035,7 +1037,7 @@ let serve_cmd =
       0
     end
     else begin
-      let svc = Service.create ?pool ~config:service_config () in
+      let svc = Service.create ~pool ~config:service_config () in
       let server = Server.create ~socket_path:socket svc in
       Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
       Format.printf "listening on %s (max-depth %d, best-effort %d, jobs %d)@." socket max_depth

@@ -23,13 +23,21 @@ let exceeds a ~limit = not (fits a ~within:limit)
 
 let components r = [ ("LUT", r.lut); ("FF", r.ff); ("BRAM", r.bram); ("DSP", r.dsp); ("URAM", r.uram) ]
 
+let ratio u t = if t = 0 then 0.0 else float_of_int u /. float_of_int t
+
 let utilization_by used ~total =
   List.map2
-    (fun (name, u) (_, t) -> (name, if t = 0 then 0.0 else float_of_int u /. float_of_int t))
+    (fun (name, u) (_, t) -> (name, ratio u t))
     (components used) (components total)
 
+(* The fold of [utilization_by] without its lists: the same ratios,
+   maxed in the same order. *)
 let utilization used ~total =
-  List.fold_left (fun acc (_, f) -> Float.max acc f) 0.0 (utilization_by used ~total)
+  let m = Float.max 0.0 (ratio used.lut total.lut) in
+  let m = Float.max m (ratio used.ff total.ff) in
+  let m = Float.max m (ratio used.bram total.bram) in
+  let m = Float.max m (ratio used.dsp total.dsp) in
+  Float.max m (ratio used.uram total.uram)
 
 let max_component_name used ~total =
   let by = utilization_by used ~total in

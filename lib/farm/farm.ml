@@ -384,6 +384,11 @@ let run ?pool ?(config = default_config) ~cluster ~timeline tenants =
       && Cluster.dist cluster v w = 1
       && not (List.mem (norm_pair (v, w)) !down_links)
     in
+    (* Each device's live links in ascending index order, probed once per
+       sample rather than in every route's BFS. *)
+    let next =
+      Array.init k (fun v -> Array.of_list (List.filter (adj v) (List.init k Fun.id)))
+    in
     let route src dst =
       if src = dst then Some []
       else begin
@@ -394,13 +399,14 @@ let run ?pool ?(config = default_config) ~cluster ~timeline tenants =
         Queue.add src q;
         while not (Queue.is_empty q) do
           let v = Queue.pop q in
-          for w = 0 to k - 1 do
-            if (not seen.(w)) && adj v w then begin
-              seen.(w) <- true;
-              parent.(w) <- v;
-              Queue.add w q
-            end
-          done
+          Array.iter
+            (fun w ->
+              if not seen.(w) then begin
+                seen.(w) <- true;
+                parent.(w) <- v;
+                Queue.add w q
+              end)
+            next.(v)
         done;
         if not seen.(dst) then None
         else begin

@@ -209,10 +209,15 @@ let survivor_hops ?(failed_devices = []) ?(failed_links = []) cluster =
   let failed_links =
     List.sort_uniq compare (List.map (fun (a, b) -> (min a b, max a b)) failed_links)
   in
-  let routable = Array.of_list (List.filter (fun i -> not failed.(i)) (List.init k Fun.id)) in
+  let routable = List.filter (fun i -> not failed.(i)) (List.init k Fun.id) in
   let link_up i j =
     Cluster.dist cluster i j = 1 && not (List.mem (min i j, max i j) failed_links)
   in
+  (* Each live device's live links, in ascending index order, probed once
+     for every BFS below. *)
+  let next = Array.make k [||] in
+  List.iter (fun v -> next.(v) <- Array.of_list (List.filter (link_up v) routable)) routable;
+  let routable = Array.of_list routable in
   let hops = Array.make_matrix k k unreachable_dist in
   Array.iter
     (fun s ->
@@ -224,11 +229,11 @@ let survivor_hops ?(failed_devices = []) ?(failed_links = []) cluster =
         let v = Queue.pop q in
         Array.iter
           (fun w ->
-            if dist_from.(w) < 0 && link_up v w then begin
+            if dist_from.(w) < 0 then begin
               dist_from.(w) <- dist_from.(v) + 1;
               Queue.add w q
             end)
-          routable
+          next.(v)
       done;
       Array.iter (fun d -> if dist_from.(d) >= 0 then hops.(s).(d) <- dist_from.(d)) routable)
     routable;

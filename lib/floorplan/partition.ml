@@ -83,100 +83,179 @@ let feasible_assignment p assignment =
    simulated annealing.                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Built once per problem.  Neighbours and pulls are prepended in edge-
-   and pull-list order, so every sum over them runs in one fixed order;
-   [pin] is each item's fixed part, or -1. *)
+(* Built once per problem, as flat arrays.  Item [i]'s neighbours are
+   [nbr.(e)], with edge weight [nbr_w.(e)], for [e] from [nbr_at.(i)] to
+   [nbr_at.(i + 1) - 1]; its pulls are [pull_to.(e)] with [pull_w.(e)]
+   over [pull_at] likewise.  Both run in reverse edge- and pull-list
+   order: every float sum over them keeps that one order, the order
+   the pinned decisions (test/golden) were made in.  [dtab] is the
+   k x k distance table (row [a] at [a * k]) and [pin] each item's fixed
+   part, or -1. *)
 type index = {
   p : problem;
-  adj : (int * float) list array;  (* (neighbour, edge weight) *)
-  pulls_of : (int * float) list array;  (* (target part, pull weight) *)
+  nbr_at : int array;
+  nbr : int array;
+  nbr_w : float array;
+  pull_at : int array;
+  pull_to : int array;
+  pull_w : float array;
+  dtab : int array;
   pin : int array;
 }
 
-let index p =
-  let n = num_items p in
-  let adj = Array.make n [] and pulls_of = Array.make n [] and pin = Array.make n (-1) in
+(* The rows of a flat layout, [(at, xs, ws)]: entry [(i, x, w)] lands in
+   row [i], which spans [at.(i)] to [at.(i + 1) - 1], and each row lists
+   its entries last first. *)
+let rows n entries =
+  let at = Array.make (n + 1) 0 in
+  List.iter (fun (i, _, _) -> at.(i + 1) <- at.(i + 1) + 1) entries;
+  for i = 0 to n - 1 do
+    at.(i + 1) <- at.(i) + at.(i + 1)
+  done;
+  let xs = Array.make at.(n) 0 and ws = Array.make at.(n) 0.0 in
+  let next = Array.sub at 1 n in
   List.iter
-    (fun (a, b, w) ->
-      adj.(a) <- (b, w) :: adj.(a);
-      adj.(b) <- (a, w) :: adj.(b))
-    p.edges;
-  List.iter (fun (i, part, w) -> pulls_of.(i) <- (part, w) :: pulls_of.(i)) p.pulls;
+    (fun (i, x, w) ->
+      let e = next.(i) - 1 in
+      next.(i) <- e;
+      xs.(e) <- x;
+      ws.(e) <- w)
+    entries;
+  (at, xs, ws)
+
+let index p =
+  let n = num_items p and k = p.k in
+  let nbr_at, nbr, nbr_w =
+    rows n (List.concat_map (fun (a, b, w) -> [ (a, b, w); (b, a, w) ]) p.edges)
+  in
+  let pull_at, pull_to, pull_w = rows n p.pulls in
+  let pin = Array.make n (-1) in
   List.iter (fun (i, part) -> pin.(i) <- part) p.fixed;
-  { p; adj; pulls_of; pin }
+  let dtab = Array.init (k * k) (fun ab -> p.dist (ab / k) (ab mod k)) in
+  { p; nbr_at; nbr; nbr_w; pull_at; pull_to; pull_w; dtab; pin }
 
-(* Normalized overflow of a part: how far past capacity each resource
-   goes, as a fraction; drives infeasible starts back to feasibility. *)
-let overflow cap (u : Resource.t) =
-  let f used total = if used <= total then 0.0 else float_of_int (used - total) /. float_of_int (Stdlib.max 1 total) in
-  f u.Resource.lut cap.Resource.lut +. f u.ff cap.ff +. f u.bram cap.bram +. f u.dsp cap.dsp
-  +. f u.uram cap.uram
+(* How far [used] goes past [total], as a fraction of it. *)
+let[@inline] excess used total =
+  if used <= total then 0.0 else float_of_int (used - total) /. float_of_int (if total > 1 then total else 1)
 
-let total_overflow p usage =
+(* Normalized overflow of a part holding [u] plus [sign] times [a]: how
+   far past capacity each resource goes, as a fraction, summed in
+   resource order; drives infeasible starts back to feasibility.  Reads
+   the vectors without building their sum. *)
+let[@inline] overflow_with (cap : Resource.t) (u : Resource.t) sign (a : Resource.t) =
+  excess (u.lut + (sign * a.lut)) cap.lut
+  +. excess (u.ff + (sign * a.ff)) cap.ff
+  +. excess (u.bram + (sign * a.bram)) cap.bram
+  +. excess (u.dsp + (sign * a.dsp)) cap.dsp
+  +. excess (u.uram + (sign * a.uram)) cap.uram
+
+let[@inline] overflow cap u = overflow_with cap u 0 Resource.zero
+
+(* A local search's position: the assignment, each part's usage and each
+   part's overflow, all kept current by [move]. *)
+type state = { a : int array; usage : Resource.t array; over : float array }
+
+(* The state at [assignment], which the search then moves in place. *)
+let state_of ix assignment =
+  let caps = ix.p.capacities in
+  let usage = usage_of ix.p assignment in
+  { a = assignment; usage; over = Array.init ix.p.k (fun q -> overflow caps.(q) usage.(q)) }
+
+let[@inline] total_overflow st =
   let acc = ref 0.0 in
-  Array.iteri (fun part u -> acc := !acc +. overflow p.capacities.(part) u) usage;
+  for q = 0 to Array.length st.over - 1 do
+    acc := !acc +. st.over.(q)
+  done;
   !acc
+
+(* [cost_of] through the distance table, in the same order (edges, then
+   pulls, in list order) and without allocating. *)
+let[@inline] table_cost ix a =
+  let k = ix.p.k and dtab = ix.dtab in
+  let c = ref 0.0 and edges = ref ix.p.edges and pulls = ref ix.p.pulls in
+  while match !edges with [] -> false | _ :: _ -> true do
+    match !edges with
+    | (x, y, w) :: rest ->
+      c := !c +. (w *. float_of_int dtab.((a.(x) * k) + a.(y)));
+      edges := rest
+    | [] -> ()
+  done;
+  while match !pulls with [] -> false | _ :: _ -> true do
+    match !pulls with
+    | (i, part, w) :: rest ->
+      c := !c +. (w *. float_of_int dtab.((a.(i) * k) + part));
+      pulls := rest
+    | [] -> ()
+  done;
+  !c
 
 (* Every local search minimizes the cost plus [penalty] times the total
    overflow, so infeasible starts can be repaired. *)
 let penalty = 1e7
 
 (* Change of that working objective when item [i] moves to [dst], in
-   O(degree); [usage] must be current for [assignment]. *)
-let move_delta ix assignment usage i dst =
-  let p = ix.p and src = assignment.(i) in
+   O(degree), from the index's arrays and the state's cached overflow. *)
+let[@inline] move_delta ix st i dst =
+  let a = st.a and dtab = ix.dtab and k = ix.p.k in
+  let src = a.(i) in
+  let from_src = src * k and from_dst = dst * k in
   let d = ref 0.0 in
-  List.iter
-    (fun (j, w) ->
-      if j <> i then
-        d := !d +. (w *. float_of_int (p.dist dst assignment.(j) - p.dist src assignment.(j))))
-    ix.adj.(i);
-  List.iter
-    (fun (tp, w) -> d := !d +. (w *. float_of_int (p.dist dst tp - p.dist src tp)))
-    ix.pulls_of.(i);
-  let a = p.areas.(i) and cap = p.capacities in
-  let over_src = overflow cap.(src) usage.(src) in
-  let over_src' = overflow cap.(src) (Resource.sub usage.(src) a) in
-  let over_dst = overflow cap.(dst) usage.(dst) in
-  let over_dst' = overflow cap.(dst) (Resource.add usage.(dst) a) in
-  !d +. (penalty *. (over_src' -. over_src +. over_dst' -. over_dst))
+  for e = ix.nbr_at.(i) to ix.nbr_at.(i + 1) - 1 do
+    let j = ix.nbr.(e) in
+    if j <> i then begin
+      let q = a.(j) in
+      d := !d +. (ix.nbr_w.(e) *. float_of_int (dtab.(from_dst + q) - dtab.(from_src + q)))
+    end
+  done;
+  for e = ix.pull_at.(i) to ix.pull_at.(i + 1) - 1 do
+    let q = ix.pull_to.(e) in
+    d := !d +. (ix.pull_w.(e) *. float_of_int (dtab.(from_dst + q) - dtab.(from_src + q)))
+  done;
+  let area = ix.p.areas.(i) and cap = ix.p.capacities and usage = st.usage in
+  let over_src' = overflow_with cap.(src) usage.(src) (-1) area in
+  let over_dst' = overflow_with cap.(dst) usage.(dst) 1 area in
+  !d +. (penalty *. (over_src' -. st.over.(src) +. over_dst' -. st.over.(dst)))
 
-let move ix assignment usage i dst =
-  let src = assignment.(i) and a = ix.p.areas.(i) in
-  usage.(src) <- Resource.sub usage.(src) a;
-  usage.(dst) <- Resource.add usage.(dst) a;
-  assignment.(i) <- dst
+let move ix st i dst =
+  let src = st.a.(i) and area = ix.p.areas.(i) and cap = ix.p.capacities and usage = st.usage in
+  usage.(src) <- Resource.sub usage.(src) area;
+  usage.(dst) <- Resource.add usage.(dst) area;
+  st.over.(src) <- overflow cap.(src) usage.(src);
+  st.over.(dst) <- overflow cap.(dst) usage.(dst);
+  st.a.(i) <- dst
 
 (* BFS order from a peripheral (lowest-degree) item: on chains and grids
    this yields an order whose prefixes are contiguous regions, which is
    what both first-fit and the prefix sweep need to find minimum cuts. *)
 let placement_order ?(perturb = true) ix rng =
   let n = num_items ix.p in
-  let degree = Array.map List.length ix.adj in
-  let visited = Array.make n false in
-  let order = ref [] in
-  let queue = Queue.create () in
+  let degree i = ix.nbr_at.(i + 1) - ix.nbr_at.(i) in
   let starts = Array.init n Fun.id in
-  Array.sort (fun a b -> compare (degree.(a), a) (degree.(b), b)) starts;
+  Array.sort
+    (fun a b -> match Int.compare (degree a) (degree b) with 0 -> Int.compare a b | c -> c)
+    starts;
+  (* [order] doubles as the BFS queue: items [head..tail-1] wait. *)
+  let visited = Array.make n false and order = Array.make n 0 in
+  let tail = ref 0 in
+  let enqueue v =
+    visited.(v) <- true;
+    order.(!tail) <- v;
+    incr tail
+  in
   Array.iter
     (fun s ->
       if not visited.(s) then begin
-        Queue.add s queue;
-        visited.(s) <- true;
-        while not (Queue.is_empty queue) do
-          let v = Queue.pop queue in
-          order := v :: !order;
-          List.iter
-            (fun (u, _) ->
-              if not visited.(u) then begin
-                visited.(u) <- true;
-                Queue.add u queue
-              end)
-            ix.adj.(v)
+        let head = ref !tail in
+        enqueue s;
+        while !head < !tail do
+          let v = order.(!head) in
+          incr head;
+          for e = ix.nbr_at.(v) to ix.nbr_at.(v + 1) - 1 do
+            if not visited.(ix.nbr.(e)) then enqueue ix.nbr.(e)
+          done
         done
       end)
     starts;
-  let order = Array.of_list (List.rev !order) in
   (* Small random perturbation between multi-starts: swap a few entries.
      The first start keeps the clean BFS order, which on chain- and
      grid-shaped designs yields contiguous (and thus min-cut) prefixes. *)
@@ -189,35 +268,52 @@ let placement_order ?(perturb = true) ix rng =
     done;
   order
 
+(* Cost of placing item [i] on [part] given the items placed so far (an
+   unplaced item's part is -1): its edges to placed neighbours, then its
+   pulls. *)
+let place_cost ix assignment i part =
+  let dtab = ix.dtab and row = part * ix.p.k in
+  let c = ref 0.0 in
+  for e = ix.nbr_at.(i) to ix.nbr_at.(i + 1) - 1 do
+    let q = assignment.(ix.nbr.(e)) in
+    if q >= 0 then c := !c +. (ix.nbr_w.(e) *. float_of_int dtab.(row + q))
+  done;
+  for e = ix.pull_at.(i) to ix.pull_at.(i + 1) - 1 do
+    c := !c +. (ix.pull_w.(e) *. float_of_int dtab.(row + ix.pull_to.(e)))
+  done;
+  !c
+
 (* First fit over [order]: each item not yet placed goes to its pinned
-   part, else to the part with the smallest key (its [place_cost], plus
-   1e9 x (1 + overflow) when it does not fit; then the utilization it
-   leaves), ties to the lower part. *)
-let first_fit ix ?(place_cost = fun _ _ -> 0.0) order assignment usage =
+   part, else to the part with the smallest key: its [place_cost] when
+   [costed] (else 0), plus 1e9 x (1 + overflow) when it does not fit;
+   then the utilization it leaves; ties to the lower part. *)
+let first_fit ix ~costed order assignment usage =
   let p = ix.p in
   Array.iter
     (fun i ->
       if assignment.(i) < 0 then begin
-        let best = ref ix.pin.(i) in
+        let best = ref ix.pin.(i) and area = p.areas.(i) in
         if !best < 0 then begin
-          let best_key = ref (infinity, infinity) in
+          let best_cost = ref infinity and best_util = ref infinity in
           for part = 0 to p.k - 1 do
-            let after = Resource.add usage.(part) p.areas.(i) in
-            let fits = Resource.fits after ~within:p.capacities.(part) in
-            let util = Resource.utilization after ~total:p.capacities.(part) in
-            let key =
-              ( place_cost i part
-                +. (if fits then 0.0 else 1e9 *. (1.0 +. overflow p.capacities.(part) after)),
-                util )
+            let cap = p.capacities.(part) in
+            let after = Resource.add usage.(part) area in
+            let util = Resource.utilization after ~total:cap in
+            let cost =
+              (if costed then place_cost ix assignment i part else 0.0)
+              +.
+              if Resource.fits after ~within:cap then 0.0
+              else 1e9 *. (1.0 +. overflow_with cap usage.(part) 1 area)
             in
-            if key < !best_key then begin
-              best_key := key;
+            if cost < !best_cost || (cost = !best_cost && util < !best_util) then begin
+              best_cost := cost;
+              best_util := util;
               best := part
             end
           done
         end;
         assignment.(i) <- !best;
-        usage.(!best) <- Resource.add usage.(!best) p.areas.(i)
+        usage.(!best) <- Resource.add usage.(!best) area
       end)
     order
 
@@ -227,7 +323,7 @@ let first_fit ix ?(place_cost = fun _ _ -> 0.0) order assignment usage =
    moves made. *)
 let refine_moves ?rng ix ~max_passes assignment =
   let n = num_items ix.p in
-  let usage = usage_of ix.p assignment in
+  let st = state_of ix assignment in
   let moves = ref 0 in
   let improved = ref true in
   let passes = ref 0 in
@@ -240,8 +336,8 @@ let refine_moves ?rng ix ~max_passes assignment =
       (fun i ->
         if ix.pin.(i) < 0 then
           for part = 0 to ix.p.k - 1 do
-            if part <> assignment.(i) && move_delta ix assignment usage i part < -1e-9 then begin
-              move ix assignment usage i part;
+            if part <> st.a.(i) && move_delta ix st i part < -1e-9 then begin
+              move ix st i part;
               incr moves;
               improved := true
             end
@@ -249,6 +345,15 @@ let refine_moves ?rng ix ~max_passes assignment =
       items
   done;
   !moves
+
+(* The annealer scores proposals in blocks of [anneal_block] steps, and
+   rejects an uphill proposal outright when its delta exceeds
+   [reject_factor] times the temperature at the start of its block and
+   its uniform draw u is non-zero: the temperature only falls within the
+   block, so exp (-delta / temp) < exp (-39.9) < 2^-53 <= u and the
+   Metropolis test would reject it too (DESIGN §5h). *)
+let anneal_block = 256
+let reject_factor = 40.0
 
 (* Deterministic simulated annealing from [init] (pinned items never
    move): single-item relocations drawn from a Prng seeded with [seed],
@@ -260,16 +365,15 @@ let refine_moves ?rng ix ~max_passes assignment =
 let anneal ix ~seed ~iters init =
   let p = ix.p in
   let n = num_items p in
-  let assignment = Array.copy init in
-  let usage = usage_of p assignment in
+  let st = state_of ix (Array.copy init) in
   let moves = ref 0 in
   let best = ref None in
   let consider_best () =
-    if total_overflow p usage = 0.0 then begin
-      let c = cost_of p assignment in
+    if total_overflow st = 0.0 then begin
+      let c = table_cost ix st.a in
       match !best with
       | Some (bc, _) when bc <= c -> ()
-      | _ -> best := Some (c, Array.copy assignment)
+      | _ -> best := Some (c, Array.copy st.a)
     end
   in
   consider_best ();
@@ -277,22 +381,34 @@ let anneal ix ~seed ~iters init =
     let rng = Prng.create seed in
     (* Temperature: start proportional to the objective scale, cool
        geometrically to ~1/1000th over the iteration budget. *)
-    let obj0 = cost_of p assignment +. (penalty *. total_overflow p usage) in
+    let obj0 = table_cost ix st.a +. (penalty *. total_overflow st) in
     let t0 = Stdlib.max 1.0 (0.10 *. Float.abs obj0) in
     let ratio = 1e-3 in
+    let temp it = t0 *. (ratio ** (float_of_int it /. float_of_int iters)) in
     let movable_ids = Array.of_list (List.filter (fun i -> ix.pin.(i) < 0) (List.init n Fun.id)) in
     let m = Array.length movable_ids in
+    let block_temp = ref t0 in
     if m > 0 then
       for it = 0 to iters - 1 do
-        let temp = t0 *. (ratio ** (float_of_int it /. float_of_int iters)) in
+        if it mod anneal_block = 0 then block_temp := temp it;
         let i = movable_ids.(Prng.int rng m) in
         let dst = Prng.int rng p.k in
-        if dst <> assignment.(i) then begin
-          let delta = move_delta ix assignment usage i dst in
-          if delta < 0.0 || Prng.float rng 1.0 < Float.exp (-.delta /. temp) then begin
-            move ix assignment usage i dst;
+        if dst <> st.a.(i) then begin
+          let delta = move_delta ix st i dst in
+          if delta < 0.0 then begin
+            move ix st i dst;
             incr moves;
-            if delta < 0.0 then consider_best ()
+            consider_best ()
+          end
+          else begin
+            let u = Prng.float rng 1.0 in
+            if
+              (not (u > 0.0 && delta > reject_factor *. !block_temp))
+              && u < Float.exp (-.delta /. temp it)
+            then begin
+              move ix st i dst;
+              incr moves
+            end
           end
         end
       done;
@@ -306,16 +422,7 @@ let heuristic_once ?(perturb = true) ix rng =
   let p = ix.p in
   let assignment = Array.make (num_items p) (-1) in
   let usage = Array.make p.k Resource.zero in
-  (* Incremental cost of placing item [i] on [part] given current placement. *)
-  let place_cost i part =
-    let c = ref 0.0 in
-    List.iter
-      (fun (j, w) -> if assignment.(j) >= 0 then c := !c +. (w *. float_of_int (p.dist part assignment.(j))))
-      ix.adj.(i);
-    List.iter (fun (tp, w) -> c := !c +. (w *. float_of_int (p.dist part tp))) ix.pulls_of.(i);
-    !c
-  in
-  first_fit ix ~place_cost (placement_order ~perturb ix rng) assignment usage;
+  first_fit ix ~costed:true (placement_order ~perturb ix rng) assignment usage;
   let moves = refine_moves ~rng ix ~max_passes:40 assignment in
   (assignment, moves)
 
@@ -339,7 +446,7 @@ let sweep_two_way ix =
     for cut = 1 to n - 1 do
       assignment.(order.(cut - 1)) <- 0;
       if feasible_assignment p assignment then begin
-        let c = cost_of p assignment in
+        let c = table_cost ix assignment in
         let usage = usage_of p assignment in
         let balance =
           Float.max
@@ -364,7 +471,7 @@ let heuristic ~seed ix =
   let consider assignment moves =
     total_moves := !total_moves + moves;
     let feasible = feasible_assignment p assignment in
-    let cost = cost_of p assignment in
+    let cost = table_cost ix assignment in
     let better =
       match !best with
       | None -> true
@@ -393,15 +500,13 @@ let heuristic ~seed ix =
 let greedy_assignment ix =
   let p = ix.p in
   let n = num_items p in
+  let size = Array.map (fun a -> Resource.utilization a ~total:p.capacities.(0)) p.areas in
   let order = Array.init n Fun.id in
   Array.sort
-    (fun a b ->
-      compare
-        (Resource.utilization p.areas.(b) ~total:p.capacities.(0), a)
-        (Resource.utilization p.areas.(a) ~total:p.capacities.(0), b))
+    (fun a b -> match Float.compare size.(b) size.(a) with 0 -> Int.compare a b | c -> c)
     order;
   let assignment = Array.make n (-1) in
-  first_fit ix
+  first_fit ix ~costed:false
     (Array.append (Array.of_list (List.map fst p.fixed)) order)
     assignment (Array.make p.k Resource.zero);
   assignment
@@ -792,19 +897,21 @@ let hierarchical ~seed ix =
       in
       Array.iteri
         (fun i tid ->
-          List.iter
-            (fun (other, w) ->
-              match Hashtbl.find_opt index_of other with
-              | Some j -> if i < j then sub_edges := (i, j, w) :: !sub_edges
-              | None ->
-                if assignment.(other) >= 0 then add_pull i assignment.(other) w
-                else begin
-                  (* partner is in a sibling range; use its range midpoint *)
-                  let rlo, rhi = range_of.(other) in
-                  add_pull i ((rlo + rhi - 1) / 2) w
-                end)
-            ix.adj.(tid);
-          List.iter (fun (part, w) -> add_pull i part w) ix.pulls_of.(tid);
+          for e = ix.nbr_at.(tid) to ix.nbr_at.(tid + 1) - 1 do
+            let other = ix.nbr.(e) and w = ix.nbr_w.(e) in
+            match Hashtbl.find_opt index_of other with
+            | Some j -> if i < j then sub_edges := (i, j, w) :: !sub_edges
+            | None ->
+              if assignment.(other) >= 0 then add_pull i assignment.(other) w
+              else begin
+                (* partner is in a sibling range; use its range midpoint *)
+                let rlo, rhi = range_of.(other) in
+                add_pull i ((rlo + rhi - 1) / 2) w
+              end
+          done;
+          for e = ix.pull_at.(tid) to ix.pull_at.(tid + 1) - 1 do
+            add_pull i ix.pull_to.(e) ix.pull_w.(e)
+          done;
           if ix.pin.(tid) >= 0 then
             sub_fixed := (i, if ix.pin.(tid) < mid then 0 else 1) :: !sub_fixed)
         member_arr;
@@ -1283,7 +1390,8 @@ let solve_grouped ~seed ?pool ~groups ix =
     for a = 0 to p.k - 1 do
       for b = 0 to p.k - 1 do
         let ga = groups.(a) and gb = groups.(b) in
-        if p.dist a b < gdist.(ga).(gb) then gdist.(ga).(gb) <- p.dist a b
+        let d = ix.dtab.((a * p.k) + b) in
+        if d < gdist.(ga).(gb) then gdist.(ga).(gb) <- d
       done
     done;
     let gproblem =
@@ -1343,7 +1451,7 @@ let solve_grouped ~seed ?pool ~groups ix =
                     (fun q ->
                       let d =
                         Array.fold_left
-                          (fun acc q' -> Stdlib.min acc (p.dist q q'))
+                          (fun acc q' -> Stdlib.min acc ix.dtab.((q * p.k) + q'))
                           max_int parts_arr.(g')
                       in
                       if d < !bestd then begin
@@ -1370,20 +1478,20 @@ let solve_grouped ~seed ?pool ~groups ix =
         let sub_edges = ref [] and sub_pulls = ref [] and sub_fixed = ref [] in
         Array.iteri
           (fun li tid ->
-            List.iter
-              (fun (other, w) ->
-                match Hashtbl.find_opt index_of other with
-                | Some lj -> if li < lj then sub_edges := (li, lj, w) :: !sub_edges
-                | None ->
-                  let g' = cluster_assign.(other) in
-                  if g' <> g then
-                    sub_pulls := (li, local_part.(gateway.(g).(g')), w) :: !sub_pulls)
-              ix.adj.(tid);
-            List.iter
-              (fun (part, w) ->
-                let tgt = if groups.(part) = g then part else gateway.(g).(groups.(part)) in
-                sub_pulls := (li, local_part.(tgt), w) :: !sub_pulls)
-              ix.pulls_of.(tid);
+            for e = ix.nbr_at.(tid) to ix.nbr_at.(tid + 1) - 1 do
+              let other = ix.nbr.(e) and w = ix.nbr_w.(e) in
+              match Hashtbl.find_opt index_of other with
+              | Some lj -> if li < lj then sub_edges := (li, lj, w) :: !sub_edges
+              | None ->
+                let g' = cluster_assign.(other) in
+                if g' <> g then
+                  sub_pulls := (li, local_part.(gateway.(g).(g')), w) :: !sub_pulls
+            done;
+            for e = ix.pull_at.(tid) to ix.pull_at.(tid + 1) - 1 do
+              let part = ix.pull_to.(e) in
+              let tgt = if groups.(part) = g then part else gateway.(g).(groups.(part)) in
+              sub_pulls := (li, local_part.(tgt), ix.pull_w.(e)) :: !sub_pulls
+            done;
             if ix.pin.(tid) >= 0 then sub_fixed := (li, local_part.(ix.pin.(tid))) :: !sub_fixed)
           mem;
         {
@@ -1392,7 +1500,7 @@ let solve_grouped ~seed ?pool ~groups ix =
           pulls = !sub_pulls;
           k = Array.length parts;
           capacities = Array.map (fun q -> p.capacities.(q)) parts;
-          dist = (fun a b -> p.dist parts.(a) parts.(b));
+          dist = (fun a b -> ix.dtab.((parts.(a) * p.k) + parts.(b)));
           fixed = !sub_fixed;
         }
       in
@@ -1607,3 +1715,9 @@ let cache_stats () =
 let reset_cache () =
   Memo.reset cache;
   reset_fragments ()
+
+let anneal p ~seed ~iters init =
+  validate p;
+  if Array.length init <> num_items p || Array.exists (fun q -> q < 0 || q >= p.k) init then
+    invalid_arg "Partition.anneal: init must give every item a part";
+  anneal (index p) ~seed ~iters init

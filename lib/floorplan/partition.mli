@@ -157,6 +157,17 @@ val greedy : problem -> result option
     false) or high-cut, which callers surface as degraded operation.
     [None] only for empty instances. *)
 
+val anneal : problem -> seed:int -> iters:int -> int array -> (int array * int) option
+(** The annealer the grouped path runs, on its own: [iters] single-item
+    relocations from [init] (pinned items never move) drawn from a Prng
+    seeded with [seed], geometric cooling and Metropolis acceptance on
+    the cost plus 1e7 times the normalized overflow.  Returns the
+    cheapest feasible assignment the walk saw and its number of accepted
+    moves, or [None] when it never reached feasibility.  A pure function
+    of its arguments.
+    @raise Invalid_argument on a malformed problem (as {!solve}) or an
+    [init] that does not give each item a part in [0, k). *)
+
 val num_items : problem -> int
 
 val prng_for_tests : int -> Prng.t

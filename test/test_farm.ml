@@ -260,6 +260,50 @@ let test_stats_json_shape () =
 
 (* A NaN retry time never drains from the event loop, so a bad backoff
    or horizon must be refused before the loop starts. *)
+(* ------------------------------------------------------------------ *)
+(* Churn golden                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Two seeded churn scenarios on a 16-board farm: a small workload plus
+   one 12-board stencil tenant arriving first, so its placement spans
+   more than 8 boards on 4 nodes and takes the grouped path.  Their
+   stats pin every placement the farm's local searches decide. *)
+let churn_scenario k =
+  let prng = Tapa_cs_util.Prng.create (7919 * (k + 1)) in
+  let boards = 16 in
+  let window () =
+    let start = 20.0 +. Tapa_cs_util.Prng.float prng 180.0 in
+    (start, start +. 20.0 +. Tapa_cs_util.Prng.float prng 40.0)
+  in
+  let tenants = Tenant.workload ~seed:(Tapa_cs_util.Prng.int prng 1_000_000) ~tenants:5 () in
+  let big =
+    Tapa_cs_apps.(Stencil.generate (Stencil.make_config ~iterations:8 ~fpgas:12 ())).graph
+  in
+  let big = Tenant.make ~id:5 ~name:"stencil-i8-f12" ~slo:Tenant.Best_effort ~arrival_s:0.0 big in
+  let config = { small_config with Farm.seed = Tapa_cs_util.Prng.int prng 1_000_000 } in
+  let device = Tapa_cs_util.Prng.int prng boards and edge = Tapa_cs_util.Prng.int prng (boards - 1) in
+  let down, up = window () and link_down, link_up = window () and loss_on, loss_off = window () in
+  let timeline =
+    Fault.timeline
+      [
+        (down, Fault.Device_down device);
+        (up, Fault.Device_up device);
+        (link_down, Fault.Link_down (edge, edge + 1));
+        (link_up, Fault.Link_up (edge, edge + 1));
+        (loss_on, Fault.Loss_rate 0.02);
+        (loss_off, Fault.Loss_rate 0.0);
+      ]
+  in
+  Farm.run ~config ~cluster:(farm_cluster boards) ~timeline (big :: tenants)
+
+let test_churn_golden () =
+  let stats = List.map churn_scenario [ 0; 1 ] in
+  List.iter
+    (fun (st : Farm.stats) -> check bool "the grouped path re-solved groups" true (st.Farm.groups_resolved > 0))
+    stats;
+  Golden_file.check "farm_churn.expected"
+    (String.concat "" (List.map (fun st -> Farm.stats_json st ^ "\n") stats))
+
 let test_bad_config_rejected () =
   List.iter
     (fun (what, config) ->
@@ -298,5 +342,6 @@ let () =
           Alcotest.test_case "displacement and failover" `Quick test_displacement_and_failover;
           Alcotest.test_case "retry budget exhaustion" `Quick test_retry_budget_exhaustion;
           Alcotest.test_case "loss episodes" `Quick test_loss_episode_degrades_spanning_tenants;
+          Alcotest.test_case "golden stats of two churn scenarios" `Quick test_churn_golden;
         ] );
     ]

@@ -976,6 +976,62 @@ let prop_capacity_proof_exact =
       Partition.capacity_infeasible p = infeasible
       && (Partition.solve ~strategy:Partition.Exact p = None) = infeasible)
 
+(* The annealer against its list-index oracle (test/oracle): 2-40 items
+   in 2-6 parts with pins, a self-loop now and then, pulls with
+   half-integer weights, 512-bit-scale edge weights (a third divided by
+   3, so float sums round) and capacities of 0.7-1.3x an even share in
+   five resources, so some starts overflow.  Budgets run from 0 to
+   20,000 proposals, half of them at most 1,000: a budget that spans few
+   blocks cools fast within each, so a rejection bound read anywhere
+   but at the block's start shows there. *)
+let anneal_problem rng =
+  let k = 2 + Prng.int rng 5 in
+  let n = 2 + Prng.int rng 39 in
+  let areas =
+    Array.init n (fun _ ->
+        let lut = 1_000 + Prng.int rng 4_000 in
+        Resource.make ~lut ~ff:((lut / 2) + Prng.int rng 500) ~bram:(Prng.int rng 8)
+          ~dsp:(Prng.int rng 4) ~uram:(Prng.int rng 2) ())
+  in
+  let share = Resource.scale (1.0 /. float_of_int k) (Resource.sum (Array.to_list areas)) in
+  let capacities = Array.init k (fun _ -> Resource.scale (0.7 +. Prng.float rng 0.6) share) in
+  let weight () =
+    let w = 512.0 *. float_of_int (1 + Prng.int rng 4) in
+    if Prng.int rng 3 = 0 then w /. 3.0 else w
+  in
+  let edges =
+    List.init (Prng.int rng (2 * n)) (fun _ ->
+        let a = Prng.int rng n in
+        let b = if Prng.int rng 20 = 0 then a else Prng.int rng n in
+        (a, b, weight ()))
+  in
+  let pulls =
+    List.init (Prng.int rng 5) (fun _ ->
+        (Prng.int rng n, Prng.int rng k, 0.5 *. float_of_int (1 + Prng.int rng 40)))
+  in
+  let fixed = List.init (Prng.int rng 3) (fun _ -> (Prng.int rng n, Prng.int rng k)) in
+  let table = Array.make_matrix k k 0 in
+  for a = 0 to k - 1 do
+    for b = a + 1 to k - 1 do
+      let d = 1 + Prng.int rng 4 in
+      table.(a).(b) <- d;
+      table.(b).(a) <- d
+    done
+  done;
+  let p =
+    { Partition.areas; edges; pulls; k; capacities; dist = (fun a b -> table.(a).(b)); fixed }
+  in
+  let init = Array.init n (fun _ -> Prng.int rng k) in
+  List.iter (fun (i, part) -> init.(i) <- part) fixed;
+  (p, init, Prng.int rng (if Prng.bool rng then 1_001 else 20_001))
+
+let prop_anneal_matches_oracle =
+  QCheck.Test.make ~name:"anneal matches the list-index oracle" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let p, init, iters = anneal_problem (Prng.create seed) in
+      Partition.anneal p ~seed ~iters init = Anneal_oracle.anneal p ~seed ~iters init)
+
 (* 21 items of 3 LUT fill 63 of 64 LUT, but a 32-LUT part holds ten. *)
 let test_capacity_proof () =
   let edges = List.init 20 (fun i -> (i, i + 1, 1.0)) in
@@ -1079,7 +1135,7 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest
             [
               prop_digest_renaming_invariant; prop_digest_mutation_sensitive;
-              prop_capacity_proof_exact;
+              prop_capacity_proof_exact; prop_anneal_matches_oracle;
             ] );
       ( "inter_fpga",
         [

@@ -177,6 +177,9 @@ let test_script_warm_faster () =
 (* Socket round trip                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* All three replies are collected before any check: a failed check
+   inside the [Fun.protect] would skip the remaining requests and leave
+   the joined server waiting for them forever. *)
 let test_socket_roundtrip () =
   Service.reset_process_caches ();
   let socket_path =
@@ -186,24 +189,28 @@ let test_socket_roundtrip () =
   let svc = Service.create () in
   let server = Server.create ~socket_path svc in
   let server_domain = Domain.spawn (fun () -> Server.serve ~max_requests:3 server) in
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Domain.join server_domain);
-      Server.close server)
-    (fun () ->
-      let r = Request.make ~id:1 ~iters:8 ~kind:Request.Compile ~app:"stencil" () in
-      (match Server.request_once ~socket_path (Request.to_line r) with
-      | Ok line ->
-        check bool "computed response" true
-          (String.length line > 0 && String.sub line 0 1 = "{")
-      | Error e -> Alcotest.failf "first request failed: %s" e);
-      (match Server.request_once ~socket_path (Request.to_line r) with
-      | Ok line ->
-        check bool "second request served from cache" true (contains line {|"served":"cache"|})
-      | Error e -> Alcotest.failf "second request failed: %s" e);
-      match Server.request_once ~socket_path {|{"kind":"metrics"}|} with
-      | Ok line -> check bool "metrics reports the hit" true (contains line {|"cache_hits":1|})
-      | Error e -> Alcotest.failf "metrics request failed: %s" e)
+  let first, second, metrics =
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Domain.join server_domain);
+        Server.close server)
+      (fun () ->
+        let r = Request.make ~id:1 ~iters:8 ~kind:Request.Compile ~app:"stencil" () in
+        let first = Server.request_once ~socket_path (Request.to_line r) in
+        let second = Server.request_once ~socket_path (Request.to_line r) in
+        (first, second, Server.request_once ~socket_path {|{"kind":"metrics"}|}))
+  in
+  (match first with
+  | Ok line ->
+    check bool "computed response" true (String.length line > 0 && String.sub line 0 1 = "{")
+  | Error e -> Alcotest.failf "first request failed: %s" e);
+  (match second with
+  | Ok line ->
+    check bool "second request served from cache" true (contains line {|"served":"cache"|})
+  | Error e -> Alcotest.failf "second request failed: %s" e);
+  match metrics with
+  | Ok line -> check bool "metrics reports the hit" true (contains line {|"cache_hits":1|})
+  | Error e -> Alcotest.failf "metrics request failed: %s" e
 
 (* A line past the 64 KiB cap gets an error reply naming the cap and
    loses its connection; the server goes on serving others.  Both

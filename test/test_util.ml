@@ -186,6 +186,28 @@ let test_prng_determinism () =
     check bool "same stream" true (Prng.next_int64 a = Prng.next_int64 b)
   done
 
+(* The first draws of three seeds, taken from the stream before its
+   state moved into an unboxed buffer: every seeded heuristic and
+   workload depends on these exact values. *)
+let test_prng_pinned () =
+  List.iter
+    (fun (seed, ints, floats, child) ->
+      let t = Prng.create seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      check (Alcotest.list int) (name "int draws") ints
+        (List.init 3 (fun _ -> Prng.int t 1_000_000_000));
+      check (Alcotest.list string) (name "float draws") floats
+        (List.init 2 (fun _ -> Printf.sprintf "%h" (Prng.float t 1.0)));
+      check int (name "split child's first draw") child (Prng.int (Prng.split t) 1_000_000_000))
+    [
+      (0, [ 164651883; 548588925; 867886419 ], [ "0x1.f1177150e499p-1"; "0x1.b39896a51a87p-4" ], 570730571);
+      (1, [ 800205616; 766607129; 570722647 ], [ "0x1.c7061a43b90b2p-2"; "0x1.c6ed53634406cp-2" ], 649899761);
+      ( 2024,
+        [ 109293365; 917703860; 642198367 ],
+        [ "0x1.dbe69e0ae9bb8p-4"; "0x1.a94182cac8ec8p-1" ],
+        423134434 );
+    ]
+
 let test_prng_bounds () =
   let rng = Prng.create 3 in
   for _ = 1 to 1000 do
@@ -329,6 +351,15 @@ let test_pool_matches_sequential () =
   (* A pool is reusable across batches. *)
   let got2 = Pool.parallel_map ~pool (fun i -> i + 1) input in
   check bool "second batch" true (got2 = Array.map succ input)
+
+(* A zero-worker pool maps on the calling domain alone: no ephemeral
+   pool is spawned behind it. *)
+let test_pool_zero_workers () =
+  let pool = Pool.create ~domains:0 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let self = Domain.self () in
+  let on = Pool.parallel_map ~pool (fun _ -> Domain.self ()) (Array.init 64 Fun.id) in
+  check bool "every call on the calling domain" true (Array.for_all (fun d -> d = self) on)
 
 let test_pool_exception_propagates () =
   let pool = Pool.create ~domains:2 () in
@@ -676,6 +707,7 @@ let () =
       ( "prng",
         [
           Alcotest.test_case "determinism" `Quick test_prng_determinism;
+          Alcotest.test_case "pinned first draws" `Quick test_prng_pinned;
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
         ] );
@@ -696,6 +728,7 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "matches sequential map" `Quick test_pool_matches_sequential;
+          Alcotest.test_case "zero workers stay on the caller" `Quick test_pool_zero_workers;
           Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
           Alcotest.test_case "failing batch drains" `Quick test_pool_failing_batch_drains;
           Alcotest.test_case "nested + shutdown" `Quick test_pool_nested_and_shutdown;
