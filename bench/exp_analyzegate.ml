@@ -4,9 +4,9 @@
    contract and counted where the contract is a saving:
 
    1. Soundness on real designs: for every example application the
-      closed-form interval [lower, upper] must contain the latency of
-      BOTH simulator engines, and the freshly emitted artifacts must
-      round-trip through the re-parser with zero diagnostics.
+      closed-form interval [lower, upper] must contain the simulated
+      latency, and the freshly emitted artifacts must round-trip through
+      the re-parser with zero diagnostics.
 
    2. Soundness on a random corpus: 48 seeded layered pipelines, same
       containment check.  The corpus is deterministic, so a failure is
@@ -58,20 +58,16 @@ let example_designs () =
 let inside (s : Static_perf.t) latency =
   latency >= s.Static_perf.latency_lower_s && latency <= s.Static_perf.latency_upper_s
 
-(* 1. every example app: both engines inside the interval, artifacts
-   round-trip clean. *)
+(* 1. every example app: the simulated latency inside the interval,
+   artifacts round-trip clean. *)
 let check_examples designs =
   List.iter
     (fun (label, d) ->
       let s = Flow.static_bounds d in
-      let cfg = Flow.sim_config d in
-      let c = Design_sim.run ~cache:false cfg in
-      let r = Design_sim.run_reference ~cache:false cfg in
-      if not (inside s c.Design_sim.latency_s) then
-        Gate.fail "%s: coalesced latency %.9e outside [%.9e, %.9e]" label c.Design_sim.latency_s
-          s.Static_perf.latency_lower_s s.Static_perf.latency_upper_s;
+      let r = Design_sim.run ~cache:false (Flow.sim_config d) in
       if not (inside s r.Design_sim.latency_s) then
-        Gate.fail "%s: reference latency %.9e outside interval" label r.Design_sim.latency_s;
+        Gate.fail "%s: simulated latency %.9e outside [%.9e, %.9e]" label r.Design_sim.latency_s
+          s.Static_perf.latency_lower_s s.Static_perf.latency_upper_s;
       let compiled =
         match d.Flow.compiled with
         | Some c -> c
@@ -83,12 +79,11 @@ let check_examples designs =
         Gate.fail "%s: artifact round-trip not clean: %s" label
           (String.concat "; " (List.map (fun d -> d.Diagnostic.code) ds)));
       Printf.printf "  %-12s latency %.6f ms in [%.6f, %.6f] ms, artifacts clean\n" label
-        (1e3 *. c.Design_sim.latency_s)
+        (1e3 *. r.Design_sim.latency_s)
         (1e3 *. s.Static_perf.latency_lower_s)
         (1e3 *. s.Static_perf.latency_upper_s))
     designs;
-  Printf.printf "  example soundness: %d designs x 2 engines inside interval\n"
-    (List.length designs)
+  Printf.printf "  example soundness: %d designs inside interval\n" (List.length designs)
 
 (* 2. random layered pipelines (the test suite's corpus shape, fresh
    seed range so the gate and the unit tests do not share instances). *)
@@ -131,15 +126,12 @@ let check_corpus () =
   for seed = 20_001 to 20_000 + corpus_size do
     let cfg = random_pipeline_config seed in
     let s = Static_perf.bounds cfg in
-    let c = Design_sim.run ~cache:false cfg in
-    let r = Design_sim.run_reference ~cache:false cfg in
-    if not (inside s c.Design_sim.latency_s && inside s r.Design_sim.latency_s) then
-      Gate.fail "seed %d: latency (%.9e coalesced / %.9e reference) escapes [%.9e, %.9e]" seed
-        c.Design_sim.latency_s r.Design_sim.latency_s s.Static_perf.latency_lower_s
-        s.Static_perf.latency_upper_s
+    let r = Design_sim.run ~cache:false cfg in
+    if not (inside s r.Design_sim.latency_s) then
+      Gate.fail "seed %d: latency %.9e escapes [%.9e, %.9e]" seed r.Design_sim.latency_s
+        s.Static_perf.latency_lower_s s.Static_perf.latency_upper_s
   done;
-  Printf.printf "  corpus soundness: %d random pipelines x 2 engines inside interval\n"
-    corpus_size
+  Printf.printf "  corpus soundness: %d random pipelines inside interval\n" corpus_size
 
 (* 3. each artifact class, tampered, must trip its own code. *)
 let replace_first ~old_ ~new_ s =

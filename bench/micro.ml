@@ -180,19 +180,12 @@ let small_sim_config =
   Tapa_cs_sim.Design_sim.make_config ~graph:g ~assignment:(Array.make 8 0)
     ~freq_mhz:[| 300.0 |] ~cluster ~synthesis ()
 
-(* The engine benches bypass the result cache — they time the simulator,
-   not a hash lookup.  The pinned "8-task pipeline simulation" name is
-   the coalesced engine (the default); the ", reference" variant prices
-   the coalescing + inline-wake + two-tier-queue win on the same design,
-   and ", cache warm" is what repeated sweep points actually pay. *)
+(* The engine bench bypasses the result cache — it times the simulator,
+   not a hash lookup; ", cache warm" is what repeated sweep points
+   actually pay. *)
 let small_sim =
   Test.make ~name:"8-task pipeline simulation"
     (Staged.stage (fun () -> ignore (Tapa_cs_sim.Design_sim.run ~cache:false small_sim_config)))
-
-let small_sim_reference =
-  Test.make ~name:"8-task pipeline simulation, reference"
-    (Staged.stage (fun () ->
-         ignore (Tapa_cs_sim.Design_sim.run_reference ~cache:false small_sim_config)))
 
 let small_sim_cached =
   Test.make ~name:"8-task pipeline simulation, cache warm"
@@ -236,7 +229,7 @@ let tests =
     ([
        bigint_mul; bigint_divmod; rat_add; simplex_lp; simplex_float_first;
        simplex_exact_prepared; bb_ilp; bb_warm; partition_heuristic; partition_hierarchical;
-       link_ideal; link_faulty; event_fourheap; small_sim; small_sim_reference; small_sim_cached;
+       link_ideal; link_faulty; event_fourheap; small_sim; small_sim_cached;
        static_bounds_bench; sim_sweep_seq;
      ]
     @ Option.to_list sim_sweep_par)

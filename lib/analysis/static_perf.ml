@@ -1,11 +1,10 @@
-module Cluster = Tapa_cs_device.Cluster
 module Taskgraph = Tapa_cs_graph.Taskgraph
 module Fifo = Tapa_cs_graph.Fifo
 module Task = Tapa_cs_graph.Task
 module Synthesis = Tapa_cs_hls.Synthesis
-module Network = Tapa_cs_network
 module Pipelining = Tapa_cs_pipeline.Pipelining
 module Design_sim = Tapa_cs_sim.Design_sim
+module Engine = Tapa_cs_sim.Engine
 
 type bottleneck =
   | Task_compute of { task_id : int }
@@ -29,42 +28,6 @@ let margin = 1e-9
 let min_depth_floor = 2
 let oversize_factor = 64
 
-(* ------------------------------------------------------------------ *)
-(* The timing model, replicated float-for-float from Design_sim        *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-directed-link service parameters; mirrors Design_sim's server
-   construction (link_params + hop scaling + loss derating). *)
-type link_model = {
-  rate : float;  (* bytes/s *)
-  latency : float;  (* one-way seconds, paid per transfer *)
-  per_packet : float;  (* seconds per packet *)
-  packet : float;  (* bytes *)
-}
-
-let link_model (cfg : Design_sim.config) ~loss i j =
-  let p =
-    if not (Cluster.same_node cfg.cluster i j) then Network.Link.host_mpi_10g
-    else begin
-      match cfg.cluster.Cluster.link with
-      | Cluster.Ethernet_100g -> Network.Link.alveolink
-      | Cluster.Pcie_gen3x16 -> Network.Link.pcie_p2p
-    end
-  in
-  let h = float_of_int (Stdlib.max 1 (Cluster.dist cfg.cluster i j)) in
-  let slow = if loss > 0.0 then Network.Fault.slowdown ~loss_rate:loss p else 1.0 in
-  {
-    rate = p.Network.Link.bandwidth_gbytes *. p.Network.Link.derate *. 1e9 /. h /. slow;
-    latency = p.Network.Link.one_way_latency_us *. 1e-6 *. h;
-    per_packet = p.Network.Link.per_packet_overhead_ns *. 1e-9 *. h *. slow;
-    packet = float_of_int p.Network.Link.default_packet_bytes;
-  }
-
-(* Engine.Server.service_time, verbatim. *)
-let service_time lm amount =
-  let packets = if amount <= 0.0 then 0.0 else ceil (amount /. lm.packet) in
-  (amount /. lm.rate) +. (packets *. lm.per_packet)
-
 let compute ?(loss_rate = 0.0) ~depths (cfg : Design_sim.config) =
   let g = cfg.graph in
   let nchunks = Stdlib.max 1 cfg.chunks in
@@ -73,27 +36,6 @@ let compute ?(loss_rate = 0.0) ~depths (cfg : Design_sim.config) =
   in
   let sim_volume f = float_of_int nchunks *. chunk_bytes f in
   let freq_hz fpga = cfg.freq_mhz.(fpga) *. 1e6 in
-  (* Design_sim.chunk_time_of, split so the bottleneck can name the
-     binding term.  [compute_chunk] and the per-port times are the exact
-     float expressions the simulator evaluates. *)
-  let chunk_parts (t : Task.t) =
-    let f_hz = freq_hz cfg.assignment.(t.id) in
-    let profile = Synthesis.profile_of cfg.synthesis t.id in
-    let compute_chunk = profile.Synthesis.steady_cycles /. float_of_int nchunks /. f_hz in
-    let mem_chunk = ref 0.0 and mem_port = ref (-1) in
-    List.iteri
-      (fun i (p : Task.mem_port) ->
-        let bw = cfg.port_bandwidth_gbps t.id i *. 1e9 in
-        if bw > 0.0 then begin
-          let m = p.Task.bytes /. float_of_int nchunks /. bw in
-          if m > !mem_chunk then begin
-            mem_chunk := m;
-            mem_port := i
-          end
-        end)
-      t.Task.mem_ports;
-    (compute_chunk, !mem_chunk, !mem_port)
-  in
   let best_ii = ref 0.0 and best = ref None in
   let candidate ii who = if ii > !best_ii || !best = None then begin best_ii := ii; best := Some who end in
   (* Per-task wait sums: iterated exactly as the task fiber accumulates
@@ -108,8 +50,8 @@ let compute ?(loss_rate = 0.0) ~depths (cfg : Design_sim.config) =
           (fun acc (f : Fifo.t) -> Stdlib.max acc (cfg.extra_stage_cycles f.id))
           0 (Taskgraph.in_fifos g t.id)
       in
-      let compute_chunk, mem_chunk, mem_port = chunk_parts t in
-      let chunk_time = Float.max compute_chunk mem_chunk in
+      let { Design_sim.compute_s; memory_s; mem_port } = Design_sim.chunk_split cfg t in
+      let chunk_time = Float.max compute_s memory_s in
       let x = ref ((profile.Synthesis.startup_cycles +. float_of_int stage_latency) /. f_hz) in
       for _ = 1 to nchunks do
         x := !x +. chunk_time
@@ -118,7 +60,7 @@ let compute ?(loss_rate = 0.0) ~depths (cfg : Design_sim.config) =
       task_upper_sum := !task_upper_sum +. !x;
       if chunk_time > 0.0 then
         candidate chunk_time
-          (if compute_chunk >= mem_chunk then Task_compute { task_id = t.id }
+          (if compute_s >= memory_s then Task_compute { task_id = t.id }
            else Task_memory { task_id = t.id; port_index = mem_port }))
     (Taskgraph.tasks g);
   (* Per-directed-link service: every cut FIFO contributes its mover's
@@ -134,37 +76,37 @@ let compute ?(loss_rate = 0.0) ~depths (cfg : Design_sim.config) =
         let lm, fifos =
           match Hashtbl.find_opt servers key with
           | Some (lm, fs) -> (lm, fs)
-          | None -> (link_model cfg ~loss:loss_rate i j, [])
+          | None -> (Design_sim.link_service cfg ~loss_rate i j, [])
         in
         Hashtbl.replace servers key (lm, f :: fifos)
       end)
     (Taskgraph.fifos g);
   let link_lower = ref 0.0 and link_upper_sum = ref 0.0 in
   Hashtbl.iter
-    (fun (i, j) (lm, fifos) ->
+    (fun (i, j) ((lm : Engine.Server.params), fifos) ->
       let sum = ref 0.0 and pieces = ref 0 and spare = ref 0.0 and per_chunk = ref 0.0 in
       List.iter
         (fun (f : Fifo.t) ->
           match f.Fifo.mode with
           | Fifo.Bulk ->
-            let s = service_time lm (sim_volume f) in
+            let s = Engine.Server.service_time lm (sim_volume f) in
             sum := !sum +. s;
             incr pieces;
             per_chunk := !per_chunk +. (s /. float_of_int nchunks)
           | Fifo.Stream ->
-            let s = service_time lm (chunk_bytes f) in
+            let s = Engine.Server.service_time lm (chunk_bytes f) in
             for _ = 1 to nchunks do
               sum := !sum +. s
             done;
             pieces := !pieces + nchunks;
             (* the possible residual mover piece (≤ one chunk) *)
-            spare := !spare +. s +. lm.latency;
+            spare := !spare +. s +. lm.latency_s;
             per_chunk := !per_chunk +. s)
         fifos;
-      let lower = (!sum +. lm.latency) *. (1.0 -. margin) in
+      let lower = (!sum +. lm.latency_s) *. (1.0 -. margin) in
       if lower > !link_lower then link_lower := lower;
       link_upper_sum :=
-        !link_upper_sum +. !sum +. (float_of_int !pieces *. lm.latency) +. !spare;
+        !link_upper_sum +. !sum +. (float_of_int !pieces *. lm.latency_s) +. !spare;
       if !per_chunk > 0.0 then candidate !per_chunk (Link { src_fpga = i; dst_fpga = j }))
     servers;
   let latency_lower_s = Float.max !task_lower !link_lower in

@@ -8,10 +8,11 @@
     [[lower, upper]] for the end-to-end makespan; and (c) minimal
     deadlock-free FIFO depths on reconvergent paths.
 
-    The bounds replicate {!Tapa_cs_sim.Design_sim}'s timing model
-    float-for-float — same chunking, same per-chunk time, same link
-    server service formula — so they are sound against both simulator
-    engines (whose latencies are bit-identical by the gated contract):
+    The bounds price a design with the simulator's own timing functions
+    — {!Tapa_cs_sim.Design_sim.chunk_split} for a task's chunk time,
+    {!Tapa_cs_sim.Design_sim.link_service} and
+    {!Tapa_cs_sim.Engine.Server.service_time} for a link transfer — and
+    the same chunking, so they are sound against the simulated latency:
 
     - [latency_lower_s]: the maximum over (i) each task's own iterated
       wait sum (startup + pipeline-stage latency + [chunks] chunk times;
@@ -20,8 +21,8 @@
       bound) and (ii) each directed link server's total service plus one
       one-way latency, under a [1 - 1e-9] relative margin for summation
       order.
-    - [latency_upper_s]: every time advancement in the reference engine
-      ends a timed wait, and each advancement interval lies inside the
+    - [latency_upper_s]: every time advancement in the simulator ends a
+      timed wait, and each advancement interval lies inside the
       union of task-wait durations, link busy intervals and per-transfer
       latency tails; summing all of them (plus one spare piece per cut
       streaming FIFO for mover float-accumulation slack) under a

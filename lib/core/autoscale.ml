@@ -149,7 +149,7 @@ let to_graph ~cluster kernel (p : plan) =
   in
   (g, assignment)
 
-let sweep_jobs ?chunks ?threshold ~mode ~cluster kernel =
+let sweep_jobs ?chunks ?threshold ~cluster kernel =
   let points = sweep ?threshold ~cluster kernel in
   let board () = Cluster.board cluster 0 in
   let sims =
@@ -162,19 +162,18 @@ let sweep_jobs ?chunks ?threshold ~mode ~cluster kernel =
         let cfg =
           Design_sim.make_config ?chunks ~graph:g ~assignment ~freq_mhz ~cluster:sub ~synthesis ()
         in
-        Sim_sweep.job ~mode ~label:(Printf.sprintf "%s@%d" kernel.name k) cfg)
+        Sim_sweep.job ~label:(Printf.sprintf "%s@%d" kernel.name k) cfg)
       points
   in
   (points, Array.of_list sims)
 
-let measured_sweep ?jobs ?chunks ?threshold ?(mode = Design_sim.Coalesced) ~cluster kernel =
-  let points, sims = sweep_jobs ?chunks ?threshold ~mode ~cluster kernel in
+let measured_sweep ?jobs ?chunks ?threshold ~cluster kernel =
+  let points, sims = sweep_jobs ?chunks ?threshold ~cluster kernel in
   let outcomes = Sim_sweep.run ?jobs sims in
   List.map2 (fun (k, p) (_, outcome) -> (k, p, outcome)) points (Array.to_list outcomes)
 
-let measured_sweep_slo ?jobs ?chunks ?threshold ?(mode = Design_sim.Coalesced) ~slo_latency_s
-    ~cluster kernel =
-  let points, sims = sweep_jobs ?chunks ?threshold ~mode ~cluster kernel in
+let measured_sweep_slo ?jobs ?chunks ?threshold ~slo_latency_s ~cluster kernel =
+  let points, sims = sweep_jobs ?chunks ?threshold ~cluster kernel in
   let lower_bound_s (j : Sim_sweep.job) =
     (Tapa_cs_analysis.Static_perf.bounds j.Sim_sweep.config)
       .Tapa_cs_analysis.Static_perf.latency_lower_s

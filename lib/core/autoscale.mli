@@ -56,7 +56,6 @@ val measured_sweep :
   ?jobs:int ->
   ?chunks:int ->
   ?threshold:float ->
-  ?mode:Tapa_cs_sim.Design_sim.engine_mode ->
   cluster:Cluster.t ->
   kernel ->
   (int * plan * Tapa_cs_sim.Design_sim.outcome) list
@@ -71,7 +70,6 @@ val measured_sweep_slo :
   ?jobs:int ->
   ?chunks:int ->
   ?threshold:float ->
-  ?mode:Tapa_cs_sim.Design_sim.engine_mode ->
   slo_latency_s:float ->
   cluster:Cluster.t ->
   kernel ->

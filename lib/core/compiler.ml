@@ -57,18 +57,10 @@ let ( let* ) = Result.bind
 (* Accessors shared by the public API below and the in-compile static
    analysis (which runs before the result record exists), so the two can
    never drift apart. *)
-let port_bandwidth_gbps' ~cluster ~graph ~freq_mhz ~hbm ~assignment tid port_index =
-  let fpga = assignment.(tid) in
-  let board = Cluster.board cluster fpga in
-  let bound =
-    Hbm_binding.effective_port_bandwidth_gbps board hbm.(fpga) ~task_id:tid ~port_index
-  in
-  let task = Taskgraph.task graph tid in
-  match List.nth_opt task.Task.mem_ports port_index with
-  | None -> 0.0
-  | Some p ->
-    let wire = float_of_int p.Task.width_bits /. 8.0 *. freq_mhz *. 1e6 /. 1e9 in
-    Float.min bound wire
+let port_bandwidth_gbps' ~cluster ~graph ~freq_mhz ~hbm ~assignment task_id port_index =
+  let fpga = assignment.(task_id) in
+  Hbm_binding.port_bandwidth_gbps (Cluster.board cluster fpga) hbm.(fpga) ~graph ~freq_mhz ~task_id
+    ~port_index
 
 let extra_stage_cycles' ~pipeline fid =
   Array.fold_left (fun acc p -> acc + Pipelining.stages_of p fid) 0 pipeline

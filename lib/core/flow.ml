@@ -18,15 +18,6 @@ type design = {
   compiled : Compiler.t option;
 }
 
-let port_bw_of_binding ~board ~graph ~binding ~freq_mhz tid port_index =
-  let bound = Hbm_binding.effective_port_bandwidth_gbps board binding ~task_id:tid ~port_index in
-  let task = Taskgraph.task graph tid in
-  match List.nth_opt task.Task.mem_ports port_index with
-  | None -> 0.0
-  | Some p ->
-    let wire = float_of_int p.Task.width_bits /. 8.0 *. freq_mhz *. 1e6 /. 1e9 in
-    Float.min bound wire
-
 let vitis ?(board = Board.u55c) graph =
   let board = board () in
   let cluster = Cluster.make ~board:(fun () -> board) 1 in
@@ -46,7 +37,9 @@ let vitis ?(board = Board.u55c) graph =
         assignment = Array.make (Taskgraph.num_tasks graph) 0;
         freq_mhz = est.Freq_model.freq_mhz;
         port_bandwidth_gbps =
-          port_bw_of_binding ~board ~graph ~binding ~freq_mhz:est.Freq_model.freq_mhz;
+          (fun task_id port_index ->
+            Hbm_binding.port_bandwidth_gbps board binding ~graph ~freq_mhz:est.Freq_model.freq_mhz
+              ~task_id ~port_index);
         extra_stage_cycles = (fun _ -> 0);
         max_slot_util = est.Freq_model.max_slot_util;
         compiled = None;

@@ -121,3 +121,10 @@ let effective_port_bandwidth_gbps board t ~task_id ~port_index =
       else a.bytes /. t.channel_load_bytes.(a.channel mod Stdlib.max 1 board.Board.num_hbm_channels)
     in
     per_channel *. share
+
+let port_bandwidth_gbps board t ~graph ~freq_mhz ~task_id ~port_index =
+  match List.nth_opt (Taskgraph.task graph task_id).Task.mem_ports port_index with
+  | None -> 0.0
+  | Some p ->
+    let wire = float_of_int p.Task.width_bits /. 8.0 *. freq_mhz *. 1e6 /. 1e9 in
+    Float.min (effective_port_bandwidth_gbps board t ~task_id ~port_index) wire

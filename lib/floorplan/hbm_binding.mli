@@ -35,6 +35,14 @@ val run :
     order) — the knob behind the [ablate_hbm] experiment. *)
 
 val effective_port_bandwidth_gbps : Board.t -> t -> task_id:int -> port_index:int -> float
-(** Per-port share of its channel's bandwidth after binding, additionally
-    derated by port width (narrow ports cannot saturate a pseudo-channel,
-    §3). *)
+(** Per-port share of its channel's bandwidth after binding: ports on one
+    channel split it in proportion to their traffic.  0 for an unbound
+    port. *)
+
+val port_bandwidth_gbps :
+  Board.t -> t -> graph:Taskgraph.t -> freq_mhz:float -> task_id:int -> port_index:int -> float
+(** The bandwidth a bound port delivers at clock [freq_mhz]:
+    {!effective_port_bandwidth_gbps}, capped by the port's wire rate
+    (width x clock — narrow ports cannot saturate a pseudo-channel, §3).
+    0 for a port the task does not have.  Every flow's simulator
+    configuration takes its port bandwidths from here. *)

@@ -17,8 +17,6 @@ type config = {
 
 let default_chunks = 64
 
-type engine_mode = Coalesced | Reference
-
 type link_stat = { src_fpga : int; dst_fpga : int; bytes : float; busy_s : float }
 
 type task_stat = {
@@ -64,17 +62,54 @@ let make_config ?(chunks = default_chunks)
     ?(extra_stage_cycles = fun _ -> 0) ~graph ~assignment ~freq_mhz ~cluster ~synthesis () =
   { graph; assignment; freq_mhz; cluster; synthesis; port_bandwidth_gbps; extra_stage_cycles; chunks }
 
-(* Shortest routing path length between two FPGAs; multi-hop transfers pay
-   serialization on every hop of the path. *)
-let hops cfg i j = Cluster.dist cfg.cluster i j
+(* The timing model, shared with [Static_perf] so the static bounds
+   price every wait with the simulator's own float expressions. *)
 
-let link_params cfg i j =
-  if not (Cluster.same_node cfg.cluster i j) then Network.Link.host_mpi_10g
-  else begin
-    match cfg.cluster.Cluster.link with
-    | Cluster.Ethernet_100g -> Network.Link.alveolink
-    | Cluster.Pcie_gen3x16 -> Network.Link.pcie_p2p
-  end
+let link_service cfg ~loss_rate i j : Engine.Server.params =
+  let p =
+    if not (Cluster.same_node cfg.cluster i j) then Network.Link.host_mpi_10g
+    else begin
+      match cfg.cluster.Cluster.link with
+      | Cluster.Ethernet_100g -> Network.Link.alveolink
+      | Cluster.Pcie_gen3x16 -> Network.Link.pcie_p2p
+    end
+  in
+  (* Multi-hop transfers pay serialization on every hop of the shortest
+     routing path.  Packet loss inflates the per-packet service by the
+     closed-form go-back-N slowdown — deterministic, so faulty runs stay
+     bit-reproducible. *)
+  let h = float_of_int (Stdlib.max 1 (Cluster.dist cfg.cluster i j)) in
+  let slow = if loss_rate > 0.0 then Network.Fault.slowdown ~loss_rate p else 1.0 in
+  {
+    rate_bytes_per_s = p.Network.Link.bandwidth_gbytes *. p.Network.Link.derate *. 1e9 /. h /. slow;
+    latency_s = p.Network.Link.one_way_latency_us *. 1e-6 *. h;
+    per_packet_s = p.Network.Link.per_packet_overhead_ns *. 1e-9 *. h *. slow;
+    packet_bytes = float_of_int p.Network.Link.default_packet_bytes;
+  }
+
+type chunk_split = { compute_s : float; memory_s : float; mem_port : int }
+
+let chunk_split cfg (t : Task.t) =
+  let nchunks = float_of_int (Stdlib.max 1 cfg.chunks) in
+  let f_hz = cfg.freq_mhz.(cfg.assignment.(t.id)) *. 1e6 in
+  let profile = Synthesis.profile_of cfg.synthesis t.id in
+  let memory_s = ref 0.0 and mem_port = ref (-1) in
+  List.iteri
+    (fun i (p : Task.mem_port) ->
+      let bw = cfg.port_bandwidth_gbps t.id i *. 1e9 in
+      if bw > 0.0 then begin
+        let m = p.Task.bytes /. nchunks /. bw in
+        if m > !memory_s then begin
+          memory_s := m;
+          mem_port := i
+        end
+      end)
+    t.Task.mem_ports;
+  {
+    compute_s = profile.Synthesis.steady_cycles /. nchunks /. f_hz;
+    memory_s = !memory_s;
+    mem_port = !mem_port;
+  }
 
 (* Structured deadlock details shared by the raising entry point ([run])
    and the outcome-classifying one ([run_outcome]). *)
@@ -96,79 +131,6 @@ let halted_cmp (fa, na) (fb, nb) =
   let c = Int.compare fa fb in
   if c <> 0 then c else String.compare na nb
 
-(* === Commitment ledgers (coalesced engine) =============================
-
-   A local (same-FPGA) FIFO between two coalescing task fibers is not
-   simulated through an [Engine.Channel] at all.  Instead it carries two
-   queues of timestamped whole-chunk tokens:
-
-   - [sup]:   committed chunk arrivals — one token per push, stamped with
-              the exact simulated instant the push completes;
-   - [space]: committed capacity slots — one token per pull, stamped with
-              the instant the pull completes and the slot frees up.
-
-   Because every FIFO is single-producer/single-consumer and every local
-   endpoint moves whole chunks, the reference engine's blocking channel
-   ops reduce to exact token algebra: a pull of chunk [j] completes at
-   [max t sup_j], a push at [max t space_j], and a compute chunk advances
-   [t] by the fiber's own iterated [t +. chunk_time] — the very float
-   expressions the reference fiber evaluates, in the same order, so
-   every committed timestamp is bit-identical to the reference schedule.
-
-   The payoff is lookahead: tokens describe the *future*, so a task can
-   plan (and commit) many chunks ahead of the clock, publishing supply
-   downstream and space upstream.  A work-list cascade then extends the
-   plans of *sleeping* neighbours — commitments propagate transitively
-   until the token algebra runs dry, typically collapsing a whole
-   pipeline into one planning pass and a single wake per fiber.  The
-   [Fourheap]/event machinery only sees each fiber's final horizon.
-
-   Cross-FPGA endpoints keep their channels (the mover on the other side
-   is not a planner): a planned channel op is replayed as a bare
-   [Engine.at] event at its exact reference instant, and the plan only
-   extends as far as buffered level / free space — both monotone under a
-   single counterpart, so the commitment can never be invalidated.  When
-   nothing is plannable the fiber falls back to blocking ledger/channel
-   ops for one chunk — the reference path itself — which preserves
-   liveness and deadlock reporting (ledger waiters park the fiber via
-   [Engine.suspend], so it shows up blocked like any channel waiter). *)
-
-type ledger = {
-  sup : float Queue.t;  (** committed chunk arrivals, chronological *)
-  space : float Queue.t;  (** committed capacity slots, chronological *)
-  mutable sup_waiter : (unit -> unit) option;
-  mutable space_waiter : (unit -> unit) option;
-  producer : int;  (** task id of the pushing endpoint *)
-  consumer : int;  (** task id of the pulling endpoint *)
-}
-
-(* A cross-FPGA endpoint as seen by the planner: the channel stays, and
-   [pending] counts chunks planned but not yet materialized (their
-   [Engine.at] replay has not fired), so availability is always judged
-   net of our own outstanding commitments. *)
-type chan_port = { cch : Engine.Channel.t; piece : float; mutable pending : int }
-
-type port =
-  | Ledger_in of ledger
-  | Ledger_out of ledger
-  | Chan_in of chan_port
-  | Chan_out of chan_port
-
-type plan = {
-  ptid : int;
-  pnchunks : int;
-  pchunk_time : float;
-  pins : port array;  (** stream inputs, in reference pull order *)
-  pouts : port array;  (** outputs, in reference push order *)
-  mutable planned : int;  (** chunks committed so far *)
-  mutable cursor : float;  (** fiber trajectory time after chunk [planned] *)
-  mutable last_wait_end : float;  (** wait-end instant of chunk [planned] *)
-  mutable active : bool;  (** extendable: fiber is planning, not in fallback *)
-  ptail : (float * (unit -> unit)) Queue.t;
-      (** channel ops landing exactly on a planning horizon, deferred to
-          the fiber's wake there instead of paying their own event *)
-}
-
 let validate cfg =
   let n = Taskgraph.num_tasks cfg.graph in
   if Array.length cfg.assignment <> n then invalid_arg "Design_sim: assignment size mismatch";
@@ -180,44 +142,11 @@ let validate cfg =
     cfg.assignment;
   if cfg.chunks <= 0 then invalid_arg "Design_sim: chunks must be positive"
 
-let run_sim ~(mode : engine_mode) ~(faults : Network.Fault.plan) cfg =
+let run_sim ~(faults : Network.Fault.plan) cfg =
   let g = cfg.graph in
   let n = Taskgraph.num_tasks g in
   let k = Cluster.size cfg.cluster in
-  (* Coalescing batches a fiber's chunk loop into one wake while
-     chunk-boundary channel/server operations replay at their exact
-     reference instants (see the commitment-ledger machinery above), so
-     it is disabled whenever exactness cannot be argued locally:
-
-     - mid-run faults: a halt or a stall lands between chunks, and the
-       fiber must be awake at every chunk boundary to observe it.  Link
-       loss only derates server parameters, so it coalesces fine;
-     - shared links: when two FIFOs ride the same directed FPGA pair,
-       their movers contend on one server, and which of two same-instant
-       transfers queues first depends on event sequence numbers — which
-       coalescing elsewhere in the design perturbs.  Channels are
-       single-producer/single-consumer so same-instant reordering cannot
-       shift their timings, but a shared server can; those designs (the
-       CNN of §5.5) keep the reference engine wholesale. *)
-  let shared_link =
-    let cross = Hashtbl.create 8 in
-    Array.exists
-      (fun (f : Fifo.t) ->
-        let i = cfg.assignment.(f.Fifo.src) and j = cfg.assignment.(f.Fifo.dst) in
-        i <> j
-        &&
-        let seen = Hashtbl.mem cross (i, j) in
-        Hashtbl.replace cross (i, j) ();
-        seen)
-      (Taskgraph.fifos g)
-  in
-  let coalesce =
-    mode = Coalesced
-    && faults.Network.Fault.device_halts = []
-    && faults.Network.Fault.fifo_stalls = []
-    && not shared_link
-  in
-  let eng = Engine.create ~inline_wake:coalesce () in
+  let eng = Engine.create () in
   let freq_hz fpga = cfg.freq_mhz.(fpga) *. 1e6 in
   (* FIFOs inside a strongly connected component get one chunk of credit. *)
   let comps = Taskgraph.sccs g in
@@ -229,19 +158,8 @@ let run_sim ~(mode : engine_mode) ~(faults : Network.Fault.plan) cfg =
   (* Producers, movers and consumers all agree on this rounded-up volume so
      every pull is eventually satisfied. *)
   let sim_volume f = float_of_int (Stdlib.max 1 cfg.chunks) *. chunk_bytes f in
-  (* Channels: one per FIFO endpoint pair.  Cross-FPGA FIFOs get a source
-     side channel, a mover process modelling the network, and a
-     destination-side channel. *)
-  let in_channel = Array.make (Taskgraph.num_fifos g) None in
-  let out_channel = Array.make (Taskgraph.num_fifos g) None in
-  (* Commitment ledgers for local FIFOs under the coalesced engine; [None]
-     everywhere in reference mode, and for every cross-FPGA FIFO. *)
-  let ledgers = Array.make (Taskgraph.num_fifos g) None in
   let links = Hashtbl.create 16 in
-  (* Injected faults.  Packet loss inflates every link's expected
-     per-packet service time by the closed-form go-back-N slowdown —
-     deterministic, so faulty runs stay bit-reproducible. *)
-  let loss = faults.Network.Fault.loss_rate in
+  (* Injected faults; packet loss derates the link servers. *)
   let halt_at = Array.make k infinity in
   List.iter
     (fun (d, t) -> if d >= 0 && d < k then halt_at.(d) <- Float.min halt_at.(d) t)
@@ -281,405 +199,66 @@ let run_sim ~(mode : engine_mode) ~(faults : Network.Fault.plan) cfg =
     match Hashtbl.find_opt links (i, j) with
     | Some s -> s
     | None ->
-      let p = link_params cfg i j in
-      let h = float_of_int (Stdlib.max 1 (hops cfg i j)) in
-      let slow = if loss > 0.0 then Network.Fault.slowdown ~loss_rate:loss p else 1.0 in
       let s =
-        Engine.Server.create eng
-          ~name:(Printf.sprintf "link-%d->%d" i j)
-          ~rate_bytes_per_s:(p.Network.Link.bandwidth_gbytes *. p.Network.Link.derate *. 1e9 /. h /. slow)
-          ~latency_s:(p.Network.Link.one_way_latency_us *. 1e-6 *. h)
-          ~per_packet_s:(p.Network.Link.per_packet_overhead_ns *. 1e-9 *. h *. slow)
-          ~packet_bytes:(float_of_int p.Network.Link.default_packet_bytes)
-          ()
+        Engine.Server.create eng (link_service cfg ~loss_rate:faults.Network.Fault.loss_rate i j)
       in
       Hashtbl.add links (i, j) s;
       s
   in
-  (* Whole-unit counts for the batching guards.  The 1e-9 nudge sits
-     above float accumulation noise (levels are sums of identical chunk
-     amounts, relative error ~1e-13) but within the channels' own
-     relative slack, so an over-count by the nudge still satisfies the
-     channel; an under-count only shrinks a batch — never wedges it. *)
-  let units_of amount unit_ = int_of_float (Float.floor ((amount /. unit_) +. 1e-9)) in
-  Array.iter
-    (fun (f : Fifo.t) ->
-      let same_fpga = cfg.assignment.(f.src) = cfg.assignment.(f.dst) in
-      let base_cap =
-        match f.mode with
-        | Fifo.Bulk -> sim_volume f
-        | Fifo.Stream ->
-          (* Two chunks of headroom: double buffering, without which the
-             strict joins of 2-D grids (systolic arrays) run in lockstep at
-             half throughput. *)
-          Float.max (float_of_int (f.depth * f.width_bits / 8)) (2.0 *. chunk_bytes f)
-      in
-      let credit = if comp_of.(f.src) = comp_of.(f.dst) then chunk_bytes f else 0.0 in
-      let cap = Float.max base_cap (2.0 *. credit) in
-      let mk tag = Engine.Channel.create eng ~name:(Printf.sprintf "f%d.%s" f.id tag) ~capacity:cap in
-      if same_fpga then begin
-        let ch = mk "local" in
-        if credit > 0.0 then Engine.Channel.push ch credit;
-        (* push before run: safe, channel has room by construction *)
-        in_channel.(f.id) <- Some ch;
-        out_channel.(f.id) <- Some ch;
-        if coalesce then begin
-          (* Token mirror of the channel: [cap_c] whole-chunk slots, of
-             which [credit_c] start as supply (the cycle credit above) and
-             the rest as free space, all stamped at t=0.  Whole-chunk ops
-             against this ledger admit and block exactly when the float
-             channel would. *)
-          let cb = chunk_bytes f in
-          let cap_c = units_of cap cb and credit_c = units_of credit cb in
-          let l =
-            {
-              sup = Queue.create ();
-              space = Queue.create ();
-              sup_waiter = None;
-              space_waiter = None;
-              producer = f.src;
-              consumer = f.dst;
-            }
-          in
-          for _ = 1 to credit_c do Queue.push 0.0 l.sup done;
-          for _ = 1 to cap_c - credit_c do Queue.push 0.0 l.space done;
-          ledgers.(f.id) <- Some l
-        end
-      end
-      else begin
-        let src_side = mk "src" and dst_side = mk "dst" in
-        if credit > 0.0 then Engine.Channel.push dst_side credit;
-        out_channel.(f.id) <- Some src_side;
-        in_channel.(f.id) <- Some dst_side;
-        let srv = link_server cfg.assignment.(f.src) cfg.assignment.(f.dst) in
-        let volume = sim_volume f in
-        let move_granularity =
-          match f.mode with Fifo.Bulk -> volume | Fifo.Stream -> chunk_bytes f
+  (* Channels, indexed by FIFO id: the one the producer pushes into and
+     the one the consumer pulls from.  A local FIFO is a single channel; a
+     cross-FPGA FIFO is a source-side channel, a mover process modelling
+     the network, and a destination-side channel. *)
+  let channels =
+    Array.map
+      (fun (f : Fifo.t) ->
+        let same_fpga = cfg.assignment.(f.src) = cfg.assignment.(f.dst) in
+        let base_cap =
+          match f.mode with
+          | Fifo.Bulk -> sim_volume f
+          | Fifo.Stream ->
+            (* Two chunks of headroom: double buffering, without which the
+               strict joins of 2-D grids (systolic arrays) run in lockstep at
+               half throughput. *)
+            Float.max (float_of_int (f.depth * f.width_bits / 8)) (2.0 *. chunk_bytes f)
         in
-        Engine.spawn eng ~name:(Printf.sprintf "mover-f%d" f.id) (fun () ->
-            let moved = ref 0.0 in
-            while !moved < volume -. 1e-9 do
-              let piece = Float.min move_granularity (volume -. !moved) in
-              (* Batch whole pieces already buffered at the source when
-                 the destination has room for all of them: one fiber
-                 wake, with each intermediate piece's push (and next
-                 pull) replayed by [transfer_batch] at the exact instant
-                 the unbatched mover would have performed it.  The guard
-                 is sound against the future because [src_side] has a
-                 single producer (its level only grows under us) and
-                 [dst_side] a single consumer (its space only grows);
-                 [coalesce] already excludes shared-server designs. *)
-              let pieces =
-                if (not coalesce) || piece < move_granularity -. 1e-9 then 1
-                else begin
-                  let full_left = units_of (volume -. !moved) move_granularity in
-                  let by_src = units_of (Engine.Channel.level src_side) move_granularity in
-                  let by_dst = units_of (Engine.Channel.free_space dst_side) move_granularity in
-                  Stdlib.max 1 (Stdlib.min full_left (Stdlib.min by_src by_dst))
-                end
-              in
-              if pieces = 1 then begin
+        let credit = if comp_of.(f.src) = comp_of.(f.dst) then chunk_bytes f else 0.0 in
+        let cap = Float.max base_cap (2.0 *. credit) in
+        let mk () = Engine.Channel.create eng ~capacity:cap in
+        if same_fpga then begin
+          let ch = mk () in
+          if credit > 0.0 then Engine.Channel.push ch credit;
+          (* push before run: safe, channel has room by construction *)
+          (ch, ch)
+        end
+        else begin
+          let src_side = mk () and dst_side = mk () in
+          if credit > 0.0 then Engine.Channel.push dst_side credit;
+          let srv = link_server cfg.assignment.(f.src) cfg.assignment.(f.dst) in
+          let volume = sim_volume f in
+          let move_granularity =
+            match f.mode with Fifo.Bulk -> volume | Fifo.Stream -> chunk_bytes f
+          in
+          Engine.spawn eng ~name:(Printf.sprintf "mover-f%d" f.id) (fun () ->
+              let moved = ref 0.0 in
+              while !moved < volume -. 1e-9 do
+                let piece = Float.min move_granularity (volume -. !moved) in
                 Engine.Channel.pull src_side piece;
                 if have_stalls then stall_wait f.id;
                 Engine.Server.transfer srv piece;
                 Engine.Channel.push dst_side piece;
                 moved := !moved +. piece
-              end
-              else begin
-                Engine.Channel.pull src_side move_granularity;
-                Engine.Server.transfer_batch srv ~pieces
-                  ~on_piece:(fun _ ->
-                    Engine.Channel.push dst_side move_granularity;
-                    Engine.Channel.pull src_side move_granularity)
-                  move_granularity;
-                Engine.Channel.push dst_side move_granularity;
-                moved := !moved +. (float_of_int pieces *. move_granularity)
-              end
-            done)
-      end)
-    (Taskgraph.fifos g);
+              done);
+          (src_side, dst_side)
+        end)
+      (Taskgraph.fifos g)
+  in
   (* Task processes. *)
   let per_fpga_busy = Array.make (Cluster.size cfg.cluster) 0.0 in
   let task_start = Array.make n nan in
   let task_finish = Array.make n 0.0 in
   let task_busy = Array.make n 0.0 in
   let nchunks = Stdlib.max 1 cfg.chunks in
-  let chunk_time_of (t : Task.t) =
-    let f_hz = freq_hz cfg.assignment.(t.id) in
-    let profile = Synthesis.profile_of cfg.synthesis t.id in
-    let compute_chunk = profile.steady_cycles /. float_of_int nchunks /. f_hz in
-    let mem_chunk =
-      List.fold_left
-        (fun acc i ->
-          let p = List.nth t.mem_ports i in
-          let bw = cfg.port_bandwidth_gbps t.id i *. 1e9 in
-          if bw <= 0.0 then acc
-          else Float.max acc (p.Task.bytes /. float_of_int nchunks /. bw))
-        0.0
-        (List.init (List.length t.mem_ports) Fun.id)
-    in
-    Float.max compute_chunk mem_chunk
-  in
-  (* One plan per task (coalesced mode).  Port arrays preserve the
-     reference op order: stream inputs are pulled, then the compute wait,
-     then outputs pushed, chunk by chunk. *)
-  let plans =
-    if not coalesce then [||]
-    else
-      Array.map
-        (fun (t : Task.t) ->
-          let stream_in =
-            List.filter (fun (f : Fifo.t) -> f.mode = Fifo.Stream) (Taskgraph.in_fifos g t.id)
-          in
-          let mk_in (f : Fifo.t) =
-            match ledgers.(f.id) with
-            | Some l -> Ledger_in l
-            | None -> Chan_in { cch = Option.get in_channel.(f.id); piece = chunk_bytes f; pending = 0 }
-          in
-          let mk_out (f : Fifo.t) =
-            match ledgers.(f.id) with
-            | Some l -> Ledger_out l
-            | None -> Chan_out { cch = Option.get out_channel.(f.id); piece = chunk_bytes f; pending = 0 }
-          in
-          {
-            ptid = t.id;
-            pnchunks = nchunks;
-            pchunk_time = chunk_time_of t;
-            pins = Array.of_list (List.map mk_in stream_in);
-            pouts = Array.of_list (List.map mk_out (Taskgraph.out_fifos g t.id));
-            planned = 0;
-            cursor = 0.0;
-            last_wait_end = 0.0;
-            active = false;
-            ptail = Queue.create ();
-          })
-        (Taskgraph.tasks g)
-  in
-  (* Work-list cascade over plans.  Publishing tokens enqueues the
-     counterpart task; [cascade] keeps extending plans until the token
-     algebra runs dry.  Processing order cannot affect any committed
-     timestamp: a plan's extension reads only its own port state, token
-     queues grow monotonically, and each ledger has exactly one task on
-     each side — the fixpoint is unique (chaotic iteration of monotone
-     operators), so the work-list is purely a traversal order. *)
-  let worklist = Queue.create () in
-  let in_worklist = Array.make n false in
-  let enqueue tid =
-    if not in_worklist.(tid) then begin
-      in_worklist.(tid) <- true;
-      Queue.push tid worklist
-    end
-  in
-  let wake w =
-    match !w with
-    | None -> ()
-    | Some resume ->
-      w := None;
-      resume ()
-  in
-  let notify_sup (l : ledger) =
-    enqueue l.consumer;
-    let w = ref l.sup_waiter in
-    l.sup_waiter <- None;
-    wake w
-  in
-  let notify_space (l : ledger) =
-    enqueue l.producer;
-    let w = ref l.space_waiter in
-    l.space_waiter <- None;
-    wake w
-  in
-  (* Extend [p] by as many whole chunks as every port can commit to.
-     Ledger ops are pure token algebra at exact reference instants;
-     channel ops are replayed at theirs.  A replayed op is free when it
-     needs no event of its own: due right now with the task's own fiber
-     running ([infiber]), it executes directly; due exactly at the
-     extension's final horizon, it rides the fiber's wake there
-     ([ptail]).  Everything in between gets a bare [Engine.at] event.
-     Notifications are deferred past the mutation loop: waking a parked
-     fiber nests its execution here (inline_wake), and it must observe a
-     consistent ledger. *)
-  let extend_plan ~infiber (p : plan) =
-    if (not p.active) || p.planned >= p.pnchunks then false
-    else begin
-      let avail = function
-        | Ledger_in l -> Queue.length l.sup
-        | Ledger_out l -> Queue.length l.space
-        | Chan_in c -> units_of (Engine.Channel.level c.cch) c.piece - c.pending
-        | Chan_out c -> units_of (Engine.Channel.free_space c.cch) c.piece - c.pending
-      in
-      let m = ref (p.pnchunks - p.planned) in
-      Array.iter (fun pt -> m := Stdlib.min !m (avail pt)) p.pins;
-      Array.iter (fun pt -> m := Stdlib.min !m (avail pt)) p.pouts;
-      if !m <= 0 then false
-      else begin
-        (* Ops deferred to a previous horizon lose their free ride once
-           the horizon moves: flush them to real events at their exact
-           instants (all still >= now — the fiber has not slept past
-           them, or it would have drained them). *)
-        while not (Queue.is_empty p.ptail) do
-          let tm, op = Queue.pop p.ptail in
-          Engine.at eng tm op
-        done;
-        let now = Engine.now eng in
-        let sup_touched = ref [] and space_touched = ref [] in
-        let chan_ops = ref [] in
-        let emit tm op =
-          if infiber && tm = now then op () else chan_ops := (tm, op) :: !chan_ops
-        in
-        for _ = 1 to !m do
-          let t = ref p.cursor in
-          Array.iter
-            (fun pt ->
-              match pt with
-              | Ledger_in l ->
-                let ts = Queue.pop l.sup in
-                if ts > !t then t := ts;
-                (* this pull's completion frees one slot upstream *)
-                Queue.push !t l.space;
-                space_touched := l :: !space_touched
-              | Chan_in c ->
-                c.pending <- c.pending + 1;
-                emit !t (fun () ->
-                    Engine.Channel.pull c.cch c.piece;
-                    c.pending <- c.pending - 1)
-              | Ledger_out _ | Chan_out _ -> assert false)
-            p.pins;
-          if Float.is_nan task_start.(p.ptid) then task_start.(p.ptid) <- !t;
-          t := !t +. p.pchunk_time;
-          p.last_wait_end <- !t;
-          Array.iter
-            (fun pt ->
-              match pt with
-              | Ledger_out l ->
-                let ts = Queue.pop l.space in
-                if ts > !t then t := ts;
-                Queue.push !t l.sup;
-                sup_touched := l :: !sup_touched
-              | Chan_out c ->
-                c.pending <- c.pending + 1;
-                emit !t (fun () ->
-                    Engine.Channel.push c.cch c.piece;
-                    c.pending <- c.pending - 1)
-              | Ledger_in _ | Chan_in _ -> assert false)
-            p.pouts;
-          p.cursor <- !t;
-          p.planned <- p.planned + 1
-        done;
-        List.iter
-          (fun (tm, op) ->
-            if tm = p.cursor then Queue.push (tm, op) p.ptail else Engine.at eng tm op)
-          (List.rev !chan_ops);
-        List.iter notify_space !space_touched;
-        List.iter notify_sup !sup_touched;
-        true
-      end
-    end
-  in
-  let in_cascade = ref false in
-  (* [self] is the task whose fiber is actually executing this call, so
-     its due-now channel ops can run directly instead of as events. *)
-  let cascade ?(self = -1) () =
-    if not !in_cascade then begin
-      in_cascade := true;
-      while not (Queue.is_empty worklist) do
-        let tid = Queue.pop worklist in
-        in_worklist.(tid) <- false;
-        ignore (extend_plan ~infiber:(tid = self) plans.(tid))
-      done;
-      in_cascade := false
-    end
-  in
-  (* Fallback: the blocking reference op for one port.  Ledger flavours
-     park the fiber with [Engine.suspend] (so it counts as blocked for
-     deadlock reporting) until the counterpart publishes a token, then
-     sleep to the token's exact instant — precisely when the reference
-     channel op would have resumed. *)
-  let fb_pull = function
-    | Ledger_in l ->
-      while Queue.is_empty l.sup do
-        Engine.suspend (fun resume -> l.sup_waiter <- Some resume)
-      done;
-      let ts = Queue.pop l.sup in
-      if ts > Engine.time () then Engine.wait_until ts;
-      Queue.push (Engine.time ()) l.space;
-      notify_space l
-    | Chan_in c -> Engine.Channel.pull c.cch c.piece
-    | Ledger_out _ | Chan_out _ -> assert false
-  in
-  let fb_push = function
-    | Ledger_out l ->
-      while Queue.is_empty l.space do
-        Engine.suspend (fun resume -> l.space_waiter <- Some resume)
-      done;
-      let ts = Queue.pop l.space in
-      if ts > Engine.time () then Engine.wait_until ts;
-      Queue.push (Engine.time ()) l.sup;
-      notify_sup l
-    | Chan_out c -> Engine.Channel.push c.cch c.piece
-    | Ledger_in _ | Chan_in _ -> assert false
-  in
-  (* Bulk input over a ledger: the reference pull of the whole volume
-     completes when the covering push lands (cycle credit included) and
-     frees all capacity at that instant. *)
-  let ledger_pull_all (l : ledger) count =
-    while Queue.length l.sup < count do
-      Engine.suspend (fun resume -> l.sup_waiter <- Some resume)
-    done;
-    let last = ref 0.0 in
-    for _ = 1 to count do
-      let ts = Queue.pop l.sup in
-      if ts > !last then last := ts
-    done;
-    if !last > Engine.time () then Engine.wait_until !last;
-    let tdone = Engine.time () in
-    for _ = 1 to count do Queue.push tdone l.space done;
-    notify_space l
-  in
-  (* Fiber body under the coalesced engine: kick the cascade, sleep to
-     whatever horizon the plan reaches, account the chunks slept past;
-     when nothing is plannable, run one chunk through the blocking
-     reference ops and resync the plan to reality. *)
-  let planner_loop (p : plan) fpga chunk_time =
-    p.cursor <- Engine.time ();
-    p.last_wait_end <- Engine.time ();
-    p.active <- true;
-    let done_ = ref 0 in
-    while !done_ < p.pnchunks do
-      enqueue p.ptid;
-      cascade ~self:p.ptid ();
-      if p.planned > !done_ then begin
-        let target = p.planned and horizon = p.cursor and fin = p.last_wait_end in
-        if horizon > Engine.time () then Engine.wait_until horizon;
-        while
-          (not (Queue.is_empty p.ptail)) && fst (Queue.peek p.ptail) <= Engine.time ()
-        do
-          (snd (Queue.pop p.ptail)) ()
-        done;
-        let delta = float_of_int (target - !done_) in
-        per_fpga_busy.(fpga) <- per_fpga_busy.(fpga) +. (delta *. chunk_time);
-        task_busy.(p.ptid) <- task_busy.(p.ptid) +. (delta *. chunk_time);
-        task_finish.(p.ptid) <- fin;
-        done_ := target
-      end
-      else begin
-        p.active <- false;
-        Array.iter fb_pull p.pins;
-        if Float.is_nan task_start.(p.ptid) then task_start.(p.ptid) <- Engine.time ();
-        Engine.wait chunk_time;
-        per_fpga_busy.(fpga) <- per_fpga_busy.(fpga) +. chunk_time;
-        task_busy.(p.ptid) <- task_busy.(p.ptid) +. chunk_time;
-        task_finish.(p.ptid) <- Engine.time ();
-        Array.iter fb_push p.pouts;
-        incr done_;
-        p.planned <- !done_;
-        p.cursor <- Engine.time ();
-        p.last_wait_end <- task_finish.(p.ptid);
-        p.active <- true
-      end
-    done;
-    p.active <- false
-  in
   Array.iter
     (fun (t : Task.t) ->
       let fpga = cfg.assignment.(t.id) in
@@ -696,64 +275,41 @@ let run_sim ~(mode : engine_mode) ~(faults : Network.Fault.plan) cfg =
           (fun acc (f : Fifo.t) -> Stdlib.max acc (cfg.extra_stage_cycles f.id))
           0 in_fifos
       in
-      let chunk_time = chunk_time_of t in
+      let chunk_time =
+        let c = chunk_split cfg t in
+        Float.max c.compute_s c.memory_s
+      in
       (* A device halt is checked at chunk granularity: once the halt time
          passes, the task abandons the rest of its stream.  The exception
          stays inside the process body (the engine would otherwise abort
          the whole run); downstream tasks then starve and surface in the
-         deadlock set, which [run_outcome] classifies as [Failed].  Halts
-         force the reference engine, so the planner never checks. *)
+         deadlock set, which [run_outcome] classifies as [Failed]. *)
       let check_halt () = if Engine.time () >= halt_at.(fpga) then raise Halted in
       let push_outputs () =
-        List.iter
-          (fun (f : Fifo.t) ->
-            match out_channel.(f.id) with
-            | Some ch -> Engine.Channel.push ch (chunk_bytes f)
-            | None -> ())
-          out_fifos
+        List.iter (fun (f : Fifo.t) -> Engine.Channel.push (fst channels.(f.id)) (chunk_bytes f)) out_fifos
       in
-      let pull_stream_inputs () =
-        List.iter
-          (fun (f : Fifo.t) ->
-            match in_channel.(f.id) with
-            | Some ch ->
-              if have_stalls then stall_wait f.id;
-              Engine.Channel.pull ch (chunk_bytes f)
-            | None -> ())
-          stream_in
+      (* Stall windows delay a pull before it starts. *)
+      let pull (f : Fifo.t) amount =
+        if have_stalls then stall_wait f.id;
+        Engine.Channel.pull (snd channels.(f.id)) amount
       in
       Engine.spawn eng ~name:(Printf.sprintf "task-%s" t.name) (fun () ->
           try
             (* Bulk inputs must arrive in full before anything starts. *)
-            List.iter
-              (fun (f : Fifo.t) ->
-                match ledgers.(f.id) with
-                | Some l -> ledger_pull_all l nchunks
-                | None -> (
-                  match in_channel.(f.id) with
-                  | Some ch ->
-                    if have_stalls then stall_wait f.id;
-                    Engine.Channel.pull ch (sim_volume f)
-                  | None -> ()))
-              bulk_in;
+            List.iter (fun f -> pull f (sim_volume f)) bulk_in;
             check_halt ();
             Engine.wait ((profile.startup_cycles +. float_of_int stage_latency) /. f_hz);
-            if coalesce then planner_loop plans.(t.id) fpga chunk_time
-            else begin
-              let remaining = ref nchunks in
-              while !remaining > 0 do
-                check_halt ();
-                pull_stream_inputs ();
-                check_halt ();
-                if Float.is_nan task_start.(t.id) then task_start.(t.id) <- Engine.time ();
-                Engine.wait chunk_time;
-                per_fpga_busy.(fpga) <- per_fpga_busy.(fpga) +. chunk_time;
-                task_busy.(t.id) <- task_busy.(t.id) +. chunk_time;
-                task_finish.(t.id) <- Engine.time ();
-                push_outputs ();
-                decr remaining
-              done
-            end
+            for _ = 1 to nchunks do
+              check_halt ();
+              List.iter (fun f -> pull f (chunk_bytes f)) stream_in;
+              check_halt ();
+              if Float.is_nan task_start.(t.id) then task_start.(t.id) <- Engine.time ();
+              Engine.wait chunk_time;
+              per_fpga_busy.(fpga) <- per_fpga_busy.(fpga) +. chunk_time;
+              task_busy.(t.id) <- task_busy.(t.id) +. chunk_time;
+              task_finish.(t.id) <- Engine.time ();
+              push_outputs ()
+            done
           with Halted -> halted := (fpga, t.name) :: !halted))
     (Taskgraph.tasks g);
   let r = Engine.run eng in
@@ -846,7 +402,7 @@ let run_sim ~(mode : engine_mode) ~(faults : Network.Fault.plan) cfg =
 (* ------------------------------------------------------------------ *)
 (* Content-addressed simulation cache.
 
-   [run_sim] is a pure function of (mode, faults, config): the engine is
+   [run_sim] is a pure function of (faults, config): the engine is
    deterministic and the fault model closed-form, so the whole result
    triple can be memoized under a canonical digest — the same discipline
    as [Partition]'s floorplan cache.  The sweep harness and the exp_*
@@ -865,7 +421,7 @@ let cache_stats () =
 
 let reset_cache () = Memo.reset cache
 
-let sim_key ~mode ~(faults : Network.Fault.plan) cfg =
+let sim_key ~(faults : Network.Fault.plan) cfg =
   let buf = Buffer.create 1024 in
   let str s =
     Buffer.add_string buf (string_of_int (String.length s));
@@ -875,7 +431,6 @@ let sim_key ~mode ~(faults : Network.Fault.plan) cfg =
   let int i = Buffer.add_string buf (string_of_int i); Buffer.add_char buf ';' in
   (* %h is exact (hex float): no decimal rounding can merge keys *)
   let flt f = Buffer.add_string buf (Printf.sprintf "%h" f); Buffer.add_char buf ';' in
-  Buffer.add_char buf (match mode with Coalesced -> 'C' | Reference -> 'R');
   int cfg.chunks;
   let g = cfg.graph in
   int (Taskgraph.num_tasks g);
@@ -928,13 +483,13 @@ let sim_key ~mode ~(faults : Network.Fault.plan) cfg =
 let copy_result r =
   { r with per_fpga_busy_s = Array.copy r.per_fpga_busy_s; tasks = Array.copy r.tasks }
 
-let run_sim_cached ~mode ~use_cache ~faults cfg =
+let run_sim_cached ~use_cache ~faults cfg =
   validate cfg;
-  if not use_cache then run_sim ~mode ~faults cfg
+  if not use_cache then run_sim ~faults cfg
   else begin
-    let key = sim_key ~mode ~faults cfg in
+    let key = sim_key ~faults cfg in
     let (r, dead, halted), _hit =
-      Memo.find_or_compute cache ~key (fun () -> run_sim ~mode ~faults cfg)
+      Memo.find_or_compute cache ~key (fun () -> run_sim ~faults cfg)
     in
     (copy_result r, dead, halted)
   end
@@ -945,13 +500,10 @@ let raise_on_deadlock (result, dead, _halted) =
   | Some d -> raise (Deadlock { tasks = d.d_tasks; fifos = d.d_fifos; message = d.d_message })
 
 let run ?(cache = true) cfg =
-  raise_on_deadlock (run_sim_cached ~mode:Coalesced ~use_cache:cache ~faults:Network.Fault.no_faults cfg)
+  raise_on_deadlock (run_sim_cached ~use_cache:cache ~faults:Network.Fault.no_faults cfg)
 
-let run_reference ?(cache = true) cfg =
-  raise_on_deadlock (run_sim_cached ~mode:Reference ~use_cache:cache ~faults:Network.Fault.no_faults cfg)
-
-let run_outcome ?(mode = Coalesced) ?(cache = true) ?(faults = Network.Fault.no_faults) cfg =
-  let result, dead, halted = run_sim_cached ~mode ~use_cache:cache ~faults cfg in
+let run_outcome ?(cache = true) ?(faults = Network.Fault.no_faults) cfg =
+  let result, dead, halted = run_sim_cached ~use_cache:cache ~faults cfg in
   let pp_halted halted =
     String.concat ", "
       (List.map (fun (fpga, name) -> Printf.sprintf "FPGA %d (task %s)" fpga name) halted)

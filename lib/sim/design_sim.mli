@@ -7,35 +7,16 @@
     upstream ones exactly when the dataflow allows it; [Bulk] FIFOs force
     the §5.2 sequential-stencil behaviour.
 
+    Every task advances one chunk per step: it pulls a chunk from each
+    stream input, computes for {!chunk_split}'s chunk time, then pushes a
+    chunk to each output, blocking on a full or empty channel.  A
+    cross-FPGA FIFO is a source-side channel, a mover process and a
+    destination-side channel; the mover moves one chunk at a time (a
+    bulk FIFO's whole volume at once) through the link's server.
+
     FIFOs that close a dependency cycle (PageRank's PE/controller loop)
     receive one chunk of initial credit, the standard synchronous-dataflow
     treatment of feedback edges.
-
-    {2 Engine modes}
-
-    Two engines compute the same schedule.  The {!Reference} mode
-    advances strictly one chunk per event, always re-entering the event
-    queue — the original, obviously-correct schedule.  The default
-    {!Coalesced} mode plans ahead instead of blocking: every local FIFO
-    between two coalescing tasks becomes a {e commitment ledger} of
-    timestamped whole-chunk tokens (committed pushes / committed free
-    slots), against which a task can price an arbitrary number of future
-    chunks by exact token algebra — the same float expressions the
-    reference fiber would evaluate, in the same order.  Commitments
-    propagate transitively through a work-list cascade (publishing
-    supply downstream and space upstream extends the neighbours' plans
-    while they sleep), typically collapsing a whole pipeline into one
-    planning pass and a single wake per fiber.  Cross-FPGA endpoints
-    keep real channels: their planned ops replay as bare events at their
-    exact reference instants, bounded by buffered level / free space;
-    movers batch buffered whole pieces through
-    {!Engine.Server.transfer_batch} under the same monotonicity guards,
-    and the engine resumes unblocked processes inline ([inline_wake]).
-    When nothing is plannable, a fiber falls back to blocking reference
-    ops for one chunk, preserving liveness and deadlock reporting.  The
-    contract, gated in the test suite over a randomized corpus:
-    [latency_s], [deadlocked] and [links] are bit-identical between the
-    two modes — only [events] and the internal schedule differ.
 
     {2 Simulation cache}
 
@@ -43,11 +24,10 @@
     the simulator reads: graph structure and per-task synthesis keys,
     assignment, clocks, cluster hop/locality tables, synthesis timing
     profiles, applied port-bandwidth and stage-cycle tables, chunk count,
-    engine mode, and the consumed fault fields ([loss_rate],
-    [device_halts], [fifo_stalls] — [seed], [failed_devices] and
-    [failed_links] never reach the simulator and are deliberately
-    excluded).  Warm hits return a defensive copy; cold and warm results
-    are bit-identical. *)
+    and the consumed fault fields ([loss_rate], [device_halts],
+    [fifo_stalls] — [seed], [failed_devices] and [failed_links] never
+    reach the simulator and are deliberately excluded).  Warm hits return
+    a defensive copy; cold and warm results are bit-identical. *)
 
 open Tapa_cs_device
 open Tapa_cs_graph
@@ -65,10 +45,6 @@ type config = {
 }
 
 val default_chunks : int
-
-type engine_mode =
-  | Coalesced  (** batched chunks + inline wakes; the default engine *)
-  | Reference  (** one chunk per event; the equivalence oracle *)
 
 type link_stat = { src_fpga : int; dst_fpga : int; bytes : float; busy_s : float }
 
@@ -115,19 +91,13 @@ val fpga_idle_fraction : result -> fpga:int -> float
     idle-PE metric.  0 when the device computes the whole run. *)
 
 val run : ?cache:bool -> config -> result
-(** Simulate with the {!Coalesced} engine.  [cache] (default [true])
-    consults the content-addressed result cache first.
+(** Simulate the design.  [cache] (default [true]) consults the
+    content-addressed result cache first.
     @raise Deadlock when the simulation cannot make progress, naming the
     blocked tasks and FIFOs — the dynamic counterpart of the TCS101/TCS102
     lints, which catch these designs statically. *)
 
-val run_reference : ?cache:bool -> config -> result
-(** {!run} on the {!Reference} engine: one chunk per event, queued wakes.
-    The oracle the coalesced engine is gated against; also what benches
-    use to price the coalescing win. *)
-
-val run_outcome :
-  ?mode:engine_mode -> ?cache:bool -> ?faults:Tapa_cs_network.Fault.plan -> config -> outcome
+val run_outcome : ?cache:bool -> ?faults:Tapa_cs_network.Fault.plan -> config -> outcome
 (** Like {!run}, but injects the plan's simulator-level faults and never
     raises on stalls.  Packet loss derates every link server by the
     closed-form go-back-N slowdown (deterministic — no sampling);
@@ -150,6 +120,30 @@ val make_config :
   config
 (** Convenience constructor; the port bandwidth defaults to the full
     per-channel HBM bandwidth and no extra pipeline latency. *)
+
+(** {2 Timing model}
+
+    The arithmetic every simulated wait is made of, exposed so that the
+    static performance bounds ([Static_perf]) price a design with the
+    very same float expressions instead of a copy of them. *)
+
+val link_service : config -> loss_rate:float -> int -> int -> Engine.Server.params
+(** [link_service cfg ~loss_rate i j]: the server parameters of the
+    directed link from FPGA [i] to FPGA [j].  The link type comes from
+    node co-location and the cluster's interconnect; rate, latency and
+    per-packet overhead scale with the hop count, and a positive
+    [loss_rate] derates rate and overhead by the closed-form go-back-N
+    slowdown. *)
+
+type chunk_split = {
+  compute_s : float;  (** [steady_cycles / chunks / clock] *)
+  memory_s : float;  (** the slowest memory port's [bytes / chunks / bandwidth]; 0 without ports *)
+  mem_port : int;  (** index of that port; [-1] when no port has positive bandwidth *)
+}
+
+val chunk_split : config -> Task.t -> chunk_split
+(** One task's per-chunk time, split into its terms: the simulated chunk
+    takes [Float.max compute_s memory_s]. *)
 
 (** {2 Cache observability} *)
 

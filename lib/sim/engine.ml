@@ -41,7 +41,6 @@ type t = {
   mutable enow : float;
   queue : event Fourheap.t;
   immediate : Ring.t;
-  inline_wake : bool;
   mutable seq : int;
   mutable events : int;
   mutable current : string;
@@ -53,20 +52,17 @@ let event_cmp a b =
   let c = Float.compare a.etime b.etime in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-let create ?(inline_wake = false) () =
+let create () =
   {
     enow = 0.0;
     queue = Fourheap.create ~cmp:event_cmp;
     immediate = Ring.create ();
-    inline_wake;
     seq = 0;
     events = 0;
     current = "<main>";
     suspended = Hashtbl.create 16;
     suspend_id = 0;
   }
-
-let now t = t.enow
 
 let schedule t dt fn =
   t.seq <- t.seq + 1;
@@ -77,36 +73,17 @@ let schedule t dt fn =
      both literal zero delays and delays that round away. *)
   if etime = t.enow then Ring.push t.immediate ev else Fourheap.push t.queue ev
 
-(* Absolute-time variant of [schedule]: the caller supplies the exact
-   event time instead of a delta.  Coalescing depends on this — replaying
-   a reference schedule bit-for-bit means reproducing the very float
-   values iterated [enow +. dt] additions produce, which a delta-based
-   API would re-round. *)
-let at t time fn =
-  if time < t.enow then invalid_arg "Engine.at: time in the past";
-  t.seq <- t.seq + 1;
-  let ev = { etime = time; seq = t.seq; fn } in
-  if time = t.enow then Ring.push t.immediate ev else Fourheap.push t.queue ev
-
-(* Effects performed by process code.  [Suspend register] hands the
-   channel/server a wake thunk; the handler wraps the continuation so the
-   wake re-enters through the event queue (keeping determinism).  With
-   [inline_wake] the wake instead continues the fiber on the spot, nested
-   inside the waker — same simulated time, no queue round-trip, and one
-   fewer counted event per rendezvous. *)
+(* Effects performed by process code.  [Suspend register] hands a
+   channel a wake thunk; the handler wraps the continuation so the wake
+   re-enters through the event queue (keeping determinism). *)
 type _ Effect.t +=
   | Wait : float -> unit Effect.t
-  | WaitUntil : float -> unit Effect.t
   | Time : float Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 let wait dt =
   if dt < 0.0 then invalid_arg "Engine.wait: negative duration";
   Effect.perform (Wait dt)
-
-let wait_until time = Effect.perform (WaitUntil time)
-
-let suspend register = Effect.perform (Suspend register)
 
 let time () = Effect.perform Time
 
@@ -125,17 +102,6 @@ let spawn t ?(name = "process") body =
                 schedule t dt (fun () ->
                     t.current <- resume_name;
                     Effect.Deep.continue k ()))
-          | WaitUntil tgt ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                if tgt < t.enow then
-                  Effect.Deep.discontinue k (Invalid_argument "Engine.wait_until: time in the past")
-                else begin
-                  let resume_name = t.current in
-                  at t tgt (fun () ->
-                      t.current <- resume_name;
-                      Effect.Deep.continue k ())
-                end)
           | Time -> Some (fun (k : (a, unit) Effect.Deep.continuation) -> Effect.Deep.continue k t.enow)
           | Suspend register ->
             Some
@@ -144,19 +110,11 @@ let spawn t ?(name = "process") body =
                 t.suspend_id <- t.suspend_id + 1;
                 let sid = t.suspend_id in
                 Hashtbl.replace t.suspended sid resume_name;
-                if t.inline_wake then
-                  register (fun () ->
-                      Hashtbl.remove t.suspended sid;
-                      let caller = t.current in
-                      t.current <- resume_name;
-                      Effect.Deep.continue k ();
-                      t.current <- caller)
-                else
-                  register (fun () ->
-                      schedule t 0.0 (fun () ->
-                          Hashtbl.remove t.suspended sid;
-                          t.current <- resume_name;
-                          Effect.Deep.continue k ())))
+                register (fun () ->
+                    schedule t 0.0 (fun () ->
+                        Hashtbl.remove t.suspended sid;
+                        t.current <- resume_name;
+                        Effect.Deep.continue k ())))
           | _ -> None);
     }
   in
@@ -202,7 +160,6 @@ module Channel = struct
 
   type t = {
     eng : engine;
-    cname : string;
     capacity : float;
     mutable clevel : float;
     mutable pushers : (unit -> unit) list;
@@ -211,9 +168,9 @@ module Channel = struct
     mutable pulled : float;
   }
 
-  let create eng ~name ~capacity =
+  let create eng ~capacity =
     if capacity <= 0.0 then invalid_arg "Channel.create: capacity must be positive";
-    { eng; cname = name; capacity; clevel = 0.0; pushers = []; pullers = []; pushed = 0.0; pulled = 0.0 }
+    { eng; capacity; clevel = 0.0; pushers = []; pullers = []; pushed = 0.0; pulled = 0.0 }
 
   let wake_pullers ch =
     match ch.pullers with
@@ -285,89 +242,46 @@ module Channel = struct
     go amount
 
   let level ch = ch.clevel
-  let free_space ch = Float.max 0.0 (ch.capacity -. ch.clevel)
-  let has_waiting_pushers ch = ch.pushers <> []
-  let has_waiting_pullers ch = ch.pullers <> []
   let total_pushed ch = ch.pushed
   let total_pulled ch = ch.pulled
-  let name ch = ch.cname
 end
 
 module Server = struct
   type engine = t
 
+  type params = {
+    rate_bytes_per_s : float;
+    latency_s : float;
+    per_packet_s : float;
+    packet_bytes : float;
+  }
+
   type t = {
     eng : engine;
-    sname : string;
-    rate : float;
-    latency : float;
-    per_packet : float;
-    packet : float;
+    p : params;
     mutable busy_until : float;
     mutable busy : float;
     mutable bytes : float;
   }
 
-  let create eng ~name ~rate_bytes_per_s ?(latency_s = 0.0) ?(per_packet_s = 0.0)
-      ?(packet_bytes = 4096.0) () =
-    if rate_bytes_per_s <= 0.0 then invalid_arg "Server.create: rate must be positive";
-    {
-      eng;
-      sname = name;
-      rate = rate_bytes_per_s;
-      latency = latency_s;
-      per_packet = per_packet_s;
-      packet = packet_bytes;
-      busy_until = 0.0;
-      busy = 0.0;
-      bytes = 0.0;
-    }
+  let create eng p =
+    if p.rate_bytes_per_s <= 0.0 then invalid_arg "Server.create: rate must be positive";
+    { eng; p; busy_until = 0.0; busy = 0.0; bytes = 0.0 }
 
-  let service_time srv amount =
-    let packets = if amount <= 0.0 then 0.0 else ceil (amount /. srv.packet) in
-    (amount /. srv.rate) +. (packets *. srv.per_packet)
+  let service_time p amount =
+    let packets = if amount <= 0.0 then 0.0 else ceil (amount /. p.packet_bytes) in
+    (amount /. p.rate_bytes_per_s) +. (packets *. p.per_packet_s)
 
   let transfer srv amount =
     if amount < 0.0 then invalid_arg "Server.transfer: negative amount";
     let tnow = srv.eng.enow in
-    let ser = service_time srv amount in
+    let ser = service_time srv.p amount in
     let start = Float.max tnow srv.busy_until in
     srv.busy_until <- start +. ser;
     srv.busy <- srv.busy +. ser;
     srv.bytes <- srv.bytes +. amount;
-    wait (srv.busy_until -. tnow +. srv.latency)
-
-  let transfer_batch srv ?(on_piece = fun _ -> ()) ~pieces amount =
-    (* One fiber wait for [pieces] back-to-back transfers of [amount]
-       each, replicating the unbatched schedule bit-for-bit: the loop
-       below performs, per piece, the very float expressions {!transfer}
-       would evaluate when called at piece [p-1]'s resume time — not a
-       closed form, which rounds differently in the last ulp.  [on_piece
-       p] fires at exactly piece [p]'s reference resume instant for the
-       intermediate pieces (the caller moves the piece between its
-       channels there); the fiber itself resumes at the last piece's.
-       Busy time, bytes and the busy horizon accumulate through the same
-       iterated additions as [pieces] separate {!transfer}s.
-
-       The whole busy window is claimed up front, so this is only valid
-       while no other process shares the server during the batch. *)
-    if amount < 0.0 then invalid_arg "Server.transfer: negative amount";
-    if pieces <= 0 then invalid_arg "Server.transfer_batch: pieces must be positive";
-    let ser = service_time srv amount in
-    let tnow = ref srv.eng.enow in
-    let final = ref !tnow in
-    for p = 1 to pieces do
-      let start = Float.max !tnow srv.busy_until in
-      srv.busy_until <- start +. ser;
-      srv.busy <- srv.busy +. ser;
-      srv.bytes <- srv.bytes +. amount;
-      let r = !tnow +. (srv.busy_until -. !tnow +. srv.latency) in
-      if p < pieces then at srv.eng r (fun () -> on_piece p) else final := r;
-      tnow := r
-    done;
-    wait_until !final
+    wait (srv.busy_until -. tnow +. srv.p.latency_s)
 
   let busy_time srv = srv.busy
   let bytes_moved srv = srv.bytes
-  let name srv = srv.sname
 end

@@ -3,8 +3,9 @@
     Processes are ordinary OCaml functions running on top of effect
     handlers (OCaml 5): inside a process, {!wait}, {!Channel.push},
     {!Channel.pull} and {!Server.transfer} suspend the fiber and the
-    engine resumes it when simulated time or resources allow.  Determinism
-    comes from a (time, sequence-number) total order on events.
+    engine resumes it when simulated time or resources allow.  Every
+    resume re-enters through the event queue, and determinism comes from
+    a (time, sequence-number) total order on events.
 
     The event queue is two-tier: a {!Tapa_cs_util.Fourheap} for timed
     events and an O(1) FIFO ring for zero-delay ones (wakes, spawns),
@@ -13,35 +14,11 @@
 
 type t
 
-val create : ?inline_wake:bool -> unit -> t
-(** [inline_wake] (default [false]) makes a blocked process resume
-    immediately inside the push/pull that unblocks it — nested, at the
-    same simulated time — instead of re-entering through the event
-    queue.  This removes one counted event per channel rendezvous and is
-    what the coalesced {!Design_sim} engine runs on.  It reorders
-    same-instant operations (the woken fiber runs before the waker's
-    remaining code, where the queued wake ran after), so callers that
-    need the reference interleaving must keep the default. *)
-
-val now : t -> float
-(** Current simulated time in seconds. *)
+val create : unit -> t
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Register a process; it starts at the current simulated time when
     {!run} (or the ongoing run) reaches it. *)
-
-val at : t -> float -> (unit -> unit) -> unit
-(** [at eng time fn] runs the bare closure [fn] in its own event at the
-    {e absolute} simulated time [time] (raises [Invalid_argument] when
-    [time] is already past).  Unlike a process, [fn] has no fiber: it
-    must not block (a {!Channel.push}/{!Channel.pull} inside it must be
-    satisfiable immediately).  Taking an absolute instant rather than a
-    delta is deliberate: the coalescing simulator replays reference
-    chunk-boundary times it computed by the reference's own iterated
-    additions, and a delta-based API would re-round them.  This is the
-    escape hatch that keeps chunk-boundary channel operations at their
-    exact reference times while the owning fiber sleeps through the
-    whole batch. *)
 
 type run_result = {
   end_time : float;
@@ -67,31 +44,15 @@ val run : ?until:float -> t -> run_result
 val wait : float -> unit
 (** Advance this process by a simulated duration (seconds, >= 0). *)
 
-val wait_until : float -> unit
-(** Sleep this process until an {e absolute} simulated time (raises
-    [Invalid_argument] when it is already past).  The absolute form
-    exists for the same reason as {!at}: resuming at a precomputed
-    reference instant bit-for-bit, where [wait (target -. now)] would
-    introduce a rounding step the reference schedule never performed. *)
-
 val time : unit -> float
 (** Current simulated time as seen by this process. *)
-
-val suspend : ((unit -> unit) -> unit) -> unit
-(** [suspend register] parks this process and hands [register] a wake
-    thunk; calling the thunk resumes the process at the waker's current
-    simulated time (through the event queue, or nested when the engine
-    was created with [inline_wake]).  While parked the process counts as
-    blocked for deadlock reporting, exactly like one suspended inside a
-    {!Channel} operation.  This is the primitive custom synchronisation
-    structures (e.g. {!Design_sim}'s commitment ledgers) build on. *)
 
 (** Bounded byte-counting FIFO channels. *)
 module Channel : sig
   type engine := t
   type t
 
-  val create : engine -> name:string -> capacity:float -> t
+  val create : engine -> capacity:float -> t
   (** [capacity] in bytes; must be positive. *)
 
   val push : t -> float -> unit
@@ -102,56 +63,35 @@ module Channel : sig
   (** Blocks until the requested bytes are available. *)
 
   val level : t -> float
-  val free_space : t -> float
-  (** [capacity - level], clamped at 0 — the room a push of that size
-      would find right now. *)
-
-  val has_waiting_pushers : t -> bool
-  val has_waiting_pullers : t -> bool
-  (** Whether some process is currently suspended on this channel.  The
-      coalescing simulator uses these as guards: batching is only safe
-      when nobody is parked on the channel waiting to observe the
-      intermediate levels the batch would skip. *)
-
   val total_pushed : t -> float
   val total_pulled : t -> float
-  val name : t -> string
 end
 
 (** A serially shared resource with rate, per-packet overhead and
     propagation latency — the model of one AlveoLink port or a host NIC. *)
 module Server : sig
   type engine := t
+
+  type params = {
+    rate_bytes_per_s : float;  (** must be positive *)
+    latency_s : float;  (** one-way propagation, paid by every transfer *)
+    per_packet_s : float;  (** overhead per packet started *)
+    packet_bytes : float;
+  }
+
+  val service_time : params -> float -> float
+  (** Seconds a transfer of this many bytes holds the server: the bytes
+      over the rate plus the per-packet overhead of every packet started.
+      The static performance bounds price link traffic with it too. *)
+
   type t
 
-  val create :
-    engine ->
-    name:string ->
-    rate_bytes_per_s:float ->
-    ?latency_s:float ->
-    ?per_packet_s:float ->
-    ?packet_bytes:float ->
-    unit ->
-    t
+  val create : engine -> params -> t
 
   val transfer : t -> float -> unit
   (** Queue behind earlier transfers, hold the server for the
-      serialization time, then wait the propagation latency. *)
-
-  val transfer_batch : t -> ?on_piece:(int -> unit) -> pieces:int -> float -> unit
-  (** [transfer_batch srv ~pieces amount] is [pieces] back-to-back
-      {!transfer}s of [amount] each, paid for with a single fiber wait.
-      The per-piece start/finish instants, busy time, bytes and busy
-      horizon are computed by iterating the exact float expressions the
-      unbatched calls would evaluate, so server statistics and timing
-      are bit-identical to [pieces] separate {!transfer}s.  [on_piece p]
-      (1-based, [p < pieces]) fires at exactly piece [p]'s reference
-      resume instant in a bare event — it must not block — and the
-      caller resumes at the last piece's.  Only valid while {e no other
-      process shares the server during the batch}: the whole busy window
-      is claimed up front. *)
+      {!service_time}, then wait the propagation latency. *)
 
   val busy_time : t -> float
   val bytes_moved : t -> float
-  val name : t -> string
 end

@@ -4,14 +4,12 @@ module Network = Tapa_cs_network
 type job = {
   label : string;
   config : Design_sim.config;
-  mode : Design_sim.engine_mode;
   faults : Network.Fault.plan;
 }
 
-let job ?(mode = Design_sim.Coalesced) ?(faults = Network.Fault.no_faults) ~label config =
-  { label; config; mode; faults }
+let job ?(faults = Network.Fault.no_faults) ~label config = { label; config; faults }
 
-let run_one ~cache j = Design_sim.run_outcome ~mode:j.mode ~cache ~faults:j.faults j.config
+let run_one ~cache j = Design_sim.run_outcome ~cache ~faults:j.faults j.config
 
 type slo_row =
   | Simulated of Design_sim.outcome

@@ -13,17 +13,11 @@
 type job = {
   label : string;  (** carried through to the result row *)
   config : Design_sim.config;
-  mode : Design_sim.engine_mode;
   faults : Tapa_cs_network.Fault.plan;
 }
 
-val job :
-  ?mode:Design_sim.engine_mode ->
-  ?faults:Tapa_cs_network.Fault.plan ->
-  label:string ->
-  Design_sim.config ->
-  job
-(** Convenience constructor: coalesced engine, no faults. *)
+val job : ?faults:Tapa_cs_network.Fault.plan -> label:string -> Design_sim.config -> job
+(** Convenience constructor; no faults by default. *)
 
 val run : ?jobs:int -> ?cache:bool -> job array -> (string * Design_sim.outcome) array
 (** Simulate every job and return [(label, outcome)] rows in job order.

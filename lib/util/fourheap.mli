@@ -1,5 +1,5 @@
-(** Imperative 4-ary min-heap: the event queue of the coalesced
-    simulation engine and the branch-and-bound frontier.
+(** Imperative 4-ary min-heap: the event queue of the simulation engine
+    and the branch-and-bound frontier.
 
     Stable only up to [cmp]-ties, so callers needing a total order must
     break ties in [cmp], as the engine does with sequence numbers.  The

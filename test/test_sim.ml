@@ -49,7 +49,7 @@ let test_negative_wait_rejected () =
 
 let test_channel_backpressure () =
   let e = Engine.create () in
-  let ch = Engine.Channel.create e ~name:"c" ~capacity:10.0 in
+  let ch = Engine.Channel.create e ~capacity:10.0 in
   let produced_at = ref [] in
   Engine.spawn e ~name:"producer" (fun () ->
       for _ = 1 to 3 do
@@ -69,7 +69,7 @@ let test_channel_backpressure () =
 
 let test_channel_oversized_message_streams () =
   let e = Engine.create () in
-  let ch = Engine.Channel.create e ~name:"c" ~capacity:4.0 in
+  let ch = Engine.Channel.create e ~capacity:4.0 in
   Engine.spawn e ~name:"p" (fun () -> Engine.Channel.push ch 20.0);
   Engine.spawn e ~name:"c" (fun () -> Engine.Channel.pull ch 20.0);
   let r = Engine.run e in
@@ -80,7 +80,7 @@ let test_channel_no_float_wedge () =
   (* Regression: repeated large chunk cycles must not wedge on rounding. *)
   let e = Engine.create () in
   let chunk = 18.03e6 +. 0.125 in
-  let ch = Engine.Channel.create e ~name:"c" ~capacity:chunk in
+  let ch = Engine.Channel.create e ~capacity:chunk in
   Engine.spawn e ~name:"p" (fun () ->
       for _ = 1 to 64 do
         Engine.Channel.push ch chunk
@@ -94,8 +94,8 @@ let test_channel_no_float_wedge () =
 
 let test_deadlock_detection () =
   let e = Engine.create () in
-  let a = Engine.Channel.create e ~name:"a" ~capacity:1.0 in
-  let b = Engine.Channel.create e ~name:"b" ~capacity:1.0 in
+  let a = Engine.Channel.create e ~capacity:1.0 in
+  let b = Engine.Channel.create e ~capacity:1.0 in
   Engine.spawn e ~name:"p1" (fun () ->
       Engine.Channel.pull a 1.0;
       Engine.Channel.push b 1.0);
@@ -107,7 +107,10 @@ let test_deadlock_detection () =
 
 let test_server_serializes () =
   let e = Engine.create () in
-  let srv = Engine.Server.create e ~name:"link" ~rate_bytes_per_s:100.0 ~latency_s:0.25 () in
+  let srv =
+    Engine.Server.create e
+      { rate_bytes_per_s = 100.0; latency_s = 0.25; per_packet_s = 0.0; packet_bytes = 4096.0 }
+  in
   let ends = ref [] in
   for i = 1 to 3 do
     Engine.spawn e ~name:(string_of_int i) (fun () ->
@@ -122,7 +125,8 @@ let test_server_serializes () =
 let test_server_per_packet_overhead () =
   let e = Engine.create () in
   let srv =
-    Engine.Server.create e ~name:"l" ~rate_bytes_per_s:1000.0 ~per_packet_s:0.1 ~packet_bytes:10.0 ()
+    Engine.Server.create e
+      { rate_bytes_per_s = 1000.0; latency_s = 0.0; per_packet_s = 0.1; packet_bytes = 10.0 }
   in
   Engine.spawn e (fun () -> Engine.Server.transfer srv 30.0);
   let r = Engine.run e in
@@ -132,7 +136,7 @@ let test_server_per_packet_overhead () =
 let test_determinism () =
   let run () =
     let e = Engine.create () in
-    let ch = Engine.Channel.create e ~name:"c" ~capacity:7.0 in
+    let ch = Engine.Channel.create e ~capacity:7.0 in
     let trace = ref [] in
     for i = 0 to 4 do
       Engine.spawn e ~name:(Printf.sprintf "p%d" i) (fun () ->
@@ -177,6 +181,36 @@ let simple_design ?(cross = false) () =
     ~freq_mhz:(Array.make (Cluster.size cluster) 300.0)
     ~cluster ~synthesis ()
 
+let rate_mismatch_config () =
+  (* 4x slower consumer across the link: data piles up upstream of the
+     mover. *)
+  let b = Taskgraph.Builder.create () in
+  let p = Taskgraph.Builder.add_task b ~name:"p" ~compute:(Task.make_compute ~elems:2e5 ~ii:1.0 ()) () in
+  let c = Taskgraph.Builder.add_task b ~name:"c" ~compute:(Task.make_compute ~elems:2e5 ~ii:4.0 ()) () in
+  ignore (Taskgraph.Builder.add_fifo b ~src:p ~dst:c ~width_bits:32 ~elems:2e5 ());
+  let g = Taskgraph.Builder.build b in
+  let board = Board.u55c () in
+  let cluster = Cluster.make ~board:(fun () -> board) 2 in
+  let synthesis = Synthesis.run ~board g in
+  Design_sim.make_config ~graph:g ~assignment:[| 0; 1 |] ~freq_mhz:[| 300.0; 300.0 |] ~cluster
+    ~synthesis ()
+
+let fan_in_config () =
+  (* Two producers at different rates on different FPGAs feeding one
+     consumer: one cross FIFO, one local. *)
+  let b = Taskgraph.Builder.create () in
+  let p0 = Taskgraph.Builder.add_task b ~name:"p0" ~compute:(Task.make_compute ~elems:1e5 ~ii:1.0 ()) () in
+  let p1 = Taskgraph.Builder.add_task b ~name:"p1" ~compute:(Task.make_compute ~elems:1e5 ~ii:2.0 ()) () in
+  let c = Taskgraph.Builder.add_task b ~name:"c" ~compute:(Task.make_compute ~elems:2e5 ~ii:1.0 ()) () in
+  ignore (Taskgraph.Builder.add_fifo b ~src:p0 ~dst:c ~width_bits:32 ~elems:1e5 ());
+  ignore (Taskgraph.Builder.add_fifo b ~src:p1 ~dst:c ~width_bits:32 ~elems:1e5 ());
+  let g = Taskgraph.Builder.build b in
+  let board = Board.u55c () in
+  let cluster = Cluster.make ~board:(fun () -> board) 2 in
+  let synthesis = Synthesis.run ~board g in
+  Design_sim.make_config ~graph:g ~assignment:[| 0; 1; 0 |] ~freq_mhz:[| 300.0; 300.0 |] ~cluster
+    ~synthesis ()
+
 let test_design_sim_local () =
   let r = Design_sim.run (simple_design ()) in
   check bool "completes" true (r.deadlocked = []);
@@ -187,10 +221,26 @@ let test_design_sim_local () =
 let test_design_sim_cross_fpga () =
   let local = Design_sim.run (simple_design ()) in
   let crossed = Design_sim.run (simple_design ~cross:true ()) in
-  check bool "link appears" true (List.length crossed.links = 1);
-  let link = List.hd crossed.links in
-  check bool "link carried the stream" true (link.Design_sim.bytes >= 4e6);
-  check bool "crossing is never faster" true (crossed.latency_s >= local.latency_s -. 1e-6)
+  check bool "crossing is never faster" true (crossed.latency_s >= local.latency_s -. 1e-6);
+  (* The mover delivers every byte of the cut FIFO over its one link,
+     whatever the rates on either side of it. *)
+  List.iter
+    (fun (name, (cfg : Design_sim.config)) ->
+      let r = Design_sim.run ~cache:false cfg in
+      check bool (name ^ ": completes") true (r.deadlocked = []);
+      let cut =
+        Array.to_list (Taskgraph.fifos cfg.graph)
+        |> List.filter (fun (f : Fifo.t) -> cfg.assignment.(f.src) <> cfg.assignment.(f.dst))
+        |> List.fold_left (fun acc f -> acc +. Fifo.traffic_bytes f) 0.0
+      in
+      match r.links with
+      | [ link ] -> check fl (name ^ ": link carried the cut FIFO") cut link.Design_sim.bytes
+      | _ -> Alcotest.fail (name ^ ": one link expected"))
+    [
+      ("cross", simple_design ~cross:true ());
+      ("rate mismatch", rate_mismatch_config ());
+      ("fan-in", fan_in_config ());
+    ]
 
 let test_design_sim_bulk_serializes () =
   let make mode =
@@ -312,17 +362,14 @@ let test_run_until () =
 
 let test_channel_capacity_invariant () =
   (* Oversized pushes stream through in capacity-sized pieces; at no
-     observable instant may the level leave [0, capacity], and free_space
-     must always be the clamped complement. *)
+     observable instant may the level leave [0, capacity]. *)
   let e = Engine.create () in
   let cap = 4.0 in
-  let ch = Engine.Channel.create e ~name:"c" ~capacity:cap in
+  let ch = Engine.Channel.create e ~capacity:cap in
   let ok = ref true in
   let sample () =
     let lvl = Engine.Channel.level ch in
-    if lvl < -1e-9 || lvl > cap +. 1e-9 then ok := false;
-    if Float.abs (Engine.Channel.free_space ch -. Float.max 0.0 (cap -. lvl)) > 1e-9 then
-      ok := false
+    if lvl < -1e-9 || lvl > cap +. 1e-9 then ok := false
   in
   Engine.spawn e ~name:"p" (fun () ->
       for _ = 1 to 5 do
@@ -340,6 +387,29 @@ let test_channel_capacity_invariant () =
   check bool "level stayed inside [0, capacity]" true !ok;
   check fl "conservation" (Engine.Channel.total_pushed ch)
     (Engine.Channel.total_pulled ch +. Engine.Channel.level ch)
+
+(* The schedule of two compiled stencils, pinned as exact (%h) floats:
+   the latency and every link's bytes and busy time. *)
+let test_stencil_schedule_golden () =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun fpgas ->
+      let app = Tapa_cs_apps.Stencil.generate (Tapa_cs_apps.Stencil.make_config ~iterations:64 ~fpgas ()) in
+      let options = { Tapa_cs.Compiler.default_options with Tapa_cs.Compiler.jobs = 1 } in
+      let cluster = Cluster.make ~board:Board.u55c fpgas in
+      match Tapa_cs.Flow.tapa_cs ~options ~cluster app.Tapa_cs_apps.App.graph with
+      | Error e -> Alcotest.fail e
+      | Ok d ->
+        let r = Design_sim.run ~cache:false (Tapa_cs.Flow.sim_config d) in
+        let name = Printf.sprintf "stencil 64x%d" fpgas in
+        Printf.bprintf buf "%s latency_s %h\n" name r.latency_s;
+        List.iter
+          (fun (l : Design_sim.link_stat) ->
+            Printf.bprintf buf "%s link %d->%d bytes %h busy_s %h\n" name l.src_fpga l.dst_fpga
+              l.bytes l.busy_s)
+          r.links)
+    [ 2; 4 ];
+  Golden_file.check "design_sim_stencil.expected" (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injected outcomes (tentpole)                                  *)
@@ -440,8 +510,7 @@ let test_outcome_deterministic () =
   check fl "bit-identical across runs" (latency ()) (latency ())
 
 (* Random layered fan-out/fan-in pipeline split over 2 FPGAs — the corpus
-   both the conservation property and the engine-equivalence property
-   draw from. *)
+   the conservation property draws from. *)
 let random_pipeline_config seed =
   let rng = Tapa_cs_util.Prng.create seed in
   let b = Taskgraph.Builder.create () in
@@ -496,79 +565,9 @@ let prop_random_pipelines_conserve =
            (fun (t : Design_sim.task_stat) -> t.finish_s <= r.latency_s +. 1e-9)
            r.tasks)
 
-(* Everything the coalesced/reference equivalence contract covers. *)
-let eq_key (r : Design_sim.result) =
-  ( r.latency_s,
-    r.deadlocked,
-    List.map
-      (fun (l : Design_sim.link_stat) -> (l.src_fpga, l.dst_fpga, l.bytes, l.busy_s))
-      r.links )
-
-(* Property: the coalesced engine is bit-identical to the reference
-   engine — latency, deadlock set and link statistics, with no tolerance
-   — over the random corpus. *)
-let prop_coalesced_equals_reference =
-  QCheck.Test.make ~name:"coalesced engine bit-identical to reference" ~count:40
-    (QCheck.int_range 0 10_000)
-    (fun seed ->
-      let cfg = random_pipeline_config seed in
-      let c = Design_sim.run ~cache:false cfg in
-      let r = Design_sim.run_reference ~cache:false cfg in
-      eq_key c = eq_key r && c.events <= r.events)
-
 (* ------------------------------------------------------------------ *)
-(* Engine equivalence, sweep harness, cache                            *)
+(* Sweep harness, cache                                                *)
 (* ------------------------------------------------------------------ *)
-
-let rate_mismatch_config () =
-  (* 4x slower consumer across the link: credit piles up upstream, which
-     is exactly where chunk batching compresses the most events. *)
-  let b = Taskgraph.Builder.create () in
-  let p = Taskgraph.Builder.add_task b ~name:"p" ~compute:(Task.make_compute ~elems:2e5 ~ii:1.0 ()) () in
-  let c = Taskgraph.Builder.add_task b ~name:"c" ~compute:(Task.make_compute ~elems:2e5 ~ii:4.0 ()) () in
-  ignore (Taskgraph.Builder.add_fifo b ~src:p ~dst:c ~width_bits:32 ~elems:2e5 ());
-  let g = Taskgraph.Builder.build b in
-  let board = Board.u55c () in
-  let cluster = Cluster.make ~board:(fun () -> board) 2 in
-  let synthesis = Synthesis.run ~board g in
-  Design_sim.make_config ~graph:g ~assignment:[| 0; 1 |] ~freq_mhz:[| 300.0; 300.0 |] ~cluster
-    ~synthesis ()
-
-let fan_in_config () =
-  (* Two producers at different rates on different FPGAs feeding one
-     consumer: one cross FIFO, one local, mixed batch widths. *)
-  let b = Taskgraph.Builder.create () in
-  let p0 = Taskgraph.Builder.add_task b ~name:"p0" ~compute:(Task.make_compute ~elems:1e5 ~ii:1.0 ()) () in
-  let p1 = Taskgraph.Builder.add_task b ~name:"p1" ~compute:(Task.make_compute ~elems:1e5 ~ii:2.0 ()) () in
-  let c = Taskgraph.Builder.add_task b ~name:"c" ~compute:(Task.make_compute ~elems:2e5 ~ii:1.0 ()) () in
-  ignore (Taskgraph.Builder.add_fifo b ~src:p0 ~dst:c ~width_bits:32 ~elems:1e5 ());
-  ignore (Taskgraph.Builder.add_fifo b ~src:p1 ~dst:c ~width_bits:32 ~elems:1e5 ());
-  let g = Taskgraph.Builder.build b in
-  let board = Board.u55c () in
-  let cluster = Cluster.make ~board:(fun () -> board) 2 in
-  let synthesis = Synthesis.run ~board g in
-  Design_sim.make_config ~graph:g ~assignment:[| 0; 1; 0 |] ~freq_mhz:[| 300.0; 300.0 |] ~cluster
-    ~synthesis ()
-
-let test_coalesced_matches_reference () =
-  List.iter
-    (fun (name, cfg) ->
-      let c = Design_sim.run ~cache:false cfg in
-      let r = Design_sim.run_reference ~cache:false cfg in
-      check bool (name ^ ": latency/deadlocks/links bit-identical") true (eq_key c = eq_key r);
-      check bool (name ^ ": coalescing never adds events") true (c.events <= r.events))
-    [
-      ("local", simple_design ());
-      ("cross", simple_design ~cross:true ());
-      ("rate mismatch", rate_mismatch_config ());
-      ("fan-in", fan_in_config ());
-    ];
-  (* rate mismatch is where the reference event count actually explodes *)
-  let cfg = rate_mismatch_config () in
-  let c = Design_sim.run ~cache:false cfg in
-  let r = Design_sim.run_reference ~cache:false cfg in
-  check bool "rate mismatch coalesces substantially (>= 1.5x fewer events)" true
-    (3 * c.events <= 2 * r.events)
 
 let test_sweep_jobs_identity () =
   let points =
@@ -584,19 +583,7 @@ let test_sweep_jobs_identity () =
   Array.iteri
     (fun i (label, _) ->
       check Alcotest.string "labels in job order" (string_of_int [| 4; 8; 16; 32 |].(i)) label)
-    seq;
-  (* a Reference-mode job rides the same harness and must agree *)
-  let both =
-    Sim_sweep.run ~jobs:1 ~cache:false
-      [|
-        Sim_sweep.job ~label:"c" (simple_design ~cross:true ());
-        Sim_sweep.job ~mode:Design_sim.Reference ~label:"r" (simple_design ~cross:true ());
-      |]
-  in
-  match (snd both.(0), snd both.(1)) with
-  | Design_sim.Completed c, Design_sim.Completed r ->
-    check bool "both engine modes agree through the sweep" true (eq_key c = eq_key r)
-  | _ -> Alcotest.fail "sweep points must complete"
+    seq
 
 let test_cache_cold_warm_and_keys () =
   Design_sim.reset_cache ();
@@ -609,14 +596,10 @@ let test_cache_cold_warm_and_keys () =
   check bool "one miss then one hit" true (Design_sim.cache_stats () = (1, 1));
   ignore (Design_sim.run { cfg with Design_sim.chunks = 32 });
   check bool "chunk count is part of the key" true (snd (Design_sim.cache_stats ()) = 2);
-  ignore (Design_sim.run_reference cfg);
-  check bool "engine mode is part of the key" true (snd (Design_sim.cache_stats ()) = 3);
   Design_sim.reset_cache ();
   check bool "reset drops entries and zeroes counters" true (Design_sim.cache_stats () = (0, 0))
 
-let qsuite =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_random_pipelines_conserve; prop_coalesced_equals_reference ]
+let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_random_pipelines_conserve ]
 
 let () =
   Alcotest.run "sim"
@@ -652,10 +635,10 @@ let () =
           Alcotest.test_case "link contention" `Quick test_design_sim_link_contention;
           Alcotest.test_case "config validation" `Quick test_design_sim_validation;
           Alcotest.test_case "exception propagation" `Quick test_engine_exception_propagates;
+          Alcotest.test_case "stencil schedule golden" `Quick test_stencil_schedule_golden;
         ] );
       ( "coalescing",
         [
-          Alcotest.test_case "coalesced equals reference" `Quick test_coalesced_matches_reference;
           Alcotest.test_case "sweep jobs identity" `Quick test_sweep_jobs_identity;
           Alcotest.test_case "cache cold/warm + key sensitivity" `Quick test_cache_cold_warm_and_keys;
         ] );

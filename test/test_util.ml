@@ -228,7 +228,7 @@ let test_prng_shuffle_permutes () =
   check bool "is permutation" true (sorted = Array.init 50 Fun.id)
 
 (* ------------------------------------------------------------------ *)
-(* Fourheap (the coalesced engine's event queue and the B&B frontier)   *)
+(* Fourheap (the simulation engine's event queue and the B&B frontier)  *)
 (* ------------------------------------------------------------------ *)
 
 let test_heap_sorts () =
