@@ -559,6 +559,61 @@ let test_emit_golden () =
   golden_check "stencil2_connectivity_f1.cfg.expected" (Emit.connectivity_cfg c ~fpga:1);
   golden_check "stencil2_design_report.json.expected" (Emit.design_report_json c)
 
+(* The search trajectory, pinned at compile level: every solver counter
+   and every placement of the nine perfbench compile_cold designs (built
+   the same way, caches reset, one domain), and of the serve_stream
+   fresh design, stencil 16x2, under solver seeds 1000-1009.  An LP
+   layer that returns the same answers by a different route moves
+   lp_pivots or bb_nodes here. *)
+let solver_golden_designs () =
+  let u55c n = Cluster.make ~board:Board.u55c n in
+  let app g = g.App.graph in
+  let stencil ~iterations ~fpgas = app (Stencil.generate (Stencil.make_config ~iterations ~fpgas ())) in
+  let suite =
+    [
+      ("stencil-64x2", stencil ~iterations:64 ~fpgas:2, u55c 2);
+      ("stencil-256x4", stencil ~iterations:256 ~fpgas:4, u55c 4);
+      ("cnn-12x2", app (Cnn.generate (Cnn.make_config ~cols:12 ~fpgas:2 ())), u55c 2);
+      ("cnn-20x4", app (Cnn.generate (Cnn.make_config ~cols:20 ~fpgas:4 ())), u55c 4);
+      ("knn-4M-d8x4", app (Knn.generate (Knn.make_config ~n_points:4_000_000 ~dims:8 ~fpgas:4 ())), u55c 4);
+      ("knn-1M-d32x2", app (Knn.generate (Knn.make_config ~n_points:1_000_000 ~dims:32 ~fpgas:2 ())), u55c 2);
+      ( "pagerank-google-x4",
+        app (Pagerank.generate (Pagerank.make_config ~dataset:Dataset.web_google ~fpgas:4 ())),
+        u55c 4 );
+      ( "pagerank-google-x8",
+        app (Pagerank.generate (Pagerank.make_config ~dataset:Dataset.web_google ~fpgas:8 ())),
+        u55c 8 );
+      ( "stencil-8x12of16",
+        stencil ~iterations:8 ~fpgas:12,
+        Cluster.heterogeneous ~boards_per_node:4 [ Board.u55c ] 16 );
+    ]
+  in
+  List.map (fun (name, g, cl) -> (name, 1, g, cl)) suite
+  @ List.init 10 (fun k ->
+        (Printf.sprintf "stencil-16x2-seed%d" (1000 + k), 1000 + k, stencil ~iterations:16 ~fpgas:2, u55c 2))
+
+let test_solver_counters_golden () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, seed, g, cluster) ->
+      Partition.reset_cache ();
+      Tapa_cs_sim.Design_sim.reset_cache ();
+      let options = { Compiler.default_options with Compiler.seed; jobs = 1 } in
+      match Compiler.compile ~options ~cluster g with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok c ->
+        let s = Compiler.solver_stats c in
+        let ints f = String.concat "," (List.init (Taskgraph.num_tasks g) (fun t -> string_of_int (f t))) in
+        Printf.bprintf buf "%s %s\n  fpga %s\n  slot %s\n" name
+          (String.concat " "
+             (List.map
+                (fun f -> Printf.sprintf "%s=%d" f.Tapa_cs_ilp.Counters.key (f.Tapa_cs_ilp.Counters.get s))
+                Tapa_cs_ilp.Counters.fields))
+          (ints (Compiler.fpga_of c))
+          (ints (fun t -> Option.value (Compiler.slot_of c t) ~default:(-1))))
+    (solver_golden_designs ());
+  Golden_file.check "solver_counters.expected" (Buffer.contents buf)
+
 (* ------------------------------------------------------------------ *)
 (* SLO pruning: lossless and counted                                   *)
 (* ------------------------------------------------------------------ *)
@@ -708,6 +763,8 @@ let () =
           Alcotest.test_case "quoted task names round-trip" `Quick test_roundtrip_quoted_names;
           Alcotest.test_case "round-trip catches tampering" `Quick test_roundtrip_catches_tampering;
           Alcotest.test_case "emitters match golden files" `Quick test_emit_golden;
+          Alcotest.test_case "solver counters and placements golden" `Quick
+            test_solver_counters_golden;
         ] );
       ( "slo pruning",
         [
