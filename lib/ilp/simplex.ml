@@ -18,14 +18,16 @@ let bland_switch = 400
    are the +/- coefficient rows (both precomputed so a per-node sign
    normalization picks a row instead of allocating nv Rat.neg), and
    [fcoeffs]/[fneg] the same rows in doubles for the float tableau;
-   [terms] is the sparse view used to re-shift the rhs under new lower
-   bounds and by the certificates. *)
+   [tvars]/[tcoefs] is the sparse view, its non-zero terms in variable
+   order, used to re-shift the rhs under new lower bounds and by the
+   certificates. *)
 type prow = {
   coeffs : Rat.t array; (* length nv *)
   neg : Rat.t array;
   fcoeffs : float array;
   fneg : float array;
-  terms : (int * Rat.t) list;
+  tvars : int array;
+  tcoefs : Rat.t array;
   rel : Model.relation;
   rhs : Rat.t;
   slack : int; (* slack/surplus column; -1 for Eq rows *)
@@ -43,6 +45,9 @@ type prepared = {
   base_ub : Rat.t option array;
   cost : Rat.t array; (* the objective as minimized, one entry per variable *)
   fcost : float array; (* [cost] in doubles, for the float tableau *)
+  ovars : int array; (* the model's objective: its non-zero terms, *)
+  ocoefs : Rat.t array; (* unnegated, *)
+  oconst : Rat.t; (* and its constant *)
 }
 
 let prepare model =
@@ -70,15 +75,17 @@ let prepare model =
   let prows =
     Array.mapi
       (fun i (e, rel, rhs) ->
+        let terms = Array.of_list (Linear.terms e) in
         let coeffs = Array.make nv Rat.zero in
-        List.iter (fun (v, c) -> coeffs.(v) <- c) (Linear.terms e);
+        Array.iter (fun (v, c) -> coeffs.(v) <- c) terms;
         let neg = Array.map Rat.neg coeffs in
         {
           coeffs;
           neg;
           fcoeffs = Array.map Rat.to_float coeffs;
           fneg = Array.map Rat.to_float neg;
-          terms = Linear.terms e;
+          tvars = Array.map fst terms;
+          tcoefs = Array.map snd terms;
           rel;
           rhs;
           slack = slack_cols.(i);
@@ -87,10 +94,11 @@ let prepare model =
       constrs
   in
   let sense, obj_expr = Model.objective model in
+  let oterms = Array.of_list (Linear.terms obj_expr) in
   let cost = Array.make nv Rat.zero in
-  List.iter
+  Array.iter
     (fun (v, k) -> cost.(v) <- (match sense with Model.Minimize -> k | Model.Maximize -> Rat.neg k))
-    (Linear.terms obj_expr);
+    oterms;
   {
     model;
     nv;
@@ -102,7 +110,19 @@ let prepare model =
     base_ub = Array.init nv (Model.var_ub model);
     cost;
     fcost = Array.map Rat.to_float cost;
+    ovars = Array.map fst oterms;
+    ocoefs = Array.map snd oterms;
+    oconst = Linear.const obj_expr;
   }
+
+(* The model's objective at [values]: an exact sum, so it equals
+   [Linear.eval] of the objective in any order. *)
+let objective_value p values =
+  let acc = ref p.oconst in
+  for q = 0 to Array.length p.ovars - 1 do
+    acc := Rat.add !acc (Rat.mul p.ocoefs.(q) values.(p.ovars.(q)))
+  done;
+  !acc
 
 (* Node-specific variable bounds, computed exactly once per solve and
    shared by whichever tableau runs and the certificates: the lower
@@ -119,8 +139,11 @@ let node_bounds p bounds =
     Array.init p.nv (fun j ->
         match ub.(j) with
         | None -> None
+        | Some u when Rat.is_zero lb.(j) ->
+          if Rat.sign u < 0 then conflict := true;
+          ub.(j)
         | Some u ->
-          let d = if Rat.is_zero lb.(j) then u else Rat.sub u lb.(j) in
+          let d = Rat.sub u lb.(j) in
           if Rat.sign d < 0 then conflict := true;
           Some d)
   in
@@ -135,9 +158,12 @@ let shifted_rhs p lb =
      Rat.mul: exact-rational ops dominate the per-node cost. *)
   Array.map
     (fun pr ->
-      List.fold_left
-        (fun acc (v, c) -> if Rat.is_zero lb.(v) then acc else Rat.sub acc (Rat.mul c lb.(v)))
-        pr.rhs pr.terms)
+      let acc = ref pr.rhs in
+      for q = 0 to Array.length pr.tvars - 1 do
+        let l = lb.(pr.tvars.(q)) in
+        if not (Rat.is_zero l) then acc := Rat.sub !acc (Rat.mul pr.tcoefs.(q) l)
+      done;
+      !acc)
     p.prows
 
 (* A variable fixed by its bounds (shifted ub = 0) stays glued to 0;
@@ -170,19 +196,20 @@ let lay_rows p ~rhs ~src ~conv ~one ~minus_one rows xb basis =
       let flip = flipped rhs i in
       let row = rows.(i) in
       Array.blit (src pr flip) 0 row 0 p.nv;
+      (* A row narrower than [pncols] has no artificial block. *)
+      let lay_art () =
+        if pr.art < Array.length row then row.(pr.art) <- one;
+        basis.(i) <- pr.art;
+        incr nart
+      in
       (match oriented_rel pr ~flip with
       | Model.Le ->
         row.(pr.slack) <- one;
         basis.(i) <- pr.slack
       | Model.Ge ->
         row.(pr.slack) <- minus_one;
-        row.(pr.art) <- one;
-        basis.(i) <- pr.art;
-        incr nart
-      | Model.Eq ->
-        row.(pr.art) <- one;
-        basis.(i) <- pr.art;
-        incr nart);
+        lay_art ()
+      | Model.Eq -> lay_art ());
       xb.(i) <- conv (Rat.abs rhs.(i)))
     p.prows;
   !nart
@@ -483,8 +510,7 @@ let solve_exact p ~lb ~rhs ~shifted_ub ~max_pivots =
             if tab.at_upper.(j) then Rat.add lb.(j) (Option.get shifted_ub.(j)) else lb.(j))
       in
       Array.iteri (fun i b -> if b < nv then values.(b) <- Rat.add lb.(b) tab.bxb.(i)) tab.bbasis;
-      let objective = Linear.eval (snd (Model.objective p.model)) (fun v -> values.(v)) in
-      Optimal { objective; values; pivots = tab.iters }
+      Optimal { objective = objective_value p values; values; pivots = tab.iters }
   end
 
 let solve_prepared ?bounds ?(max_pivots = 2_000_000) p =
@@ -538,6 +564,7 @@ type ftab = {
   fobj : float array; (* reduced costs *)
   fubs : float array; (* per-column upper bound; infinity when none *)
   fupper : bool array;
+  fnz : int array; (* scratch: the pivot row's non-zero columns *)
   mutable fncols : int; (* active column window; shrinks to [part_start]
                            once no artificial can re-enter the basis *)
   mutable fiters : int;
@@ -548,24 +575,61 @@ let f_tick tab =
   tab.fiters <- tab.fiters + 1;
   if tab.fiters > tab.fmax then raise Float_give_up
 
-let fpivot tab r c =
-  f_tick tab;
+(* Sparse pivoting.  A pivot row holds few non-zeros (a bisection row has
+   3 structural entries and a slack), so [fpivot] and [fginstall] divide
+   and eliminate over the row's non-zero columns only, collected once.
+   A skipped column j has row.(j) = +/-0, where the dense update would
+   compute x /. p and x -. f *. 0.: for finite p and f these leave every
+   non-zero entry bit-identical and every zero a zero, only perhaps of
+   the other sign, and nothing in the float path reads the sign of a
+   zero (see DESIGN §5e).  [inf *. 0.] is NaN, so the identity needs a
+   finite pivot and finite multipliers: a tableau that holds anything
+   else is abandoned like a tiny pivot. *)
+let nonzero_cols tab row =
+  let nz = tab.fnz in
+  let k = ref 0 in
+  for j = 0 to tab.fncols - 1 do
+    if row.(j) <> 0. then begin
+      nz.(!k) <- j;
+      incr k
+    end
+  done;
+  !k
+
+(* Divide the pivot row [r] by its entry in column [c] over its [k]
+   non-zero columns; returns the pivot. *)
+let fdivide tab r c k =
   let row = tab.frows.(r) in
   let p = row.(c) in
-  if Float.abs p < f_piv_eps then raise Float_give_up;
-  let n = tab.fncols in
-  for j = 0 to n - 1 do
+  if Float.abs p < f_piv_eps || not (Float.is_finite p) then raise Float_give_up;
+  let nz = tab.fnz in
+  for q = 0 to k - 1 do
+    let j = nz.(q) in
     row.(j) <- row.(j) /. p
   done;
-  let eliminate target =
-    let f = target.(c) in
-    if f <> 0. then
-      for j = 0 to n - 1 do
-        target.(j) <- target.(j) -. (f *. row.(j))
-      done
-  in
-  Array.iteri (fun i other -> if i <> r then eliminate other) tab.frows;
-  eliminate tab.fobj;
+  p
+
+(* target <- target - f * row over the row's [k] non-zero columns. *)
+let feliminate tab target f row k =
+  if not (Float.is_finite f) then raise Float_give_up;
+  let nz = tab.fnz in
+  for q = 0 to k - 1 do
+    let j = nz.(q) in
+    target.(j) <- target.(j) -. (f *. row.(j))
+  done
+
+let fpivot tab r c =
+  f_tick tab;
+  let k = nonzero_cols tab tab.frows.(r) in
+  ignore (fdivide tab r c k);
+  let row = tab.frows.(r) in
+  for i = 0 to Array.length tab.frows - 1 do
+    let other = tab.frows.(i) in
+    let f = other.(c) in
+    if i <> r && f <> 0. then feliminate tab other f row k
+  done;
+  let f = tab.fobj.(c) in
+  if f <> 0. then feliminate tab tab.fobj f row k;
   tab.fbasis.(r) <- c
 
 (* Gaussian pivot used while installing a warm basis: the rhs column is
@@ -574,26 +638,18 @@ let fpivot tab r c =
    install). *)
 let fginstall tab r c =
   f_tick tab;
+  let k = nonzero_cols tab tab.frows.(r) in
+  let p = fdivide tab r c k in
   let row = tab.frows.(r) in
-  let p = row.(c) in
-  if Float.abs p < f_piv_eps then raise Float_give_up;
-  let n = tab.fncols in
-  for j = 0 to n - 1 do
-    row.(j) <- row.(j) /. p
-  done;
   tab.fxb.(r) <- tab.fxb.(r) /. p;
-  Array.iteri
-    (fun i other ->
-      if i <> r then begin
-        let f = other.(c) in
-        if f <> 0. then begin
-          for j = 0 to n - 1 do
-            other.(j) <- other.(j) -. (f *. row.(j))
-          done;
-          tab.fxb.(i) <- tab.fxb.(i) -. (f *. tab.fxb.(r))
-        end
-      end)
-    tab.frows;
+  for i = 0 to Array.length tab.frows - 1 do
+    let other = tab.frows.(i) in
+    let f = other.(c) in
+    if i <> r && f <> 0. then begin
+      feliminate tab other f row k;
+      tab.fxb.(i) <- tab.fxb.(i) -. (f *. tab.fxb.(r))
+    end
+  done;
   tab.fbasis.(r) <- c
 
 (* Primal bounded-variable simplex in floats; mirrors [boptimize]. *)
@@ -797,9 +853,10 @@ let fdual tab ~allowed =
 
 (* Build the float tableau in the exact path's orientation ([flipped]
    decides it in Rat, so it can never disagree with the exact path),
-   its rows blitted from the template's float rows. *)
-let build_ftab p ~rhs ~shifted_ub ~max_iters =
-  let ncols = p.pncols in
+   its rows blitted from the template's float rows, [ncols] wide: the
+   full layout, or [part_start] for a solve that never reads the
+   artificial block. *)
+let build_ftab p ~ncols ~rhs ~shifted_ub ~max_iters =
   let m0 = Array.length p.prows in
   let tab =
     {
@@ -808,7 +865,9 @@ let build_ftab p ~rhs ~shifted_ub ~max_iters =
       fbasis = Array.make m0 (-1);
       fobj = Array.make ncols 0.;
       fubs = Array.make ncols infinity;
-      fupper = Array.make ncols false;
+      (* Full width whatever [ncols]: the flags leave in the basis. *)
+      fupper = Array.make p.pncols false;
+      fnz = Array.make ncols 0;
       fncols = ncols;
       fiters = 0;
       fmax = max_iters;
@@ -848,7 +907,7 @@ let fextract_basis tab =
    above [f_piv_eps] gives up instead of being dropped: certification
    needs one basic column per template row. *)
 let fsolve_cold p ~rhs ~shifted_ub ~max_iters =
-  let tab, nart_basic = build_ftab p ~rhs ~shifted_ub ~max_iters in
+  let tab, nart_basic = build_ftab p ~ncols:p.pncols ~rhs ~shifted_ub ~max_iters in
   let fixed = is_fixed shifted_ub p.nv in
   let feasible =
     if nart_basic = 0 then true
@@ -915,12 +974,11 @@ let fsolve_warm p warm ~rhs ~shifted_ub ~max_iters =
   let m0 = Array.length p.prows in
   if Array.length warm.bcols <> m0 then raise Float_give_up;
   Array.iter (fun c -> if c < 0 || c >= p.part_start then raise Float_give_up) warm.bcols;
-  let tab, _ = build_ftab p ~rhs ~shifted_ub ~max_iters in
   (* The warm basis uses only structural/slack columns (checked above),
-     so the artificial block is dead weight from the start. *)
-  tab.fncols <- p.part_start;
+     so the artificial block is never read, and not allocated. *)
+  let tab, _ = build_ftab p ~ncols:p.part_start ~rhs ~shifted_ub ~max_iters in
   let fixed = is_fixed shifted_ub p.nv in
-  let is_basic = Array.make p.pncols false in
+  let is_basic = Array.make p.part_start false in
   Array.iter
     (fun c ->
       if is_basic.(c) then raise Float_give_up;
@@ -978,48 +1036,61 @@ let fsolve_warm p warm ~rhs ~shifted_ub ~max_iters =
    unit pivot divides nothing, so it adds no fraction growth).  Returns
    the row permutation, or None when the matrix is singular.  The
    factors overwrite [a]: L below the diagonal (unit diagonal implicit),
-   U on and above. *)
+   U on and above.  Each elimination runs over the pivot row's non-zero
+   columns, collected once per step: the blocks are mostly zeros. *)
 let lu_factor a =
   let m = Array.length a in
   let perm = Array.init m (fun i -> i) in
-  let singular = ref false in
-  (try
-     for k = 0 to m - 1 do
-       let first = ref (-1) in
-       let unit = ref (-1) in
-       for i = k to m - 1 do
-         if not (Rat.is_zero a.(i).(k)) then begin
-           if !first < 0 then first := i;
-           if !unit < 0 && Rat.equal (Rat.abs a.(i).(k)) Rat.one then unit := i
-         end
-       done;
-       let r = if !unit >= 0 then !unit else !first in
-       if r < 0 then begin
-         singular := true;
-         raise Exit
-       end;
-       if r <> k then begin
-         let tmp = a.(k) in
-         a.(k) <- a.(r);
-         a.(r) <- tmp;
-         let tp = perm.(k) in
-         perm.(k) <- perm.(r);
-         perm.(r) <- tp
-       end;
-       let piv = a.(k).(k) in
-       for i = k + 1 to m - 1 do
-         if not (Rat.is_zero a.(i).(k)) then begin
-           let f = Rat.div a.(i).(k) piv in
-           a.(i).(k) <- f;
-           for j = k + 1 to m - 1 do
-             if not (Rat.is_zero a.(k).(j)) then
-               a.(i).(j) <- Rat.sub a.(i).(j) (Rat.mul f a.(k).(j))
-           done
-         end
-       done
-     done
-   with Exit -> ());
-  if !singular then None else Some perm
+  let nz = Array.make m 0 in
+  let rec step k =
+    if k = m then Some perm
+    else begin
+      let first = ref (-1) and unit = ref (-1) in
+      let i = ref k in
+      while !unit < 0 && !i < m do
+        let v = a.(!i).(k) in
+        if not (Rat.is_zero v) then begin
+          if !first < 0 then first := !i;
+          if Rat.equal v Rat.one || Rat.equal v Rat.minus_one then unit := !i
+        end;
+        incr i
+      done;
+      let r = if !unit >= 0 then !unit else !first in
+      if r < 0 then None
+      else begin
+        if r <> k then begin
+          let tmp = a.(k) in
+          a.(k) <- a.(r);
+          a.(r) <- tmp;
+          let tp = perm.(k) in
+          perm.(k) <- perm.(r);
+          perm.(r) <- tp
+        end;
+        let pk = a.(k) in
+        let piv = pk.(k) in
+        let cnt = ref 0 in
+        for j = k + 1 to m - 1 do
+          if not (Rat.is_zero pk.(j)) then begin
+            nz.(!cnt) <- j;
+            incr cnt
+          end
+        done;
+        for i = k + 1 to m - 1 do
+          let ai = a.(i) in
+          if not (Rat.is_zero ai.(k)) then begin
+            let f = Rat.div ai.(k) piv in
+            ai.(k) <- f;
+            for q = 0 to !cnt - 1 do
+              let j = nz.(q) in
+              ai.(j) <- Rat.sub ai.(j) (Rat.mul f pk.(j))
+            done
+          end
+        done;
+        step (k + 1)
+      end
+    end
+  in
+  step 0
 
 (* Solve (P^-1 L U) x = b, i.e. L U x = P b. *)
 let lu_solve a perm b =
@@ -1087,15 +1158,16 @@ type block = {
 (* Factor the structural block of basis [bcols]; None when some row holds
    two unit columns or A_RC is singular, i.e. when B is singular.  An
    artificial column is +1 on its row as laid, so its template-orientation
-   entry depends on the node's [rhs]; on a row laid as [Le] it is empty. *)
+   entry depends on the node's [rhs]; on a row laid as [Le] it is empty.
+   Every unit column sits on its own row, so |R| = |C| when it returns. *)
 let factor_block p ~rhs bcols =
   let m0 = Array.length p.prows in
   let unit_pos = Array.make m0 (-1) and unit_coef = Array.make m0 Rat.zero in
-  let ok = ref (Array.length bcols = m0) and cols = ref [] in
+  let ok = ref (Array.length bcols = m0) and ncols = ref 0 in
   Array.iteri
     (fun k c ->
       if c < 0 || c >= p.pncols then ok := false
-      else if c < p.nv then cols := k :: !cols
+      else if c < p.nv then incr ncols
       else begin
         let i = if c < p.part_start then p.slack_row.(c - p.nv) else c - p.part_start in
         let pr = p.prows.(i) in
@@ -1115,9 +1187,30 @@ let factor_block p ~rhs bcols =
     bcols;
   if not !ok then None
   else begin
-    let rows = List.filter (fun i -> unit_pos.(i) < 0) (List.init m0 Fun.id) in
-    let rows = Array.of_list rows and cols = Array.of_list (List.rev !cols) in
-    let lu = Array.map (fun i -> Array.map (fun k -> p.prows.(i).coeffs.(bcols.(k))) cols) rows in
+    let rows = Array.make !ncols 0 and cols = Array.make !ncols 0 in
+    let a = ref 0 in
+    Array.iteri
+      (fun i k ->
+        if k < 0 then begin
+          rows.(!a) <- i;
+          incr a
+        end)
+      unit_pos;
+    let b = ref 0 in
+    Array.iteri
+      (fun k c ->
+        if c < p.nv then begin
+          cols.(!b) <- k;
+          incr b
+        end)
+      bcols;
+    let lu =
+      Array.map
+        (fun i ->
+          let coeffs = p.prows.(i).coeffs in
+          Array.map (fun k -> coeffs.(bcols.(k))) cols)
+        rows
+    in
     match lu_factor lu with
     | None -> None
     | Some perm -> Some { unit_pos; unit_coef; rows; cols; lu; perm }
@@ -1125,17 +1218,36 @@ let factor_block p ~rhs bcols =
 
 (* Accumulate [scale * row i] into [acc] through row i's sparse terms. *)
 let add_row p acc scale i =
-  List.iter (fun (v, a) -> acc.(v) <- Rat.add acc.(v) (Rat.mul scale a)) p.prows.(i).terms
+  let pr = p.prows.(i) in
+  for q = 0 to Array.length pr.tvars - 1 do
+    let v = pr.tvars.(q) in
+    acc.(v) <- Rat.add acc.(v) (Rat.mul scale pr.tcoefs.(q))
+  done
+
+(* [rhs.(i)] less row i's terms at [x] over the columns [keep] admits. *)
+let row_residual p ~rhs x ~keep i =
+  let pr = p.prows.(i) in
+  let acc = ref rhs.(i) in
+  for q = 0 to Array.length pr.tvars - 1 do
+    let v = pr.tvars.(q) in
+    if keep v then acc := Rat.sub !acc (Rat.mul pr.tcoefs.(q) x.(v))
+  done;
+  !acc
 
 (* The multipliers y (one per template row) with B^T y = [cost], one
    cost per basis position. *)
 let block_dual p blk bcols cost =
   let y = Array.make (Array.length p.prows) Rat.zero in
+  let paid_rows = ref false in
   Array.iteri
-    (fun i k -> if k >= 0 then y.(i) <- Rat.mul cost.(k) blk.unit_coef.(i))
+    (fun i k ->
+      if k >= 0 then begin
+        y.(i) <- Rat.mul cost.(k) blk.unit_coef.(i);
+        if not (Rat.is_zero y.(i)) then paid_rows := true
+      end)
     blk.unit_pos;
   let c_c = Array.map (fun k -> cost.(k)) blk.cols in
-  if Array.exists (fun v -> not (Rat.is_zero v)) y then begin
+  if !paid_rows then begin
     let paid = Array.make p.nv Rat.zero in
     Array.iteri (fun i yi -> if not (Rat.is_zero yi) then add_row p paid yi i) y;
     Array.iteri (fun b k -> c_c.(b) <- Rat.sub c_c.(b) paid.(bcols.(k))) blk.cols
@@ -1169,25 +1281,18 @@ let certify p ~lb ~rhs ~shifted_ub ~basis =
     match factor_block p ~rhs bcols with
     | None -> None
     | Some blk ->
-      let fixed = is_fixed shifted_ub nv in
       let is_basic = Array.make p.part_start false in
       Array.iter (fun c -> is_basic.(c) <- true) bcols;
-      let at_up j =
-        j < nv
-        && basis.bupper.(j)
-        && (not is_basic.(j))
-        && match shifted_ub.(j) with Some u -> not (Rat.is_zero u) | None -> false
+      (* Nonbasic structural columns at a non-zero upper bound. *)
+      let up =
+        Array.init nv (fun j ->
+            basis.bupper.(j)
+            && (not is_basic.(j))
+            && match shifted_ub.(j) with Some u -> not (Rat.is_zero u) | None -> false)
       in
       (* x: every structural value over x - lb, basic ones filled below. *)
-      let x = Array.init nv (fun j -> if at_up j then Option.get shifted_ub.(j) else Rat.zero) in
-      let b_r =
-        Array.map
-          (fun i ->
-            List.fold_left
-              (fun acc (v, a) -> if at_up v then Rat.sub acc (Rat.mul a x.(v)) else acc)
-              rhs.(i) p.prows.(i).terms)
-          blk.rows
-      in
+      let x = Array.init nv (fun j -> if up.(j) then Option.get shifted_ub.(j) else Rat.zero) in
+      let b_r = Array.map (row_residual p ~rhs x ~keep:(fun v -> up.(v))) blk.rows in
       let x_c = lu_solve blk.lu blk.perm b_r in
       Array.iteri (fun b k -> x.(bcols.(k)) <- x_c.(b)) blk.cols;
       let in_box b v =
@@ -1200,34 +1305,43 @@ let certify p ~lb ~rhs ~shifted_ub ~basis =
       let slack_ok i k =
         k < 0
         ||
-        let residual =
-          List.fold_left
-            (fun acc (v, a) -> if Rat.is_zero x.(v) then acc else Rat.sub acc (Rat.mul a x.(v)))
-            rhs.(i) p.prows.(i).terms
-        in
+        let residual = row_residual p ~rhs x ~keep:(fun v -> not (Rat.is_zero x.(v))) i in
         Rat.sign residual * Rat.sign blk.unit_coef.(i) >= 0
       in
-      let primal_ok = ref true in
-      Array.iteri (fun b v -> if not (in_box b v) then primal_ok := false) x_c;
-      Array.iteri (fun i k -> if not (slack_ok i k) then primal_ok := false) blk.unit_pos;
-      if not !primal_ok then None
+      let primal_ok =
+        let ok = ref true and b = ref 0 and i = ref 0 in
+        while !ok && !b < Array.length x_c do
+          ok := in_box !b x_c.(!b);
+          incr b
+        done;
+        while !ok && !i < Array.length blk.unit_pos do
+          ok := slack_ok !i blk.unit_pos.(!i);
+          incr i
+        done;
+        !ok
+      in
+      if not primal_ok then None
       else begin
         let c_b = Array.map (fun c -> if c < nv then p.cost.(c) else Rat.zero) bcols in
         let y = block_dual p blk bcols c_b in
+        let fixed = is_fixed shifted_ub nv in
         let priced j = (not is_basic.(j)) && not (fixed j) in
         let d = Array.copy p.cost in
         Array.iteri
           (fun i yi ->
-            if not (Rat.is_zero yi) then
-              List.iter
-                (fun (v, a) -> if priced v then d.(v) <- Rat.sub d.(v) (Rat.mul yi a))
-                p.prows.(i).terms)
+            if not (Rat.is_zero yi) then begin
+              let pr = p.prows.(i) in
+              for q = 0 to Array.length pr.tvars - 1 do
+                let v = pr.tvars.(q) in
+                if priced v then d.(v) <- Rat.sub d.(v) (Rat.mul yi pr.tcoefs.(q))
+              done
+            end)
           y;
         let dual_ok = ref true in
         for j = 0 to nv - 1 do
           if priced j then begin
             let s = Rat.sign d.(j) in
-            if (at_up j && s > 0) || ((not (at_up j)) && s < 0) then dual_ok := false
+            if (up.(j) && s > 0) || ((not up.(j)) && s < 0) then dual_ok := false
           end
         done;
         (* A nonbasic slack sits at 0 with reduced cost -(entry * y_i). *)
@@ -1241,8 +1355,7 @@ let certify p ~lb ~rhs ~shifted_ub ~basis =
         if not !dual_ok then None
         else begin
           let values = Array.mapi (fun v xv -> Rat.add lb.(v) xv) x in
-          let objective = Linear.eval (snd (Model.objective p.model)) (fun v -> values.(v)) in
-          Some { objective; values; pivots = 0 }
+          Some { objective = objective_value p values; values; pivots = 0 }
         end
       end
 

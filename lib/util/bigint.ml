@@ -265,18 +265,6 @@ let to_int_exn x =
   | Some v -> v
   | None -> failwith "Bigint.to_int_exn: out of native int range"
 
-let to_small x =
-  (* The 2^30 cap is what makes the caller's fast paths overflow-safe:
-     products of two smalls stay below 2^60 and a sum of two such
-     products below 2^61, inside the 63-bit native range. *)
-  match Array.length x.mag with
-  | 0 -> Some 0
-  | 1 -> Some (if x.sign < 0 then -x.mag.(0) else x.mag.(0))
-  | 2 ->
-    let v = x.mag.(0) lor (x.mag.(1) lsl base_bits) in
-    if v < 1 lsl 30 then Some (if x.sign < 0 then -v else v) else None
-  | _ -> None
-
 let to_float x =
   let m = Array.fold_right (fun d acc -> (acc *. float_of_int base) +. float_of_int d) x.mag 0.0 in
   if x.sign < 0 then -.m else m

@@ -20,11 +20,6 @@ val to_int_opt : t -> int option
 val to_int_exn : t -> int
 (** @raise Failure when the value does not fit in a native [int]. *)
 
-val to_small : t -> int option
-(** [Some n] when [|x| < 2^30] — small enough that two such values can
-    be multiplied, and two such products added, without overflowing a
-    native [int].  The guard behind {!Rat}'s native fast paths. *)
-
 val to_float : t -> float
 
 val sign : t -> int

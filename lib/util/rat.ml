@@ -1,98 +1,146 @@
-(* Canonical rationals: den > 0, gcd (num, den) = 1. *)
+(* Canonical rationals: den > 0, gcd (num, den) = 1.
+
+   Two representations, one per value.  [S] holds the value in native
+   ints and is used exactly when |num| < 2^30 and den < 2^30; [L] holds
+   every other value in {!Bigint}s.  Floorplanning data is overwhelmingly
+   small integers (binary bounds, single-digit coefficients), so nearly
+   every value is an [S]: one block, and arithmetic whose cross-products
+   stay below 2^60 (a sum of two below 2^61), inside the 63-bit native
+   range.  Because the choice is a function of the value and the fraction
+   is reduced, equal values have equal representations, and structural
+   equality remains value equality. *)
 
 module B = Bigint
 
-type t = { n : B.t; d : B.t }
+type t = S of { n : int; d : int } | L of { n : B.t; d : B.t }
 
-(* Native fast path: floorplanning data is overwhelmingly small integers
-   (binary bounds, single-digit coefficients), and for those the generic
-   route — three array multiplications plus an array-based gcd per
-   operation — dominates the exact solver's profile.  When both operands
-   fit under [Bigint.to_small]'s 2^30 cap the cross-products stay inside
-   the native 63-bit range, so the arithmetic and the gcd run on ints and
-   only the canonical result is re-boxed. *)
+let lim = 1 lsl 30
+let fits_small n d = n > -lim && n < lim && d < lim
+
 let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+let icmp (a : int) b = if a < b then -1 else if a > b then 1 else 0
 
-let make_small num den =
+(* Canonical form of a reduced fraction with [d > 0], in native ints. *)
+let of_reduced n d = if fits_small n d then S { n; d } else L { n = B.of_int n; d = B.of_int d }
+
+(* Normalize a native-int fraction whose magnitudes stay below 2^62 (so
+   negation cannot overflow). *)
+let norm_int num den =
   if den = 0 then raise Division_by_zero;
-  if num = 0 then { n = B.zero; d = B.one }
+  if num = 0 then S { n = 0; d = 1 }
   else begin
     let num, den = if den < 0 then (-num, -den) else (num, den) in
     let g = gcd_int (Stdlib.abs num) den in
-    { n = B.of_int (num / g); d = B.of_int (den / g) }
+    of_reduced (num / g) (den / g)
   end
+
+(* Canonical form of a reduced bigint fraction with a positive
+   denominator. *)
+let of_big n d =
+  match (B.to_int_opt n, B.to_int_opt d) with
+  | Some n, Some d when fits_small n d -> S { n; d }
+  | _ -> L { n; d }
 
 let make num den =
   if B.is_zero den then raise Division_by_zero;
-  if B.is_zero num then { n = B.zero; d = B.one }
+  if B.is_zero num then S { n = 0; d = 1 }
   else begin
     let num, den = if B.sign den < 0 then (B.neg num, B.neg den) else (num, den) in
     let g = B.gcd num den in
-    if B.equal g B.one then { n = num; d = den }
-    else { n = B.div num g; d = B.div den g }
+    if B.equal g B.one then of_big num den else of_big (B.div num g) (B.div den g)
   end
 
-let zero = { n = B.zero; d = B.one }
-let one = { n = B.one; d = B.one }
-let minus_one = { n = B.minus_one; d = B.one }
+let zero = S { n = 0; d = 1 }
+let one = S { n = 1; d = 1 }
+let minus_one = S { n = -1; d = 1 }
 
-let of_int i = { n = B.of_int i; d = B.one }
-let of_ints num den = make (B.of_int num) (B.of_int den)
-let of_bigint b = { n = b; d = B.one }
+let of_int i = if i > -lim && i < lim then S { n = i; d = 1 } else L { n = B.of_int i; d = B.one }
 
-let num x = x.n
-let den x = x.d
+let of_ints num den =
+  if num = min_int || den = min_int then make (B.of_int num) (B.of_int den) else norm_int num den
 
-let sign x = B.sign x.n
-let is_zero x = B.is_zero x.n
-let is_integer x = B.equal x.d B.one
+let of_bigint b = of_big b B.one
 
-let equal a b = B.equal a.n b.n && B.equal a.d b.d
+let num = function S { n; _ } -> B.of_int n | L { n; _ } -> n
+let den = function S { d; _ } -> B.of_int d | L { d; _ } -> d
+
+(* Both parts as bigints: the route of every operation with an [L]
+   operand. *)
+let big = function S { n; d } -> (B.of_int n, B.of_int d) | L { n; d } -> (n, d)
+
+let sign = function S { n; _ } -> icmp n 0 | L { n; _ } -> B.sign n
+let is_zero = function S { n; _ } -> n = 0 | L _ -> false
+let is_integer = function S { d; _ } -> d = 1 | L { d; _ } -> B.equal d B.one
+
+let equal a b =
+  match (a, b) with
+  | S a, S b -> a.n = b.n && a.d = b.d
+  | L a, L b -> B.equal a.n b.n && B.equal a.d b.d
+  | _ -> false
 
 let compare a b =
   (* a.n/a.d ? b.n/b.d  <=>  a.n*b.d ? b.n*a.d (denominators positive). *)
-  match (B.to_small a.n, B.to_small a.d, B.to_small b.n, B.to_small b.d) with
-  | Some an, Some ad, Some bn, Some bd -> Stdlib.compare (an * bd) (bn * ad)
-  | _ -> B.compare (B.mul a.n b.d) (B.mul b.n a.d)
+  match (a, b) with
+  | S a, S b -> if a.d = 1 && b.d = 1 then icmp a.n b.n else icmp (a.n * b.d) (b.n * a.d)
+  | _ ->
+    let an, ad = big a and bn, bd = big b in
+    B.compare (B.mul an bd) (B.mul bn ad)
 
-let neg x = { x with n = B.neg x.n }
-let abs x = { x with n = B.abs x.n }
+let neg = function S { n; d } -> S { n = -n; d } | L { n; d } -> L { n = B.neg n; d }
+let abs x = if sign x < 0 then neg x else x
 
-let inv x =
-  if is_zero x then raise Division_by_zero;
-  if B.sign x.n < 0 then { n = B.neg x.d; d = B.neg x.n } else { n = x.d; d = x.n }
+let inv = function
+  | S { n = 0; _ } -> raise Division_by_zero
+  | S { n; d } -> if n < 0 then S { n = -d; d = -n } else S { n = d; d = n }
+  | L { n; d } -> if B.sign n < 0 then L { n = B.neg d; d = B.neg n } else L { n = d; d = n }
 
 let add a b =
-  if is_zero a then b
-  else if is_zero b then a
-  else
-    match (B.to_small a.n, B.to_small a.d, B.to_small b.n, B.to_small b.d) with
-    | Some an, Some ad, Some bn, Some bd -> make_small ((an * bd) + (bn * ad)) (ad * bd)
-    | _ -> make (B.add (B.mul a.n b.d) (B.mul b.n a.d)) (B.mul a.d b.d)
+  match (a, b) with
+  | S { n = 0; _ }, _ -> b
+  | _, S { n = 0; _ } -> a
+  | S { n = an; d = 1 }, S { n = bn; d = 1 } -> of_reduced (an + bn) 1
+  | S a, S b -> norm_int ((a.n * b.d) + (b.n * a.d)) (a.d * b.d)
+  | _ ->
+    let an, ad = big a and bn, bd = big b in
+    make (B.add (B.mul an bd) (B.mul bn ad)) (B.mul ad bd)
 
 let sub a b = add a (neg b)
 
 let mul a b =
-  if is_zero a || is_zero b then zero
-  else
-    match (B.to_small a.n, B.to_small a.d, B.to_small b.n, B.to_small b.d) with
-    | Some an, Some ad, Some bn, Some bd -> make_small (an * bn) (ad * bd)
-    | _ -> make (B.mul a.n b.n) (B.mul a.d b.d)
+  match (a, b) with
+  | S { n = 0; _ }, _ | _, S { n = 0; _ } -> zero
+  | S { n = an; d = 1 }, S { n = bn; d = 1 } -> of_reduced (an * bn) 1
+  | S a, S b -> norm_int (a.n * b.n) (a.d * b.d)
+  | _ ->
+    let an, ad = big a and bn, bd = big b in
+    make (B.mul an bn) (B.mul ad bd)
 
 let div a b = mul a (inv b)
 
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
-let floor x =
-  let q, r = B.divmod x.n x.d in
-  if B.sign r < 0 then B.sub q B.one else q
+(* Floor division of native ints, [d > 0]. *)
+let floor_int n d = if n >= 0 then n / d else -((d - 1 - n) / d)
+
+let floor = function
+  | S { n; d } -> B.of_int (floor_int n d)
+  | L { n; d } ->
+    let q, r = B.divmod n d in
+    if B.sign r < 0 then B.sub q B.one else q
 
 let ceil x = B.neg (floor (neg x))
 
-let fractional x = sub x (of_bigint (floor x))
+let fractional = function
+  | S { d = 1; _ } -> zero
+  (* n - floor(n/d)*d shares its gcd with d, so the result is reduced. *)
+  | S { n; d } -> S { n = n - (floor_int n d * d); d }
+  | x -> sub x (of_bigint (floor x))
 
-let to_float x = B.to_float x.n /. B.to_float x.d
+(* Exact ints convert exactly, so this rounds as the bigint route does. *)
+let to_float = function
+  | S { n; d } -> float_of_int n /. float_of_int d
+  | L { n; d } -> B.to_float n /. B.to_float d
 
 let of_float_approx ?(max_den = 1_000_000) f =
   if Float.is_nan f || Float.is_integer f then of_int (int_of_float f)
@@ -120,14 +168,15 @@ let ( - ) = sub
 let ( * ) = mul
 let ( / ) = div
 let ( ~- ) = neg
-let ( < ) a b = Stdlib.(compare a b < 0)
-let ( <= ) a b = Stdlib.(compare a b <= 0)
-let ( > ) a b = Stdlib.(compare a b > 0)
-let ( >= ) a b = Stdlib.(compare a b >= 0)
+let ( < ) a b = compare a b < 0
+let ( <= ) a b = compare a b <= 0
+let ( > ) a b = compare a b > 0
+let ( >= ) a b = compare a b >= 0
 let ( = ) = equal
 
-let to_string x =
-  if is_integer x then B.to_string x.n
-  else Printf.sprintf "%s/%s" (B.to_string x.n) (B.to_string x.d)
+let to_string = function
+  | S { n; d = 1 } -> string_of_int n
+  | S { n; d } -> Printf.sprintf "%d/%d" n d
+  | L { n; d } -> if B.equal d B.one then B.to_string n else Printf.sprintf "%s/%s" (B.to_string n) (B.to_string d)
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)
