@@ -27,7 +27,13 @@
    4. Annealer work (count): a step of [Partition.anneal] on a fixed
       40-item, 4-part instance must allocate fewer than 8 minor words;
       scoring a move reads the flat index and builds no resource
-      vector. *)
+      vector.
+
+   5. Node LP work (count): an exact solve of a fixed 20-item two-way
+      split must allocate fewer than 36,000 minor words per LP solve.
+      Small rationals live unboxed in one block and float pivots touch
+      only the pivot row's non-zero columns; with the boxed rationals
+      the same search allocates about 52,000. *)
 
 open Tapa_cs_util
 open Tapa_cs_device
@@ -127,6 +133,55 @@ let check_anneal_words () =
   Printf.printf "  annealer: %.2f words a step over %d steps (bound %.0f)\n" per_step iters
     anneal_words_bound
 
+let lp_words_bound = 36_000.0
+
+(* A split shaped like an intra-FPGA bisection: a chain of 20 tasks of
+   three kinds with skip links, HBM pulls on both ends and an I/O pull
+   in the middle, and parts 2 % above an even share.  Its root LP bound
+   is below every feasible cost, so the search branches for hundreds of
+   nodes. *)
+let check_lp_words () =
+  let rng = Prng.create 1 in
+  let n = 20 in
+  let kinds =
+    [|
+      Resource.make ~lut:4_000 ~ff:6_000 ~bram:4 ();
+      Resource.make ~lut:9_000 ~ff:12_000 ~dsp:24 ();
+      Resource.make ~lut:3_000 ~ff:5_000 ~bram:8 ();
+    |]
+  in
+  let areas = Array.init n (fun i -> if i = 0 || i = n - 1 then kinds.(0) else kinds.(1 + Prng.int rng 2)) in
+  let half = Resource.scale (1.02 /. 2.0) (Resource.sum (Array.to_list areas)) in
+  let p =
+    {
+      Partition.areas;
+      edges =
+        List.init (n - 1) (fun i -> (i, i + 1, 512.0))
+        @ List.init (n - 3) (fun i -> (i, i + 3, float_of_int (64 * (1 + Prng.int rng 4))));
+      pulls = [ (0, 0, 512.0); (n - 1, 0, 512.0); (n / 2, 1, 256.0) ];
+      k = 2;
+      capacities = [| half; half |];
+      dist = (fun a b -> abs (a - b));
+      fixed = [];
+    }
+  in
+  Partition.reset_cache ();
+  let w0 = Gc.minor_words () in
+  let r = Sys.opaque_identity (Partition.solve ~strategy:Partition.Exact p) in
+  let words = Gc.minor_words () -. w0 in
+  let c =
+    match r with
+    | Some r -> r.Partition.stats.Partition.counters
+    | None -> Gate.fail "the 20-item split found no feasible assignment"
+  in
+  let solves = c.Ilp.Counters.lp_solves in
+  if solves < 100 then Gate.fail "the 20-item split ran only %d LP solves" solves;
+  let per_lp = words /. float_of_int solves in
+  if per_lp >= lp_words_bound then
+    Gate.fail "node LPs allocate %.0f words each (bound %.0f)" per_lp lp_words_bound;
+  Printf.printf "  node LPs: %.0f words each over %d LP solves, %d nodes (bound %.0f)\n" per_lp
+    solves c.Ilp.Counters.bb_nodes lp_words_bound
+
 let run () =
   Exp_common.section "ILP gate: hierarchical floorplan determinism + scale (CI)";
   let solve ~label (problem, groups) pool =
@@ -170,4 +225,5 @@ let run () =
     cq.Ilp.Counters.races_exact cq.Ilp.Counters.races_anneal q1.Partition.cost;
   check_capacity_proof ();
   check_anneal_words ();
+  check_lp_words ();
   Printf.printf "  PASS determinism, %.0fs ceiling\n" wall_clock_ceiling_s

@@ -235,19 +235,23 @@ let make_fault_plan ~k ~seed ~loss_rate ~fail_fpgas ~fail_links =
       (Tapa_cs_analysis.Diagnostic.render
          [ Tapa_cs_analysis.Lint.fault_spec_error ~flag ~spec ~reason ])
   in
-  let outside d = d < 0 || d >= k in
-  let out_of_range = Printf.sprintf "device index outside the %d-device cluster (0..%d)" k (k - 1) in
+  let in_cluster = Tapa_cs_network.Fault.check_devices ~size:k in
   let rec links acc = function
     | [] -> Ok (List.rev acc)
     | s :: rest -> (
       match Tapa_cs_network.Fault.parse_link_spec s with
       | Error reason -> reject "--fail-link" s reason
-      | Ok (a, b) when outside a || outside b -> reject "--fail-link" s out_of_range
-      | Ok l -> links (l :: acc) rest)
+      | Ok (a, b) -> (
+        match in_cluster [ a; b ] with
+        | Error reason -> reject "--fail-link" s reason
+        | Ok () -> links ((a, b) :: acc) rest))
   in
-  match (links [] fail_links, List.find_opt outside fail_fpgas) with
+  let bad_fpga =
+    List.find_map (fun d -> Result.fold ~ok:(fun () -> None) ~error:(fun r -> Some (d, r)) (in_cluster [ d ])) fail_fpgas
+  in
+  match (links [] fail_links, bad_fpga) with
   | Error e, _ -> Error e
-  | Ok _, Some d -> reject "--fail-fpga" (string_of_int d) out_of_range
+  | Ok _, Some (d, reason) -> reject "--fail-fpga" (string_of_int d) reason
   | Ok _, None when not (loss_rate >= 0.0 && loss_rate < 1.0) ->
     reject "--loss-rate" (Printf.sprintf "%g" loss_rate) "not a loss probability in [0, 1)"
   | Ok failed_links, None ->
@@ -872,7 +876,8 @@ let farm_cmd =
     let doc =
       "Fault/recovery timeline file: one event per line ('<t> device-down|device-up <i>', \
        '<t> link-down|link-up <A:B>', '<t> loss <rate>'); blank lines and # comments \
-       ignored.  Malformed lines are reported as TCS308 diagnostics."
+       ignored.  Malformed lines and device indices outside the farm's --boards are reported as \
+       TCS308 diagnostics."
     in
     Arg.(value & opt (some string) None & info [ "timeline" ] ~doc ~docv:"FILE")
   in
@@ -884,7 +889,8 @@ let farm_cmd =
     let doc = "Write the machine-readable stats timeline to this file ('-' = stdout)." in
     Arg.(value & opt (some string) None & info [ "stats-json" ] ~doc ~docv:"FILE")
   in
-  let parse_timeline ~file ~events =
+  (* Every line parsed, then checked against the [boards]-device farm. *)
+  let parse_timeline ~boards ~file ~events =
     let reject flag spec reason =
       Error
         (Tapa_cs_analysis.Diagnostic.render
@@ -904,7 +910,11 @@ let farm_cmd =
         let t = String.trim line in
         if t = "" || t.[0] = '#' then go acc rest
         else begin
-          match Tapa_cs_network.Fault.parse_timeline_entry t with
+          let module F = Tapa_cs_network.Fault in
+          match
+            Result.bind (F.parse_timeline_entry t) (fun (at_s, e) ->
+                Result.map (fun () -> (at_s, e)) (F.check_devices ~size:boards (F.event_devices e)))
+          with
           | Ok e -> go (e :: acc) rest
           | Error reason -> reject flag line reason
         end
@@ -914,7 +924,7 @@ let farm_cmd =
   let run boards boards_per_node mix tenants topology threshold seed horizon mean_gap
       strict_every max_retries backoff timeline_file events stats_json_file jobs =
     checked
-      (Result.bind (parse_timeline ~file:timeline_file ~events) (fun entries ->
+      (Result.bind (parse_timeline ~boards ~file:timeline_file ~events) (fun entries ->
            Result.map
              (fun write -> (entries, write))
              (stats_json_writer ~what:"stats timeline" stats_json_file)))

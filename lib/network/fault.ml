@@ -232,6 +232,15 @@ type fleet_event =
   | Link_up of (int * int)
   | Loss_rate of float
 
+let event_devices = function
+  | Device_down d | Device_up d -> [ d ]
+  | Link_down (a, b) | Link_up (a, b) -> [ a; b ]
+  | Loss_rate _ -> []
+
+let check_devices ~size devices =
+  if List.for_all (fun d -> d >= 0 && d < size) devices then Ok ()
+  else Error (Printf.sprintf "device index outside the %d-device cluster (0..%d)" size (size - 1))
+
 type timeline_entry = { at_s : float; event : fleet_event }
 type timeline = timeline_entry list
 

@@ -163,6 +163,16 @@ type fleet_event =
       (** ambient per-packet loss on every inter-FPGA link from this
           instant on; [0] ends the episode *)
 
+val event_devices : fleet_event -> int list
+(** The device indices an event names: a device, a link's two
+    endpoints, none for a loss episode. *)
+
+val check_devices : size:int -> int list -> (unit, string) Stdlib.result
+(** [Ok ()] when every index lies in a [size]-device cluster, [0 .. size
+    - 1]; else [Error] with the TCS308 reason ("device index outside the
+    N-device cluster (0..N-1)").  The one range check behind the
+    [--fail-fpga]/[--fail-link] flags and the farm's timeline events. *)
+
 type timeline_entry = { at_s : float; event : fleet_event }
 
 type timeline = timeline_entry list

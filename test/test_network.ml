@@ -341,6 +341,27 @@ let test_fault_spec_parsing () =
   check bool "negative time rejected" true
     (Result.is_error (Fault.parse_timeline_entry "-5 loss 0.1"))
 
+(* A farm timeline event parses whatever its device indices; the farm
+   then checks them against its board count, as the --fail-fpga and
+   --fail-link flags are checked against the cluster.  "5 device-down
+   99" and "6 link-down 0:77" on 4 boards were once counted as faults
+   and the replay exited 0. *)
+let test_fault_devices_in_cluster () =
+  let in_farm line =
+    Result.bind (Fault.parse_timeline_entry line) (fun (_, e) ->
+        Fault.check_devices ~size:4 (Fault.event_devices e))
+  in
+  let outside = Error "device index outside the 4-device cluster (0..3)" in
+  check bool "device 99 outside 4 boards" true (in_farm "5 device-down 99" = outside);
+  check bool "link endpoint 77 outside 4 boards" true (in_farm "6 link-down 0:77" = outside);
+  check bool "link 2:4 endpoint 4 outside" true (in_farm "6 link-up 2:4" = outside);
+  check bool "device 3 inside" true (in_farm "5 device-up 3" = Ok ());
+  check bool "link 0:3 inside" true (in_farm "6 link-down 0:3" = Ok ());
+  check bool "loss names no device" true (in_farm "7 loss 0.01" = Ok ());
+  check bool "a --fail-fpga index is checked the same way" true
+    (Fault.check_devices ~size:2 [ 7 ] = Error "device index outside the 2-device cluster (0..1)");
+  check bool "negative index outside" true (Result.is_error (Fault.check_devices ~size:2 [ -1 ]))
+
 (* qcheck property: the faulty expected time dominates the ideal time and
    equals it at loss rate 0 (satellite). *)
 let prop_faulty_dominates =
@@ -385,5 +406,7 @@ let () =
         [
           Alcotest.test_case "fleet timeline" `Quick test_fleet_timeline;
           Alcotest.test_case "fault-spec parsing" `Quick test_fault_spec_parsing;
+          Alcotest.test_case "timeline devices checked against the farm" `Quick
+            test_fault_devices_in_cluster;
         ] );
     ]
