@@ -224,7 +224,7 @@ let run_sim ~(faults : Network.Fault.plan) cfg =
         in
         let credit = if comp_of.(f.src) = comp_of.(f.dst) then chunk_bytes f else 0.0 in
         let cap = Float.max base_cap (2.0 *. credit) in
-        let mk () = Engine.Channel.create eng ~capacity:cap in
+        let mk () = Engine.Channel.create ~capacity:cap in
         if same_fpga then begin
           let ch = mk () in
           if credit > 0.0 then Engine.Channel.push ch credit;

@@ -156,10 +156,7 @@ let run ?until t =
   { end_time = t.enow; events = t.events; deadlocked = List.sort_uniq String.compare deadlocked }
 
 module Channel = struct
-  type engine = t
-
   type t = {
-    eng : engine;
     capacity : float;
     mutable clevel : float;
     mutable pushers : (unit -> unit) list;
@@ -168,9 +165,9 @@ module Channel = struct
     mutable pulled : float;
   }
 
-  let create eng ~capacity =
+  let create ~capacity =
     if capacity <= 0.0 then invalid_arg "Channel.create: capacity must be positive";
-    { eng; capacity; clevel = 0.0; pushers = []; pullers = []; pushed = 0.0; pulled = 0.0 }
+    { capacity; clevel = 0.0; pushers = []; pullers = []; pushed = 0.0; pulled = 0.0 }
 
   let wake_pullers ch =
     match ch.pullers with

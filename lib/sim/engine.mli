@@ -49,10 +49,9 @@ val time : unit -> float
 
 (** Bounded byte-counting FIFO channels. *)
 module Channel : sig
-  type engine := t
   type t
 
-  val create : engine -> capacity:float -> t
+  val create : capacity:float -> t
   (** [capacity] in bytes; must be positive. *)
 
   val push : t -> float -> unit

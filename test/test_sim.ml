@@ -49,7 +49,7 @@ let test_negative_wait_rejected () =
 
 let test_channel_backpressure () =
   let e = Engine.create () in
-  let ch = Engine.Channel.create e ~capacity:10.0 in
+  let ch = Engine.Channel.create ~capacity:10.0 in
   let produced_at = ref [] in
   Engine.spawn e ~name:"producer" (fun () ->
       for _ = 1 to 3 do
@@ -69,7 +69,7 @@ let test_channel_backpressure () =
 
 let test_channel_oversized_message_streams () =
   let e = Engine.create () in
-  let ch = Engine.Channel.create e ~capacity:4.0 in
+  let ch = Engine.Channel.create ~capacity:4.0 in
   Engine.spawn e ~name:"p" (fun () -> Engine.Channel.push ch 20.0);
   Engine.spawn e ~name:"c" (fun () -> Engine.Channel.pull ch 20.0);
   let r = Engine.run e in
@@ -80,7 +80,7 @@ let test_channel_no_float_wedge () =
   (* Regression: repeated large chunk cycles must not wedge on rounding. *)
   let e = Engine.create () in
   let chunk = 18.03e6 +. 0.125 in
-  let ch = Engine.Channel.create e ~capacity:chunk in
+  let ch = Engine.Channel.create ~capacity:chunk in
   Engine.spawn e ~name:"p" (fun () ->
       for _ = 1 to 64 do
         Engine.Channel.push ch chunk
@@ -94,8 +94,8 @@ let test_channel_no_float_wedge () =
 
 let test_deadlock_detection () =
   let e = Engine.create () in
-  let a = Engine.Channel.create e ~capacity:1.0 in
-  let b = Engine.Channel.create e ~capacity:1.0 in
+  let a = Engine.Channel.create ~capacity:1.0 in
+  let b = Engine.Channel.create ~capacity:1.0 in
   Engine.spawn e ~name:"p1" (fun () ->
       Engine.Channel.pull a 1.0;
       Engine.Channel.push b 1.0);
@@ -136,7 +136,7 @@ let test_server_per_packet_overhead () =
 let test_determinism () =
   let run () =
     let e = Engine.create () in
-    let ch = Engine.Channel.create e ~capacity:7.0 in
+    let ch = Engine.Channel.create ~capacity:7.0 in
     let trace = ref [] in
     for i = 0 to 4 do
       Engine.spawn e ~name:(Printf.sprintf "p%d" i) (fun () ->
@@ -365,7 +365,7 @@ let test_channel_capacity_invariant () =
      observable instant may the level leave [0, capacity]. *)
   let e = Engine.create () in
   let cap = 4.0 in
-  let ch = Engine.Channel.create e ~capacity:cap in
+  let ch = Engine.Channel.create ~capacity:cap in
   let ok = ref true in
   let sample () =
     let lvl = Engine.Channel.level ch in
