@@ -176,6 +176,102 @@ let prop_rat_compare_antisym =
   QCheck.Test.make ~name:"rat compare antisymmetric" ~count:300 (QCheck.pair arb_rat arb_rat)
     (fun (a, b) -> R.compare a b = -R.compare b a)
 
+(* Every operation against a definitional oracle on Bigint pairs, with
+   operands drawn around the boundaries of the native representation:
+   |n| and d near 2^30 (where values leave the unboxed form), 2^31, 2^61
+   and 2^62 (where native products would overflow), and multi-digit
+   bigints.  Beyond the value, each result must be canonical: equal
+   values have one representation, so [make], [of_int] and [of_bigint]
+   of the same value agree structurally. *)
+
+let oracle_norm (n, d) =
+  if B.is_zero d then raise Division_by_zero;
+  let n, d = if B.sign d < 0 then (B.neg n, B.neg d) else (n, d) in
+  if B.is_zero n then (B.zero, B.one)
+  else
+    let g = B.gcd n d in
+    (B.div n g, B.div d g)
+
+let gen_boundary_bigint =
+  let open QCheck.Gen in
+  let p2 k = B.pow (B.of_int 2) k in
+  let near k = map (fun o -> B.add (p2 k) (B.of_int o)) (int_range (-2) 2) in
+  let base =
+    frequency
+      [
+        (3, map B.of_int (int_range (-5) 5));
+        (2, map B.of_int (int_range (-100_000) 100_000));
+        (4, near 30);
+        (2, near 31);
+        (2, near 61);
+        (2, near 62);
+        (2, map B.of_string (string_size ~gen:numeral (int_range 12 40)));
+      ]
+  in
+  map2 (fun neg b -> if neg then B.neg b else b) bool base
+
+let arb_boundary_pair =
+  let gen =
+    QCheck.Gen.(
+      pair gen_boundary_bigint gen_boundary_bigint
+      |> map (fun (n, d) -> (n, if B.is_zero d then B.one else d)))
+  in
+  QCheck.make gen ~print:(fun (n, d) -> B.to_string n ^ "/" ^ B.to_string d)
+
+let prop_rat_matches_oracle =
+  QCheck.Test.make ~name:"rat matches a bigint oracle across the small/large boundary" ~count:2000
+    (QCheck.pair arb_boundary_pair arb_boundary_pair) (fun ((na, da), (nb, db)) ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (* [r] has the oracle's value [(n, d)] and its one representation. *)
+      let agrees what r (n, d) =
+        if not (B.equal (R.num r) n && B.equal (R.den r) d) then
+          fail "%s: got %s, want %s/%s" what (R.to_string r) (B.to_string n) (B.to_string d);
+        if R.make n d <> r || R.of_bigint n <> R.make n B.one then
+          fail "%s: %s has two representations" what (R.to_string r);
+        (match B.to_int_opt n with
+        | Some i when B.equal d B.one && R.of_int i <> r -> fail "%s: of_int %d differs" what i
+        | _ -> ());
+        match (B.to_int_opt n, B.to_int_opt d) with
+        | Some i, Some j when R.of_ints i j <> r -> fail "%s: of_ints %d %d differs" what i j
+        | _ -> ()
+      in
+      let raises f = match f () with _ -> false | exception Division_by_zero -> true in
+      let a = oracle_norm (na, da) and b = oracle_norm (nb, db) in
+      let ra = R.make na da and rb = R.make nb db in
+      agrees "make a" ra a;
+      agrees "make b" rb b;
+      let (an, ad), (bn, bd) = (a, b) in
+      agrees "add" (R.add ra rb) (oracle_norm (B.add (B.mul an bd) (B.mul bn ad), B.mul ad bd));
+      agrees "sub" (R.sub ra rb) (oracle_norm (B.sub (B.mul an bd) (B.mul bn ad), B.mul ad bd));
+      agrees "mul" (R.mul ra rb) (oracle_norm (B.mul an bn, B.mul ad bd));
+      agrees "neg" (R.neg ra) (B.neg an, ad);
+      agrees "abs" (R.abs ra) (B.abs an, ad);
+      if B.is_zero bn then begin
+        if not (raises (fun () -> R.div ra rb) && raises (fun () -> R.inv rb)) then
+          fail "division by zero did not raise"
+      end
+      else begin
+        agrees "div" (R.div ra rb) (oracle_norm (B.mul an bd, B.mul ad bn));
+        agrees "inv" (R.inv rb) (oracle_norm (bd, bn))
+      end;
+      let c = B.compare (B.mul an bd) (B.mul bn ad) in
+      let ops = [ (R.( < ), c < 0); (R.( <= ), c <= 0); (R.( > ), c > 0); (R.( >= ), c >= 0); (R.( = ), c = 0) ] in
+      if R.compare ra rb <> c || R.equal ra rb <> (c = 0) || List.exists (fun (op, want) -> op ra rb <> want) ops
+      then fail "compare %s %s: want %d" (R.to_string ra) (R.to_string rb) c;
+      if R.sign ra <> B.sign an || R.is_zero ra <> B.is_zero an || R.is_integer ra <> B.equal ad B.one
+      then fail "sign of %s" (R.to_string ra);
+      (* floor: the q with q*d <= n < (q+1)*d; ceil: (q-1)*d < n <= q*d. *)
+      let f = R.floor ra and cl = R.ceil ra in
+      if not (B.compare (B.mul f ad) an <= 0 && B.compare an (B.mul (B.add f B.one) ad) < 0) then
+        fail "floor %s = %s" (R.to_string ra) (B.to_string f);
+      if not (B.compare (B.mul (B.sub cl B.one) ad) an < 0 && B.compare an (B.mul cl ad) <= 0) then
+        fail "ceil %s = %s" (R.to_string ra) (B.to_string cl);
+      agrees "fractional" (R.fractional ra) (oracle_norm (B.sub an (B.mul f ad), ad));
+      if R.to_float ra <> B.to_float an /. B.to_float ad then fail "to_float %s" (R.to_string ra);
+      let s = if B.equal ad B.one then B.to_string an else B.to_string an ^ "/" ^ B.to_string ad in
+      if R.to_string ra <> s then fail "to_string: got %s, want %s" (R.to_string ra) s;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -676,7 +772,7 @@ let test_memo_concurrent () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_add_matches_int; prop_mul_matches_int; prop_divmod_identity; prop_compare_total_order;
-    prop_rat_field_laws; prop_rat_compare_antisym; prop_rat_floor_bound;
+    prop_rat_field_laws; prop_rat_compare_antisym; prop_rat_floor_bound; prop_rat_matches_oracle;
     prop_fourheap_matches_model; prop_json_roundtrip ]
 
 let () =
