@@ -80,8 +80,9 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~incumbent ~template ~root ~c
     if c <> 0 then c else Stdlib.compare a.seq b.seq
   in
   let binaries =
-    List.filter (fun j -> Model.var_kind model j = Model.Binary) (List.init nv (fun j -> j))
+    Array.of_list (List.filter (fun j -> Model.var_kind model j = Model.Binary) (List.init nv Fun.id))
   in
+  let half = Rat.of_ints 1 2 in
   let best : solution option ref =
     ref
       (match incumbent with
@@ -146,11 +147,11 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~incumbent ~template ~root ~c
   let pick_branch_var values =
     (* Most fractional binary: fractional part closest to 1/2. *)
     let best_v = ref (-1) and best_score = ref Rat.one in
-    List.iter
+    Array.iter
       (fun j ->
         let f = Rat.fractional values.(j) in
         if not (Rat.is_zero f) then begin
-          let score = Rat.abs (Rat.sub f (Rat.of_ints 1 2)) in
+          let score = Rat.abs (Rat.sub f half) in
           if !best_v < 0 || Rat.compare score !best_score < 0 then begin
             best_v := j;
             best_score := score
@@ -178,7 +179,7 @@ let solve_core ~max_nodes ~max_pivots ~stall_nodes ~incumbent ~template ~root ~c
               (node.depth + 1, lp.objective, lbs, ubs, basis)
             in
             (* Explore the branch suggested by the LP value first. *)
-            let primary = if Rat.compare (Rat.fractional lp.values.(v)) (Rat.of_ints 1 2) >= 0 then 1 else 0 in
+            let primary = if Rat.compare (Rat.fractional lp.values.(v)) half >= 0 then 1 else 0 in
             let push (depth, bound, lbs, ubs, warm) = push_node ~bound ~depth ~lbs ~ubs ~warm in
             push (child primary);
             push (child (1 - primary))

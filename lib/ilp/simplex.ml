@@ -35,7 +35,6 @@ type prow = {
 }
 
 type prepared = {
-  model : Model.t;
   nv : int;
   prows : prow array;
   slack_row : int array; (* the row of slack column [nv + k], at index k *)
@@ -100,7 +99,6 @@ let prepare model =
     (fun (v, k) -> cost.(v) <- (match sense with Model.Minimize -> k | Model.Maximize -> Rat.neg k))
     oterms;
   {
-    model;
     nv;
     prows;
     slack_row;
