@@ -44,9 +44,8 @@ type prepared = {
   base_ub : Rat.t option array;
   cost : Rat.t array; (* the objective as minimized, one entry per variable *)
   fcost : float array; (* [cost] in doubles, for the float tableau *)
-  ovars : int array; (* the model's objective: its non-zero terms, *)
-  ocoefs : Rat.t array; (* unnegated, *)
-  oconst : Rat.t; (* and its constant *)
+  maximize : bool; (* [cost] is the model's objective negated *)
+  obj_const : Rat.t; (* the objective's constant *)
 }
 
 let prepare model =
@@ -93,11 +92,10 @@ let prepare model =
       constrs
   in
   let sense, obj_expr = Model.objective model in
-  let oterms = Array.of_list (Linear.terms obj_expr) in
   let cost = Array.make nv Rat.zero in
-  Array.iter
+  List.iter
     (fun (v, k) -> cost.(v) <- (match sense with Model.Minimize -> k | Model.Maximize -> Rat.neg k))
-    oterms;
+    (Linear.terms obj_expr);
   {
     nv;
     prows;
@@ -108,19 +106,16 @@ let prepare model =
     base_ub = Array.init nv (Model.var_ub model);
     cost;
     fcost = Array.map Rat.to_float cost;
-    ovars = Array.map fst oterms;
-    ocoefs = Array.map snd oterms;
-    oconst = Linear.const obj_expr;
+    maximize = sense = Model.Maximize;
+    obj_const = Linear.const obj_expr;
   }
 
-(* The model's objective at [values]: an exact sum, so it equals
-   [Linear.eval] of the objective in any order. *)
+(* The model's objective at [values], from [cost]: an exact sum, so it
+   equals [Linear.eval] of the objective in any order. *)
 let objective_value p values =
-  let acc = ref p.oconst in
-  for q = 0 to Array.length p.ovars - 1 do
-    acc := Rat.add !acc (Rat.mul p.ocoefs.(q) values.(p.ovars.(q)))
-  done;
-  !acc
+  let acc = ref Rat.zero in
+  Array.iteri (fun v c -> if not (Rat.is_zero c) then acc := Rat.add !acc (Rat.mul c values.(v))) p.cost;
+  Rat.add p.obj_const (if p.maximize then Rat.neg !acc else !acc)
 
 (* Node-specific variable bounds, computed exactly once per solve and
    shared by whichever tableau runs and the certificates: the lower
