@@ -99,7 +99,19 @@ let add a b =
   | S { n = 0; _ }, _ -> b
   | _, S { n = 0; _ } -> a
   | S { n = an; d = 1 }, S { n = bn; d = 1 } -> of_reduced (an + bn) 1
-  | S a, S b -> norm_int ((a.n * b.d) + (b.n * a.d)) (a.d * b.d)
+  | S a, S b ->
+    (* Knuth's addition (TAOCP 4.5.1): with g = gcd (a.d, b.d), only a
+       common factor of g can divide the numerator, so the gcds run on
+       the small g instead of the cross-product sums. *)
+    let g = gcd_int a.d b.d in
+    if g = 1 then of_reduced ((a.n * b.d) + (b.n * a.d)) (a.d * b.d)
+    else begin
+      let t = (a.n * (b.d / g)) + (b.n * (a.d / g)) in
+      if t = 0 then zero
+      else
+        let g2 = gcd_int (Stdlib.abs t) g in
+        of_reduced (t / g2) (a.d / g * (b.d / g2))
+    end
   | _ ->
     let an, ad = big a and bn, bd = big b in
     make (B.add (B.mul an bd) (B.mul bn ad)) (B.mul ad bd)
@@ -110,7 +122,10 @@ let mul a b =
   match (a, b) with
   | S { n = 0; _ }, _ | _, S { n = 0; _ } -> zero
   | S { n = an; d = 1 }, S { n = bn; d = 1 } -> of_reduced (an * bn) 1
-  | S a, S b -> norm_int (a.n * b.n) (a.d * b.d)
+  | S a, S b ->
+    (* Cancel across before multiplying: the product is then reduced. *)
+    let g1 = gcd_int (Stdlib.abs a.n) b.d and g2 = gcd_int (Stdlib.abs b.n) a.d in
+    of_reduced (a.n / g1 * (b.n / g2)) (a.d / g2 * (b.d / g1))
   | _ ->
     let an, ad = big a and bn, bd = big b in
     make (B.mul an bn) (B.mul ad bd)
