@@ -1231,16 +1231,11 @@ let row_residual p ~rhs x ~keep i =
    cost per basis position. *)
 let block_dual p blk bcols cost =
   let y = Array.make (Array.length p.prows) Rat.zero in
-  let paid_rows = ref false in
   Array.iteri
-    (fun i k ->
-      if k >= 0 then begin
-        y.(i) <- Rat.mul cost.(k) blk.unit_coef.(i);
-        if not (Rat.is_zero y.(i)) then paid_rows := true
-      end)
+    (fun i k -> if k >= 0 then y.(i) <- Rat.mul cost.(k) blk.unit_coef.(i))
     blk.unit_pos;
   let c_c = Array.map (fun k -> cost.(k)) blk.cols in
-  if !paid_rows then begin
+  if Array.exists (fun v -> not (Rat.is_zero v)) y then begin
     let paid = Array.make p.nv Rat.zero in
     Array.iteri (fun i yi -> if not (Rat.is_zero yi) then add_row p paid yi i) y;
     Array.iteri (fun b k -> c_c.(b) <- Rat.sub c_c.(b) paid.(bcols.(k))) blk.cols
@@ -1301,19 +1296,10 @@ let certify p ~lb ~rhs ~shifted_ub ~basis =
         let residual = row_residual p ~rhs x ~keep:(fun v -> not (Rat.is_zero x.(v))) i in
         Rat.sign residual * Rat.sign blk.unit_coef.(i) >= 0
       in
-      let primal_ok =
-        let ok = ref true and b = ref 0 and i = ref 0 in
-        while !ok && !b < Array.length x_c do
-          ok := in_box !b x_c.(!b);
-          incr b
-        done;
-        while !ok && !i < Array.length blk.unit_pos do
-          ok := slack_ok !i blk.unit_pos.(!i);
-          incr i
-        done;
-        !ok
-      in
-      if not primal_ok then None
+      let primal_ok = ref true in
+      Array.iteri (fun b v -> if not (in_box b v) then primal_ok := false) x_c;
+      Array.iteri (fun i k -> if not (slack_ok i k) then primal_ok := false) blk.unit_pos;
+      if not !primal_ok then None
       else begin
         let c_b = Array.map (fun c -> if c < nv then p.cost.(c) else Rat.zero) bcols in
         let y = block_dual p blk bcols c_b in
